@@ -69,8 +69,7 @@ from .witnesses import (
     LinearWitness,
     QuadraticWitness,
     Witness,
-    linear_witness_pmf,
-    quadratic_witness_pmf,
+    WitnessGrid,
     witness_grid,
     witness_moments,
     witness_pmf,

@@ -29,7 +29,7 @@ from .planner import (
 )
 from .simulate import SimulationConfig, chi_square_compare, simulate_witness
 from .states import white_noise_success_probability
-from .witnesses import witness_pmf
+from .witnesses import QuadraticWitness, witness_pmf
 from .worst_case import WorstCaseProblem, WorstCaseResult
 
 EXIT_OK = 0
@@ -134,7 +134,7 @@ def cmd_test(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
     q_bayes = cfg.number(doc, "q_bayes", "config")
     options = cfg.parse_optimizer(doc.get("optimizer"), args.seed)
     model = cfg.parse_entangled(doc["entangled"])
-    kind = "quadratic" if witness.__class__.__name__ == "QuadraticWitness" else "linear"
+    kind = "quadratic" if isinstance(witness, QuadraticWitness) else "linear"
     signs = cfg.parse_signs(doc, len(copies), family_signs(kind, len(copies)))
 
     problem = WorstCaseProblem(witness, copies)
@@ -263,8 +263,8 @@ def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
         max_settings=cfg.integer(doc, "max_settings", "config"),
         min_validity=cfg.number(doc, "min_validity", "config"),
         framework=doc["framework"],
-        allow_unused_copies=bool(doc.get("allow_unused_copies", True)),
-        equal_allocation_only=bool(doc.get("equal_allocation_only", False)),
+        allow_unused_copies=cfg.boolean(doc, "allow_unused_copies", "config", True),
+        equal_allocation_only=cfg.boolean(doc, "equal_allocation_only", "config", False),
     )
     evaluator = PlanEvaluator(
         kind,

@@ -7,6 +7,7 @@ types before any computation starts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -32,9 +33,16 @@ def check_keys(doc: Mapping[str, Any], where: str, required: set[str], optional:
 
 def number(doc: Mapping[str, Any], key: str, where: str) -> float:
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}.{key}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{where}.{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def boolean(doc: Mapping[str, Any], key: str, where: str, default: bool) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
 
 
 def integer(doc: Mapping[str, Any], key: str, where: str) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import DomainError
 
@@ -146,20 +146,6 @@ class OutcomePmf:
             key = x * x
             acc[key] = acc.get(key, 0.0) + px
         return OutcomePmf.from_entries(acc)
-
-    def mixture(self, other: "OutcomePmf", weight: float) -> "OutcomePmf":
-        """Two-component mixture ``weight * self + (1 - weight) * other``."""
-        return mix_pmfs([self, other], [weight, 1.0 - weight])
-
-
-def convolve_all(pmfs: Iterable[OutcomePmf]) -> OutcomePmf:
-    """Left-to-right pairwise convolution of independent pmfs."""
-    result: OutcomePmf | None = None
-    for pmf in pmfs:
-        result = pmf if result is None else result.convolve(pmf)
-    if result is None:
-        raise DomainError("cannot convolve an empty collection of pmfs")
-    return result
 
 
 def mix_pmfs(pmfs: list[OutcomePmf], weights: list[float]) -> OutcomePmf:

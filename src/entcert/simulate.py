@@ -10,9 +10,7 @@ work is partitioned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +19,7 @@ from scipy.stats import chi2
 from .errors import DomainError
 from .pmf import OutcomePmf
 from .states import TruncatedGaussianPrior
-from .witnesses import QuadraticWitness, Witness, witness_grid
+from .witnesses import Witness, WitnessGrid
 
 #: Trials are drawn in fixed chunks; changing worker counts must not change results.
 CHUNK_TRIALS = 1 << 16
@@ -51,39 +49,6 @@ class SimulationConfig:
         object.__setattr__(self, "seed", int(seed))
 
 
-def _witness_encoding(witness: Witness, copies: tuple[int, ...]):
-    """Integer encoding of per-setting contributions over a common denominator."""
-    if isinstance(witness, QuadraticWitness):
-        denom = math.lcm(*(n * n for n in copies))
-        shift = 0
-        tables = [
-            (2 * np.arange(n + 1, dtype=np.int64) - n) ** 2 * (denom // (n * n))
-            for n in copies
-        ]
-    else:
-        denom = math.lcm(
-            witness.constant.denominator,
-            *(c.denominator * n for c, n in zip(witness.coefficients, copies)),
-        )
-        shift = witness.constant.numerator * (denom // witness.constant.denominator)
-        tables = [
-            (2 * np.arange(n + 1, dtype=np.int64) - n)
-            * (c.numerator * (denom // (c.denominator * n)))
-            for c, n in zip(witness.coefficients, copies)
-        ]
-    return denom, shift, tables
-
-
-def _grid_integers(grid: tuple[Fraction, ...], denom: int) -> np.ndarray:
-    values = []
-    for outcome in grid:
-        scaled = outcome * denom
-        if scaled.denominator != 1:
-            raise DomainError(f"grid outcome {outcome} does not scale to the denominator")
-        values.append(scaled.numerator)
-    return np.array(values, dtype=np.int64)
-
-
 def _tally(
     witness: Witness,
     copies: tuple[int, ...],
@@ -91,24 +56,21 @@ def _tally(
     seed: int,
     success_for_chunk,
 ) -> OutcomePmf:
-    denom, shift, tables = _witness_encoding(witness, copies)
-    grid = witness_grid(copies, witness)
-    grid_ints = _grid_integers(grid, denom)
-    counts = np.zeros(len(grid), dtype=np.int64)
+    grid = WitnessGrid(witness, copies)
+    counts = np.zeros(len(grid.outcomes), dtype=np.int64)
     base = np.random.Philox(key=seed)
     chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     for i in range(chunks):
         size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
         rng = np.random.Generator(base.jumped(i))
         success = success_for_chunk(rng, size)
-        total = np.full(size, shift, dtype=np.int64)
+        total = np.full(size, grid.shift, dtype=np.int64)
         for j, n in enumerate(copies):
             agree = rng.binomial(n, success[j], size)
-            total += tables[j][agree]
+            total += grid.values[j][agree]
         values, tallies = np.unique(total, return_counts=True)
-        index = np.searchsorted(grid_ints, values)
-        counts[index] += tallies
-    return OutcomePmf(grid, tuple(counts / trials))
+        counts[np.searchsorted(grid.integers, values)] += tallies
+    return OutcomePmf(grid.outcomes, tuple((counts / trials).tolist()))
 
 
 def simulate_witness(config: SimulationConfig, witness: Witness) -> OutcomePmf:

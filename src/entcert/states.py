@@ -12,10 +12,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .finite_stats import CorrelationSetting
-from .pmf import OutcomePmf, mix_pmfs
-from .witnesses import Witness, witness_pmf
+from .pmf import OutcomePmf
+from .witnesses import Witness, WitnessGrid, witness_pmf
+
+
+#: Most cells a purity prior may be discretized into: a mixture evaluates
+#: every cell's pmf at once, as a cells x grid-points array of floats.
+MAX_PRIOR_CELLS = 10_000
 
 
 def entanglement_threshold(num_qubits: int) -> float:
@@ -81,9 +88,13 @@ class TruncatedGaussianPrior:
 
     def discretize(self, grid_step: float) -> tuple[list[float], list[float]]:
         """Cell-midpoint grid on [p_min, 1] with renormalized weights."""
-        if grid_step <= 0.0:
-            raise DomainError(f"grid_step must be positive, got {grid_step}")
+        if not (math.isfinite(grid_step) and grid_step > 0.0):
+            raise DomainError(f"grid_step must be positive and finite, got {grid_step}")
         cells = max(1, round((1.0 - self.p_min) / grid_step))
+        if cells > MAX_PRIOR_CELLS:
+            raise DomainError(
+                f"grid_step {grid_step} gives {cells} prior cells, more than {MAX_PRIOR_CELLS}"
+            )
         width = (1.0 - self.p_min) / cells
         points = [self.p_min + (i + 0.5) * width for i in range(cells)]
         weights = [self.density(p) for p in points]
@@ -103,16 +114,15 @@ def mixture_witness_pmf(
     """Outcome distribution averaged over the purity prior.
 
     The prior is discretized on a midpoint grid of the given step; the
-    per-purity exact pmfs are mixed with the renormalized weights.
+    per-purity exact pmfs, one batch on a shared grid, are mixed with the
+    renormalized weights.
     """
     if len(signs) != len(copies):
         raise DomainError("signs and copies must have equal length")
     points, weights = prior.discretize(grid_step)
-    pmfs = []
-    for p in points:
-        settings = [CorrelationSetting(s * p, n) for s, n in zip(signs, copies)]
-        pmfs.append(witness_pmf(settings, witness))
-    return mix_pmfs(pmfs, weights)
+    grid = WitnessGrid(witness, copies)
+    masses = np.array(weights) @ grid.pmf_batch(np.outer(points, signs))
+    return OutcomePmf(grid.outcomes, tuple(masses.tolist()))
 
 
 def white_noise_success_probability(purity: float, copies: int, num_settings: int) -> float:
@@ -157,6 +167,8 @@ class EntangledStateModel:
             raise DomainError("give exactly one of purity and prior")
         if self.purity is not None and not (0.0 <= self.purity <= 1.0):
             raise DomainError(f"purity must lie in [0, 1], got {self.purity}")
+        if self.prior is not None:
+            self.prior.discretize(self.grid_step)  # reject a bad grid_step up front
 
     def outcome_pmf(
         self,

@@ -2,26 +2,30 @@
 
 Two shapes are supported: a linear combination of correlations plus a
 constant, and the sum of squared full correlations.  Outcome distributions
-are composed by exact convolution over the per-setting grids, assuming
-independent settings.
+of independent settings come from one integer encoding of the outcome grid,
+``WitnessGrid``, shared with the worst-case search and the simulator.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .finite_stats import (
+    _DIRECT_BINOMIAL_LIMIT,
     CorrelationSetting,
+    _binomial_weights,
     correlation_moments,
-    correlation_pmf,
     squared_correlation_moments,
-    squared_correlation_pmf,
 )
-from .pmf import OutcomePmf, RationalLike, as_fraction, convolve_all
+from .pmf import OutcomePmf, RationalLike, as_fraction
 
 
 @dataclass(frozen=True)
@@ -85,28 +89,107 @@ def _check_settings(settings: Sequence[CorrelationSetting], witness: Witness) ->
         )
 
 
-def linear_witness_pmf(settings: Sequence[CorrelationSetting], witness: LinearWitness) -> OutcomePmf:
-    """Exact pmf of a linear witness via pairwise convolution."""
-    _check_settings(settings, witness)
-    parts = [
-        correlation_pmf(s).affine(scale=c)
-        for s, c in zip(settings, witness.coefficients)
-    ]
-    return convolve_all(parts).affine(shift=witness.constant)
+class WitnessGrid:
+    """Exact outcome grid of one witness at fixed copy counts.
 
+    Outcomes are integers over one common ``denominator``, so grid points
+    from different settings (9/25 + 1 + 1 = 59/25) group exactly: setting j
+    with k agreeing products adds ``values[j][k]`` to ``shift``, with
+    binomial weight ``comb * q**k * (1 - q)**(n - k)`` from the padded
+    tables.  Probabilities are aggregated setting by setting, never over the
+    full combination space.
+    """
 
-def quadratic_witness_pmf(settings: Sequence[CorrelationSetting]) -> OutcomePmf:
-    """Exact pmf of the sum of squared correlation estimates."""
-    if not settings:
-        raise DomainError("quadratic witness needs at least one setting")
-    return convolve_all(squared_correlation_pmf(s) for s in settings)
+    def __init__(self, witness: Witness, copies: Sequence[int]):
+        copies = tuple(int(n) for n in copies)
+        if len(copies) != witness.num_settings:
+            raise DomainError(f"witness expects {witness.num_settings} settings, got {len(copies)}")
+        if any(n < 1 for n in copies):
+            raise DomainError("copies must all be >= 1")
+        self.copies = copies
+        counts = [2 * np.arange(n + 1, dtype=np.int64) - n for n in copies]
+        if isinstance(witness, QuadraticWitness):
+            denom = math.lcm(*(n * n for n in copies))
+            self.shift = 0
+            self.values = [c * c * (denom // (n * n)) for c, n in zip(counts, copies)]
+        else:
+            constant = witness.constant
+            denom = math.lcm(
+                constant.denominator,
+                *(a.denominator * n for a, n in zip(witness.coefficients, copies)),
+            )
+            self.shift = constant.numerator * (denom // constant.denominator)
+            self.values = [
+                c * (a.numerator * (denom // (a.denominator * n)))
+                for c, a, n in zip(counts, witness.coefficients, copies)
+            ]
+        self.denominator = denom
+        self.supports = [np.unique(v) for v in self.values]
+
+        m, width = len(copies), max(copies) + 1
+        self.k_table = np.zeros((m, width))
+        self.nk_table = np.zeros((m, width))
+        self.comb_table = np.zeros((m, width))
+        for j, n in enumerate(copies):
+            ks = np.arange(n + 1)
+            self.k_table[j, : n + 1] = ks
+            self.nk_table[j, : n + 1] = n - ks
+            if n <= _DIRECT_BINOMIAL_LIMIT:
+                self.comb_table[j, : n + 1] = [math.comb(n, int(k)) for k in ks]
+        starts = np.cumsum([0] + [len(s) for s in self.supports])
+        self.slices = [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
+
+        # Partial sums setting by setting: step j maps every (partial sum,
+        # count k) pair to its place among the next partial sums.
+        sums = np.array([self.shift], dtype=np.int64)
+        self._steps = []
+        for value in self.values:
+            sums, inverse = np.unique(np.add.outer(sums, value).ravel(), return_inverse=True)
+            self._steps.append((inverse.ravel(), len(sums)))
+        self.integers = sums
+        self.outcomes: tuple[Fraction, ...] = tuple(Fraction(int(v), denom) for v in sums)
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """0/1 map from the padded count cells (j, k) onto the concatenated supports."""
+        width = self.k_table.shape[1]
+        block = np.zeros((self.slices[-1].stop, len(self.copies) * width))
+        for j, (n, value, support) in enumerate(zip(self.copies, self.values, self.supports)):
+            rows = self.slices[j].start + np.searchsorted(support, value)
+            block[rows, j * width + np.arange(n + 1)] = 1.0
+        return block
+
+    def combination_index(self) -> np.ndarray:
+        """Grid position of every combination of support values (C order)."""
+        total = reduce(np.add.outer, self.supports).ravel() + self.shift
+        return np.searchsorted(self.integers, total)
+
+    def pmf_batch(self, correlations) -> np.ndarray:
+        """Grid probabilities (B, G) at a batch of correlation vectors (B, M)."""
+        t = np.asarray(correlations, dtype=np.float64)
+        rows = len(t)
+        mass = np.ones((rows, 1))
+        for j, (n, (inverse, size)) in enumerate(zip(self.copies, self._steps)):
+            q = (1.0 + t[:, j, None]) / 2.0
+            if n > _DIRECT_BINOMIAL_LIMIT:
+                weights = np.array([_binomial_weights(n, s) for s in q[:, 0]])
+            else:
+                k, nk = self.k_table[j, : n + 1], self.nk_table[j, : n + 1]
+                weights = self.comb_table[j, : n + 1] * q**k * (1.0 - q) ** nk
+            combos = mass[:, :, None] * weights[:, None, :]
+            index = inverse + size * np.arange(rows)[:, None]
+            mass = np.bincount(index.ravel(), combos.ravel(), rows * size).reshape(rows, size)
+        return mass
+
+    def pmf(self, correlations: Sequence[float]) -> OutcomePmf:
+        """Exact outcome pmf at one correlation vector."""
+        return OutcomePmf(self.outcomes, tuple(self.pmf_batch([correlations])[0].tolist()))
 
 
 def witness_pmf(settings: Sequence[CorrelationSetting], witness: Witness) -> OutcomePmf:
-    if isinstance(witness, LinearWitness):
-        return linear_witness_pmf(settings, witness)
-    _check_settings(settings, witness)
-    return quadratic_witness_pmf(settings)
+    """Exact outcome pmf of a witness over independent settings."""
+    grid = WitnessGrid(witness, [s.copies for s in settings])
+    return grid.pmf([s.correlation for s in settings])
 
 
 def witness_moments(settings: Sequence[CorrelationSetting], witness: Witness) -> tuple[float, float]:
@@ -142,5 +225,4 @@ def witness_grid(copies: Sequence[int], witness: Witness) -> tuple[Fraction, ...
     The grid does not depend on the correlations because zero-probability
     points are retained throughout.
     """
-    settings = [CorrelationSetting(0.0, n) for n in copies]
-    return witness_pmf(settings, witness).outcomes
+    return WitnessGrid(witness, copies).outcomes

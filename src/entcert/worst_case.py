@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +26,9 @@ from scipy.optimize import minimize
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
+from .finite_stats import _DIRECT_BINOMIAL_LIMIT
 from .pmf import OutcomePmf, RationalLike, as_fraction
-from .witnesses import QuadraticWitness, Witness
+from .witnesses import QuadraticWitness, Witness, WitnessGrid
 
 #: Tolerated constraint violation of a returned point.
 FEASIBILITY_TOLERANCE = 1e-9
@@ -67,82 +67,33 @@ class WorstCaseResult:
     converged: bool
 
 
-def _lcm(values) -> int:
-    return reduce(math.lcm, values, 1)
-
-
 class WorstCaseProblem:
     """One witness + copy allocation, with precomputed combination space.
 
-    Per-setting outcome contributions are encoded as integers over a common
-    denominator, so grid points group exactly; the probability of every grid
-    outcome is a polynomial in the per-setting binomial weights, evaluated
-    with one batched matrix product per candidate correlation vector.
+    The outcome grid and its integer encoding come from ``WitnessGrid``; the
+    probability of every grid outcome is a polynomial in the per-setting
+    binomial weights, evaluated with one batched matrix product per
+    candidate correlation vector.
     """
 
     def __init__(self, witness: Witness, copies: tuple[int, ...] | list[int]):
-        copies = tuple(int(n) for n in copies)
-        if len(copies) != witness.num_settings:
+        grid = WitnessGrid(witness, copies)
+        if max(grid.copies) > _DIRECT_BINOMIAL_LIMIT:
             raise DomainError(
-                f"witness expects {witness.num_settings} settings, got {len(copies)}"
+                f"worst-case searches take at most {_DIRECT_BINOMIAL_LIMIT} copies per setting"
             )
-        if any(n < 1 for n in copies):
-            raise DomainError("copies must all be >= 1")
         self.witness = witness
-        self.copies = copies
+        self.copies = grid.copies
         self._quadratic = isinstance(witness, QuadraticWitness)
-
-        if self._quadratic:
-            denom = _lcm(n * n for n in copies)
-            shift = 0
-            contributions = [
-                (2 * np.arange(n + 1, dtype=np.int64) - n) ** 2 * (denom // (n * n))
-                for n in copies
-            ]
-        else:
-            coeff_denoms = [c.denominator for c in witness.coefficients]
-            denom = _lcm(
-                [b * n for b, n in zip(coeff_denoms, copies)] + [witness.constant.denominator]
-            )
-            shift = witness.constant.numerator * (denom // witness.constant.denominator)
-            contributions = [
-                (2 * np.arange(n + 1, dtype=np.int64) - n)
-                * (coeff.numerator * (denom // (coeff.denominator * n)))
-                for n, coeff in zip(copies, witness.coefficients)
-            ]
-        self._denominator = denom
-
-        supports = [np.unique(contrib) for contrib in contributions]
-        self._shape = tuple(len(s) for s in supports)
-        size = 1
-        for s in self._shape:
-            size *= s
+        self._engine = grid
+        self._shape = tuple(len(s) for s in grid.supports)
+        size = math.prod(self._shape)
         if size > _MAX_COMBINATIONS:
             raise DomainError(f"outcome combination space too large ({size} points)")
-        total = reduce(np.add.outer, supports).ravel() + shift
-        outcome_ints, inverse = np.unique(total, return_inverse=True)
-        self._inverse = inverse
-        self.grid: tuple[Fraction, ...] = tuple(Fraction(int(v), denom) for v in outcome_ints)
-
-        # Batched binomial-weight machinery: one padded (M, nmax+1) power
-        # table feeds a block aggregation matrix mapping padded count cells
-        # to the concatenated per-setting supports.
-        m = len(copies)
-        width = max(copies) + 1
-        self._k_table = np.zeros((m, width))
-        self._nk_table = np.zeros((m, width))
-        self._comb_table = np.zeros((m, width))
-        starts = np.concatenate(([0], np.cumsum(self._shape)))[:-1]
-        self._slices = [slice(int(a), int(a + s)) for a, s in zip(starts, self._shape)]
-        block = np.zeros((int(sum(self._shape)), m * width))
-        for j, (n, contrib, support) in enumerate(zip(copies, contributions, supports)):
-            ks = np.arange(n + 1)
-            self._k_table[j, : n + 1] = ks
-            self._nk_table[j, : n + 1] = n - ks
-            self._comb_table[j, : n + 1] = [math.comb(n, int(k)) for k in ks]
-            rows = self._slices[j].start + np.searchsorted(support, contrib)
-            block[rows, j * width + ks] = 1.0
-        self._block = block
+        self._inverse = grid.combination_index()
+        self.grid: tuple[Fraction, ...] = grid.outcomes
+        self._k_table, self._nk_table, self._comb_table = grid.k_table, grid.nk_table, grid.comb_table
+        self._slices, self._block = grid.slices, grid.block
 
     # -- evaluation --------------------------------------------------------
 
@@ -154,10 +105,7 @@ class WorstCaseProblem:
 
     def pmf_at(self, correlations) -> OutcomePmf:
         """Exact-grid outcome pmf for the given correlations."""
-        stacked = self._setting_weights(correlations)
-        combo = reduce(np.multiply.outer, [stacked[s] for s in self._slices]).ravel()
-        masses = np.bincount(self._inverse, weights=combo, minlength=len(self.grid))
-        return OutcomePmf(self.grid, tuple(masses))
+        return self._engine.pmf(correlations)
 
     def _make_objective(self, outcome_weights: np.ndarray):
         """Maximand  sum_combos P(combo) * weight(outcome(combo))."""

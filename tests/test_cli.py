@@ -241,6 +241,18 @@ class TestSimulate:
         assert json.loads(with_flag)["seed"] == 2
         assert with_config_seed != with_flag
 
+    def test_csv_probabilities_are_plain_floats(self, tmp_path):
+        doc = {
+            "witness": {"kind": "quadratic", "settings": 1},
+            "correlations": [0.5],
+            "copies": [2],
+            "trials": 100,
+        }
+        code, text = run(tmp_path, "simulate", doc, "--format", "csv")
+        assert code == 0
+        for line in text.strip().splitlines()[1:]:
+            float(line.split(",")[2])
+
 
 class TestSchemaErrors:
     def test_unknown_key(self, tmp_path):
@@ -273,3 +285,54 @@ class TestSchemaErrors:
         }
         config = write_config(tmp_path, doc)
         assert main(["worst-case", "--config", config]) == 2
+
+    def test_non_finite_number_rejected(self, tmp_path):
+        doc = {
+            "witness": {"kind": "quadratic", "settings": 2},
+            "copies": [4, 4],
+            "acceptance": {"kind": "threshold", "bound": "2", "direction": "accept_high"},
+            "entangled": {"purity": 0.75},
+            "priors": {"entangled": 0.5},
+            "q_bayes": float("inf"),
+        }
+        config = write_config(tmp_path, doc)
+        assert main(["test", "--config", config]) == 2
+
+
+class TestPriorGridLimits:
+    def plan_doc(self, grid_step):
+        return {
+            "witness_kind": "quadratic",
+            "budget": 6,
+            "max_settings": 2,
+            "min_validity": 0.7,
+            "framework": "frequentist",
+            "entangled": {"prior": {"mean": 0.8, "std": 0.1, "p_min": 0.2}, "grid_step": grid_step},
+            "priors": {"entangled": 0.6667},
+        }
+
+    def test_nan_grid_step_rejected(self, tmp_path):
+        config = write_config(tmp_path, self.plan_doc(float("nan")))
+        assert main(["plan", "--config", config]) == 2
+
+    def test_oversized_prior_grid_rejected(self, tmp_path):
+        config = write_config(tmp_path, self.plan_doc(1e-7))
+        assert main(["plan", "--config", config]) == 2
+
+
+class TestPlanBooleans:
+    @pytest.mark.parametrize("key", ["allow_unused_copies", "equal_allocation_only"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_rejected(self, tmp_path, key, value):
+        doc = {
+            "witness_kind": "quadratic",
+            "budget": 6,
+            "max_settings": 2,
+            "min_validity": 0.7,
+            "framework": "frequentist",
+            "entangled": {"purity": 0.8},
+            "priors": {"entangled": 0.6667},
+            key: value,
+        }
+        config = write_config(tmp_path, doc)
+        assert main(["plan", "--config", config]) == 2

@@ -1,5 +1,6 @@
 """Exact-pmf container: invariants, convolution, folding."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from entcert.errors import DomainError
 from entcert.pmf import (
     OutcomePmf,
     as_fraction,
-    convolve_all,
     format_fraction,
     mix_pmfs,
     round_fraction,
@@ -110,7 +110,7 @@ class TestTransforms:
         rng = np.random.default_rng(7)
         for _ in range(40):
             pmfs = [random_pmf(rng) for _ in range(int(rng.integers(2, 4)))]
-            result = convolve_all(pmfs)
+            result = functools.reduce(OutcomePmf.convolve, pmfs)
             oracle = brute_convolution(pmfs)
             assert set(result.outcomes) == set(oracle)
             for outcome, expected in oracle.items():

@@ -6,6 +6,7 @@ import pytest
 from entcert.errors import DomainError
 from entcert.finite_stats import CorrelationSetting
 from entcert.states import (
+    MAX_PRIOR_CELLS,
     EntangledStateModel,
     NoisyPureFamily,
     TruncatedGaussianPrior,
@@ -15,7 +16,7 @@ from entcert.states import (
     natural_prior,
     white_noise_success_probability,
 )
-from entcert.witnesses import QuadraticWitness, quadratic_witness_pmf
+from entcert.witnesses import QuadraticWitness, witness_pmf
 
 
 class TestNoisyFamily:
@@ -64,6 +65,20 @@ class TestTruncatedPrior:
         with pytest.raises(DomainError):
             TruncatedGaussianPrior(0.8, 0.1, 0.2).discretize(0.0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(DomainError):
+            TruncatedGaussianPrior(0.8, 0.1, 0.2).discretize(step)
+
+    def test_cell_count_is_bounded(self):
+        prior = TruncatedGaussianPrior(0.8, 0.1, 0.0)
+        points, _ = prior.discretize(1.0 / MAX_PRIOR_CELLS)
+        assert len(points) == MAX_PRIOR_CELLS
+        with pytest.raises(DomainError):
+            prior.discretize(1e-7)
+        with pytest.raises(DomainError):
+            EntangledStateModel(prior=prior, grid_step=1e-7)
+
 
 class TestMixturePmf:
     def test_total_mass(self):
@@ -76,8 +91,8 @@ class TestMixturePmf:
         # width concentrates all weight on that single purity.
         prior = TruncatedGaussianPrior(0.75, 1e-12, 0.5)
         pmf = mixture_witness_pmf(prior, (1, 1), (10, 10), QuadraticWitness(2), grid_step=0.1)
-        direct = quadratic_witness_pmf(
-            [CorrelationSetting(0.75, 10), CorrelationSetting(0.75, 10)]
+        direct = witness_pmf(
+            [CorrelationSetting(0.75, 10), CorrelationSetting(0.75, 10)], QuadraticWitness(2)
         )
         assert pmf.outcomes == direct.outcomes
         assert pmf.probabilities == pytest.approx(direct.probabilities, abs=1e-9)
@@ -88,7 +103,7 @@ class TestMixturePmf:
         assert points == pytest.approx([0.7, 0.9])
         pmf = mixture_witness_pmf(prior, (1,), (6,), QuadraticWitness(1), grid_step=0.2)
         parts = [
-            quadratic_witness_pmf([CorrelationSetting(p, 6)]) for p in points
+            witness_pmf([CorrelationSetting(p, 6)], QuadraticWitness(1)) for p in points
         ]
         for outcome in pmf.outcomes:
             expected = sum(w * part.probability(outcome) for w, part in zip(weights, parts))
@@ -127,7 +142,7 @@ class TestWhiteNoiseCurve:
 
     def test_matches_quadratic_pmf_mass(self):
         # P(S = M) computed from the exact distribution must agree.
-        pmf = quadratic_witness_pmf([CorrelationSetting(0.8, 4) for _ in range(5)])
+        pmf = witness_pmf([CorrelationSetting(0.8, 4) for _ in range(5)], QuadraticWitness(5))
         assert pmf.probability(5) == pytest.approx(
             white_noise_success_probability(0.8, 4, 5), abs=1e-12
         )
@@ -156,7 +171,7 @@ class TestEntangledModel:
     def test_fixed_purity_pmf(self):
         model = EntangledStateModel(purity=0.75)
         pmf = model.outcome_pmf(QuadraticWitness(2), (10, 10), (1, -1))
-        direct = quadratic_witness_pmf(
-            [CorrelationSetting(0.75, 10), CorrelationSetting(-0.75, 10)]
+        direct = witness_pmf(
+            [CorrelationSetting(0.75, 10), CorrelationSetting(-0.75, 10)], QuadraticWitness(2)
         )
         assert pmf.probabilities == direct.probabilities

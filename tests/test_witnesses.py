@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from entcert.errors import DomainError
 from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
 from entcert.witnesses import (
     LinearWitness,
     QuadraticWitness,
-    linear_witness_pmf,
-    quadratic_witness_pmf,
+    WitnessGrid,
     witness_grid,
     witness_moments,
     witness_pmf,
@@ -32,27 +34,27 @@ class TestLinearExamples:
     W = LinearWitness([1, -1], 1)
 
     def test_boundary_violation_probability(self):
-        pmf = linear_witness_pmf(settings([-0.75, 0.75], [10, 10]), self.W)
+        pmf = witness_pmf(settings([-0.75, 0.75], [10, 10]), self.W)
         assert pmf.mass_below(F(-4, 5)) == pytest.approx(0.267, abs=PP)
 
     def test_separable_violation_at_strict_bound(self):
-        pmf = linear_witness_pmf(settings([-0.5, 0.5], [10, 10]), self.W)
+        pmf = witness_pmf(settings([-0.5, 0.5], [10, 10]), self.W)
         assert pmf.mass_below(F(-4, 5)) == pytest.approx(0.025, abs=PP)
 
     def test_separable_negative_value_probability(self):
-        pmf = linear_witness_pmf(settings([-0.5, 0.5], [10, 10]), self.W)
+        pmf = witness_pmf(settings([-0.5, 0.5], [10, 10]), self.W)
         assert pmf.mass_below(0, inclusive=False) == pytest.approx(0.415, abs=PP)
 
 
 class TestQuadraticExamples:
     def test_maximal_value_probabilities(self):
-        ent = quadratic_witness_pmf(settings([0.75, -0.75], [10, 10]))
+        ent = witness_pmf(settings([0.75, -0.75], [10, 10]), QuadraticWitness(2))
         assert ent.probability(2) == pytest.approx(0.069, abs=PP)
-        sep = quadratic_witness_pmf(settings([0.5**0.5, 0.5**0.5], [10, 10]))
+        sep = witness_pmf(settings([0.5**0.5, 0.5**0.5], [10, 10]), QuadraticWitness(2))
         assert sep.probability(2) == pytest.approx(0.042, abs=PP)
 
     def test_single_setting_single_copy(self):
-        pmf = quadratic_witness_pmf(settings([1.0], [1]))
+        pmf = witness_pmf(settings([1.0], [1]), QuadraticWitness(1))
         assert pmf.outcomes == (F(1),)
         assert pmf.probabilities == (1.0,)
 
@@ -63,7 +65,7 @@ class TestMoments:
         mean, variance = witness_moments(sts, QuadraticWitness(2))
         # ((n - 1) * S_ideal + M) / n with S_ideal = 9/8
         assert mean == pytest.approx((9 * 9 / 8 + 2) / 10, abs=1e-15)
-        pmf = quadratic_witness_pmf(sts)
+        pmf = witness_pmf(sts, QuadraticWitness(2))
         assert pmf.mean() == pytest.approx(mean, abs=1e-12)
         assert pmf.variance() == pytest.approx(variance, abs=1e-12)
 
@@ -71,7 +73,7 @@ class TestMoments:
         w = LinearWitness([0, 0], F(5, 2))
         sts = settings([0.3, -0.8], [4, 6])
         assert witness_moments(sts, w) == pytest.approx((2.5, 0.0))
-        pmf = linear_witness_pmf(sts, w)
+        pmf = witness_pmf(sts, w)
         assert pmf.outcomes == (F(5, 2),)
 
     def test_perfect_correlations_have_no_variance(self):
@@ -89,11 +91,11 @@ class TestMoments:
             const = F(int(rng.integers(-2, 3)))
             w = LinearWitness(coeffs, const)
             mean, variance = witness_moments(sts, w)
-            pmf = linear_witness_pmf(sts, w)
+            pmf = witness_pmf(sts, w)
             assert pmf.mean() == pytest.approx(mean, abs=1e-12)
             assert pmf.variance() == pytest.approx(variance, abs=1e-12)
             q_mean, q_var = witness_moments(sts, QuadraticWitness(m))
-            q_pmf = quadratic_witness_pmf(sts)
+            q_pmf = witness_pmf(sts, QuadraticWitness(m))
             assert q_pmf.mean() == pytest.approx(q_mean, abs=1e-12)
             assert q_pmf.variance() == pytest.approx(q_var, abs=1e-12)
 
@@ -101,12 +103,12 @@ class TestMoments:
 class TestSupportBounds:
     def test_linear_support_inside_coefficient_range(self):
         w = LinearWitness([F(1, 2), -2], 1)
-        pmf = linear_witness_pmf(settings([0.2, 0.9], [5, 3]), w)
+        pmf = witness_pmf(settings([0.2, 0.9], [5, 3]), w)
         low, high = 1 - F(5, 2), 1 + F(5, 2)
         assert all(low <= o <= high for o in pmf.outcomes)
 
     def test_quadratic_support_inside_zero_to_m(self):
-        pmf = quadratic_witness_pmf(settings([0.3, -0.4, 0.5], [3, 4, 5]))
+        pmf = witness_pmf(settings([0.3, -0.4, 0.5], [3, 4, 5]), QuadraticWitness(3))
         assert all(0 <= o <= 3 for o in pmf.outcomes)
 
 
@@ -146,17 +148,66 @@ class TestBruteForceEquivalence:
     def test_permuting_quadratic_settings_is_invariant(self):
         rng = np.random.default_rng(9)
         sts = settings(rng.uniform(-1, 1, 3), [5, 3, 2])
-        base = quadratic_witness_pmf(sts)
+        base = witness_pmf(sts, QuadraticWitness(3))
         for perm in itertools.permutations(sts):
-            other = quadratic_witness_pmf(list(perm))
+            other = witness_pmf(list(perm), QuadraticWitness(3))
             assert other.outcomes == base.outcomes
             assert other.probabilities == pytest.approx(base.probabilities, abs=1e-15)
+
+
+@st.composite
+def witness_batches(draw):
+    """A random small witness, its copy counts and 1-3 correlation vectors."""
+    m = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        witness = QuadraticWitness(m)
+    else:
+        rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        witness = LinearWitness(draw(st.lists(rationals, min_size=m, max_size=m)), draw(rationals))
+    correlation = st.floats(-1.0, 1.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(correlation, min_size=m, max_size=m), min_size=1, max_size=3))
+    return witness, copies, rows
+
+
+class TestGridEngine:
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(witness_batches())
+    def test_pmf_batch_matches_enumeration(self, case):
+        witness, copies, rows = case
+        grid = WitnessGrid(witness, copies)
+        batch = grid.pmf_batch(rows)
+        assert batch.shape == (len(rows), len(grid.outcomes))
+        for row, masses in zip(rows, batch):
+            oracle = brute_force_pmf(settings(row, copies), witness)
+            assert grid.outcomes == tuple(sorted(oracle))
+            expected = [oracle[o] for o in grid.outcomes]
+            assert masses.tolist() == pytest.approx(expected, abs=1e-14)
+            single = grid.pmf_batch([row])[0]
+            assert single.tolist() == pytest.approx(masses.tolist(), abs=1e-15)
+
+    @pytest.mark.parametrize("witness", [LinearWitness([1] + [-1] * 35, 1), QuadraticWitness(36)])
+    def test_many_single_copy_settings(self, witness):
+        # 36 settings x 1 copy span 2**36 outcome combinations.
+        sts = settings([0.5, -0.5] * 18, [1] * 36)
+        pmf = witness_pmf(sts, witness)
+        mean, variance = witness_moments(sts, witness)
+        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert pmf.mean() == pytest.approx(mean, abs=1e-12)
+        assert pmf.variance() == pytest.approx(variance, abs=1e-12)
+
+    def test_log_space_binomial_beyond_direct_limit(self):
+        setting = CorrelationSetting(0.3, 2000)
+        pmf = witness_pmf([setting], LinearWitness([1]))
+        reference = correlation_pmf(setting)
+        assert pmf.outcomes == reference.outcomes
+        assert pmf.probabilities == pytest.approx(reference.probabilities, abs=1e-15)
 
 
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            linear_witness_pmf(settings([0.5], [4]), LinearWitness([1, -1], 1))
+            witness_pmf(settings([0.5], [4]), LinearWitness([1, -1], 1))
         with pytest.raises(DomainError):
             witness_pmf(settings([0.5], [4]), QuadraticWitness(2))
 

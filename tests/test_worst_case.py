@@ -1,5 +1,6 @@
 """Separability-constrained worst-case search."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from entcert.acceptance import AcceptanceSet
 from entcert.errors import DomainError, InfeasibleError
-from entcert.finite_stats import CorrelationSetting
-from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid, witness_pmf
+from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
+from entcert.pmf import OutcomePmf
+from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
 from entcert.worst_case import (
     SearchOptions,
     WorstCaseProblem,
@@ -19,6 +21,17 @@ from entcert.worst_case import (
 
 F = Fraction
 OPTS = SearchOptions(restarts=12, seed=101)
+
+
+def convolution_pmf(settings, witness):
+    """Independent oracle: the ``OutcomePmf.convolve`` chain over per-setting pmfs."""
+    if isinstance(witness, QuadraticWitness):
+        parts = [squared_correlation_pmf(s) for s in settings]
+        shift = 0
+    else:
+        parts = [correlation_pmf(s).affine(scale=c) for s, c in zip(settings, witness.coefficients)]
+        shift = witness.constant
+    return functools.reduce(OutcomePmf.convolve, parts).affine(shift=shift)
 
 
 def dense_quadratic_oracle(copies, accepted, resolution=1e-3):
@@ -208,7 +221,8 @@ class TestInvariants:
             (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
         ]:
             problem = WorstCaseProblem(witness, copies)
-            assert problem.grid == witness_grid(copies, witness)
+            zero = [CorrelationSetting(0.0, n) for n in copies]
+            assert problem.grid == convolution_pmf(zero, witness).outcomes
 
     def test_pmf_at_matches_convolution(self):
         rng = np.random.default_rng(13)
@@ -220,11 +234,17 @@ class TestInvariants:
             for _ in range(5):
                 point = problem.sample_feasible(rng)
                 fast = problem.pmf_at(point)
-                slow = witness_pmf(
+                slow = convolution_pmf(
                     [CorrelationSetting(float(t), n) for t, n in zip(point, copies)], witness
                 )
                 assert fast.outcomes == slow.outcomes
                 assert fast.probabilities == pytest.approx(slow.probabilities, abs=1e-12)
+
+
+class TestLimits:
+    def test_copies_beyond_direct_binomial_limit_rejected(self):
+        with pytest.raises(DomainError):
+            WorstCaseProblem(LinearWitness([1]), (1001,))
 
 
 class TestInfeasible:
