@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import Any
 
@@ -401,6 +402,18 @@ def _write_output(args, report: dict[str, Any], rows: list[list[Any]]) -> None:
         sys.stdout.write(payload)
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: an integer from 1 to the number of CPUs."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    limit = os.cpu_count() or 1
+    if not 1 <= workers <= limit:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {limit}], got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entcert",
@@ -420,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         cmd.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        cmd.add_argument("--workers", type=int, default=1, help="parallel worker cap")
+        cmd.add_argument("--workers", type=_worker_count, default=1, help="parallel worker cap")
     return parser
 
 

@@ -52,7 +52,9 @@ def _binomial_weights(n: int, success: float) -> list[float]:
     for k in range(n + 1):
         log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
         out.append(math.exp(log_comb + k * log_s + (n - k) * log_f))
-    return out
+    # lgamma's rounding leaves the raw weights a few 1e-12 off unit mass.
+    total = math.fsum(out)
+    return [w / total for w in out]
 
 
 def correlation_pmf(setting: CorrelationSetting) -> OutcomePmf:

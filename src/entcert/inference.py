@@ -202,12 +202,13 @@ class SetSearchOutcome:
 class _FeasibilityChecker:
     """Shared machinery to decide feasibility of candidate subsets.
 
-    Feasibility means the worst-case acceptance mass stays within budget.
-    Cheap bounds come first: the sum of pointwise worst cases (an upper bound
-    on the interval worst case) certifies feasibility, and any already-found
-    feasible correlation vector whose mass overshoots certifies
-    infeasibility.  Undecided candidates get a short search seeded from the
-    most threatening pool points; only survivors pay for the full search.
+    Candidates are arrays of grid indices.  Feasibility means the worst-case
+    acceptance mass stays within budget.  Cheap bounds come first: the sum of
+    pointwise worst cases (an upper bound on the interval worst case)
+    certifies feasibility, and any already-found feasible correlation vector
+    whose mass overshoots certifies infeasibility.  Undecided candidates get
+    a short search seeded from the most threatening pool points; only
+    survivors pay for the full search.
     """
 
     #: Safety margin of the pointwise-sum shortcut (the pointwise values are
@@ -227,8 +228,7 @@ class _FeasibilityChecker:
         self._probe_options = replace(
             options, restarts=1, anneal_steps=0, max_iterations=250, xatol=1e-4, fatol=1e-10
         )
-        self.pointwise_mass = {o: r.objective for o, r in pointwise.items()}
-        self._index = {o: i for i, o in enumerate(problem.grid)}
+        self.pointwise_mass = np.array([pointwise[o].objective for o in problem.grid])
         self._points: list[tuple[float, ...]] = []
         self._columns: list[np.ndarray] = []
         self._matrix: np.ndarray | None = None
@@ -243,30 +243,25 @@ class _FeasibilityChecker:
         self._columns.append(np.array(dist.probabilities))
         self._matrix = None
 
-    def _mask(self, outcomes: frozenset[Fraction]) -> np.ndarray:
-        mask = np.zeros(len(self._index))
-        for o in outcomes:
-            mask[self._index[o]] = 1.0
-        return mask
+    def outcomes(self, indices: np.ndarray) -> frozenset[Fraction]:
+        grid = self.problem.grid
+        return frozenset(grid[i] for i in indices)
 
-    def pool_masses(self, outcomes: frozenset[Fraction]) -> np.ndarray:
+    def pool_masses(self, indices: np.ndarray) -> np.ndarray:
         """Acceptance mass of the candidate set at every pool point."""
         if self._matrix is None:
             self._matrix = np.column_stack(self._columns)
-        return self._mask(outcomes) @ self._matrix
+        return self._matrix[indices].sum(axis=0)
 
-    def check(self, outcomes: frozenset[Fraction]) -> tuple[bool, WorstCaseResult | None]:
+    def check(self, indices: np.ndarray) -> tuple[bool, WorstCaseResult | None]:
         """(feasible, worst-case result if a full search ran)."""
-        if (
-            sum(self.pointwise_mass.get(o, 0.0) for o in outcomes)
-            <= self.budget - self.SUM_MARGIN
-        ):
+        if float(self.pointwise_mass[indices].sum()) <= self.budget - self.SUM_MARGIN:
             return True, None
-        masses = self.pool_masses(outcomes)
+        masses = self.pool_masses(indices)
         if float(np.max(masses)) > self.budget:
             return False, None
         order = np.argsort(masses)[::-1][:2]
-        acc = AcceptanceSet.explicit(outcomes)
+        acc = AcceptanceSet.explicit(self.outcomes(indices))
         probe = self.problem.maximize_set(
             acc, self._probe_options, seed_points=[self._points[i] for i in order]
         )
@@ -315,17 +310,18 @@ def max_power_acceptance_set(
     # poison every superset; keeping only outcomes that help power keeps the
     # search exact.
     universe = [
-        o
-        for o in problem.grid
-        if ent_pmf.probability(o) > 0.0 and pointwise[o].objective <= max_sep_mass
+        i
+        for i, o in enumerate(problem.grid)
+        if ent_pmf.probabilities[i] > 0.0 and pointwise[o].objective <= max_sep_mass
     ]
-    masses = {o: ent_pmf.probability(o) for o in universe}
+    total_power = sum(ent_pmf.probabilities[i] for i in universe)
     # Ascending mass makes both heap successors weakly lower-power.
-    universe.sort(key=lambda o: (masses[o], o))
-    total_power = sum(masses.values())
+    universe.sort(key=lambda i: (ent_pmf.probabilities[i], problem.grid[i]))
+    masses = [ent_pmf.probabilities[i] for i in universe]
+    order = np.array(universe, dtype=np.intp)
 
     if len(universe) <= max_exhaustive:
-        found = _best_first_search(universe, masses, total_power, checker, max_pops)
+        found = _best_first_search(order, masses, total_power, checker, max_pops)
         if found is not None:
             outcomes, result = found
             if not outcomes:
@@ -335,7 +331,7 @@ def max_power_acceptance_set(
                 result = checker.resolve(outcomes)
             return SetSearchOutcome(acc, result, power(acc, ent_pmf), "exhaustive")
 
-    outcome = _greedy_prefix_search(universe, masses, checker)
+    outcome = _greedy_prefix_search(order, masses, checker)
     if outcome is None:
         return None
     outcomes, result = outcome
@@ -346,72 +342,76 @@ def max_power_acceptance_set(
 
 
 def _best_first_search(
-    universe: list[Fraction],
-    masses: Mapping[Fraction, float],
+    order: np.ndarray,
+    masses: Sequence[float],
     total_power: float,
     checker: _FeasibilityChecker,
     max_pops: int,
 ) -> tuple[frozenset[Fraction], WorstCaseResult | None] | None:
     """Enumerate subsets in non-increasing power order; first feasible wins.
 
-    Subsets are identified by the strictly increasing tuple of removed
-    outcome indices.  With the universe sorted by ascending mass, the two
-    successors of a node (bump the last removed index, or additionally
-    remove the next index) both have weakly lower power, so a max-heap pops
-    subsets in exact non-increasing power order and every subset appears
-    once.  Returns the winner, an empty-set marker when the whole space is
-    infeasible, or None when the pop budget runs out.
+    ``order`` holds the grid indices of the universe, ``masses`` their
+    entangled probabilities.  Subsets are identified by the strictly
+    increasing tuple of removed universe positions.  With the universe
+    sorted by ascending mass, the two successors of a node (bump the last
+    removed position, or additionally remove the next one) both have weakly
+    lower power, so a max-heap pops subsets in exact non-increasing power
+    order and every subset appears once.  Returns the winner, an empty-set
+    marker when the whole space is infeasible, or None when the pop budget
+    runs out.
     """
-    n = len(universe)
+    n = len(order)
     heap: list[tuple[float, tuple[int, ...]]] = [(-total_power, ())]
     pops = 0
     while heap and pops < max_pops:
         neg_power, removed = heapq.heappop(heap)
         pops += 1
-        removed_set = set(removed)
-        outcomes = frozenset(o for i, o in enumerate(universe) if i not in removed_set)
-        if outcomes:
-            feasible, result = checker.check(outcomes)
+        kept = np.ones(n, dtype=bool)
+        kept[list(removed)] = False
+        candidate = order[kept]
+        if len(candidate):
+            feasible, result = checker.check(candidate)
             if feasible:
-                return outcomes, result
+                return checker.outcomes(candidate), result
         if not removed:
             if n:
-                heapq.heappush(heap, (-total_power + masses[universe[0]], (0,)))
+                heapq.heappush(heap, (-total_power + masses[0], (0,)))
             continue
         last = removed[-1]
         if last + 1 < n:
-            step = masses[universe[last + 1]] - masses[universe[last]]
+            step = masses[last + 1] - masses[last]
             heapq.heappush(heap, (-(-neg_power - step), removed[:-1] + (last + 1,)))
-            heapq.heappush(
-                heap, (-(-neg_power - masses[universe[last + 1]]), removed + (last + 1,))
-            )
+            heapq.heappush(heap, (-(-neg_power - masses[last + 1]), removed + (last + 1,)))
     if not heap:
         return frozenset(), None
     return None
 
 
 def _greedy_prefix_search(
-    universe: list[Fraction],
-    masses: Mapping[Fraction, float],
+    order: np.ndarray,
+    masses: Sequence[float],
     checker: _FeasibilityChecker,
 ) -> tuple[frozenset[Fraction], WorstCaseResult | None] | None:
     """Longest feasible prefix of the likelihood-ratio ordering."""
+    grid = checker.problem.grid
 
-    def ratio_key(outcome: Fraction):
-        sep = checker.pointwise_mass.get(outcome, 0.0)
+    def ratio_key(position: int):
+        index = order[position]
+        sep = checker.pointwise_mass[index]
         if sep <= 0.0:
-            return (0, 0.0, -outcome)
-        return (1, -masses[outcome] / sep, -outcome)
+            return (0, 0.0, -grid[index])
+        return (1, -masses[position] / sep, -grid[index])
 
-    ordered = sorted(universe, key=ratio_key)
-    best: tuple[frozenset[Fraction], WorstCaseResult | None] | None = None
-    for size in range(1, len(ordered) + 1):
-        outcomes = frozenset(ordered[:size])
-        feasible, result = checker.check(outcomes)
+    ranked = order[sorted(range(len(order)), key=ratio_key)]
+    best: tuple[int, WorstCaseResult | None] | None = None
+    for size in range(1, len(ranked) + 1):
+        feasible, result = checker.check(ranked[:size])
         if not feasible:
             break
-        best = (outcomes, result)
-    return best
+        best = (size, result)
+    if best is None:
+        return None
+    return checker.outcomes(ranked[: best[0]]), best[1]
 
 
 def build_test_report(

@@ -170,14 +170,9 @@ class PlanEvaluator:
         self.priors = priors
         self.min_validity = min_validity
         self.options = options or SearchOptions(restarts=12)
-        # Single-outcome objectives are tame; a lighter search is plenty.
+        # Single-outcome objectives are tame; a looser polish is plenty.
         self.pointwise_options = pointwise_options or replace(
-            self.options,
-            restarts=min(6, self.options.restarts),
-            max_iterations=300,
-            xatol=1e-4,
-            fatol=1e-10,
-            anneal_steps=100,
+            self.options, max_iterations=300, xatol=1e-4, fatol=1e-10
         )
         self.max_exhaustive = max_exhaustive
         self._cache: dict[tuple[int, ...], _AllocationEvaluation] = {}

@@ -7,18 +7,24 @@ witnesses, a sum of squares at most 1 for the quadratic witness, and every
 correlation inside [-1, 1].  Such correlations bound what any separable
 state can do even when they correspond to no physical state.
 
-The search is multi-start Nelder-Mead with an exterior quadratic penalty,
-refined by a short simulated-annealing pass when the restarts stall, and the
-final point is projected back onto the feasible set.  Symmetric threshold
-problems additionally have known analytic solutions that seed the search and
-floor the result.
+Acceptance-set searches are multi-start Nelder-Mead with an exterior
+quadratic penalty, refined by a short simulated-annealing pass when the
+restarts stall, and the final point is projected back onto the feasible set.
+Single-outcome searches share one deterministic scan of the feasible region
+per problem: a capped lattice of the box plus each lattice point's projection
+onto the separability boundary, evaluated in chunks with the batched grid
+engine, keeps the two best distinct points of every outcome; a short
+Nelder-Mead polish from those seeds, without random restarts or annealing,
+gives the result.  Symmetric threshold problems additionally have known
+analytic solutions that seed every search and floor the result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +41,17 @@ FEASIBILITY_TOLERANCE = 1e-9
 
 #: Guard against accidentally enormous outcome-combination spaces.
 _MAX_COMBINATIONS = 4_000_000
+
+#: Lattice points of the pointwise scan, whatever the number of settings.
+_SCAN_LATTICE_CAP = 32_768
+
+#: Lattice points per ``pmf_batch`` call of the scan (each adds at most one
+#: boundary point, so at most 256 rows), so the scan never holds a
+#: points-by-grid matrix.
+_SCAN_CHUNK = 128
+
+#: Scan points closer than this (Euclidean) count as one seed.
+_SCAN_SEED_SEPARATION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,8 +103,7 @@ class WorstCaseProblem:
         self.copies = grid.copies
         self._quadratic = isinstance(witness, QuadraticWitness)
         self._engine = grid
-        self._shape = tuple(len(s) for s in grid.supports)
-        size = math.prod(self._shape)
+        size = math.prod(len(s) for s in grid.supports)
         if size > _MAX_COMBINATIONS:
             raise DomainError(f"outcome combination space too large ({size} points)")
         self._inverse = grid.combination_index()
@@ -109,15 +125,15 @@ class WorstCaseProblem:
 
     def _make_objective(self, outcome_weights: np.ndarray):
         """Maximand  sum_combos P(combo) * weight(outcome(combo))."""
-        weight_tensor = outcome_weights[self._inverse].reshape(self._shape)
+        weight_tensor = outcome_weights[self._inverse]
         slices = self._slices
 
         def objective(correlations) -> float:
             stacked = self._setting_weights(correlations)
             value = weight_tensor
             for s in slices:
-                value = np.tensordot(stacked[s], value, axes=([0], [0]))
-            return float(value)
+                value = stacked[s] @ value.reshape(s.stop - s.start, -1)
+            return float(value[0])
 
         return objective
 
@@ -176,6 +192,95 @@ class WorstCaseProblem:
                 return t
         return self.project(rng.uniform(-1.0, 1.0, m))
 
+    def _scan_lattice(self) -> tuple[range | np.ndarray, np.ndarray]:
+        """Flat indices and axis values of the scan lattice of the feasible box.
+
+        Every axis gets the same number of evenly spaced points, as many as
+        the cap allows and at least 2.  Where even 2 per axis exceed the cap,
+        a fixed pseudo-random subset of the box corners stands in.
+        """
+        m = len(self.copies)
+        per_axis = max(2, round(_SCAN_LATTICE_CAP ** (1.0 / m)))
+        while per_axis > 2 and per_axis**m > _SCAN_LATTICE_CAP:
+            per_axis -= 1
+        if per_axis**m <= _SCAN_LATTICE_CAP:
+            cells = range(per_axis**m)
+        else:
+            corners = np.random.default_rng(0).choice(2**m, _SCAN_LATTICE_CAP, replace=False)
+            cells = np.sort(corners)
+        return cells, np.linspace(0.0 if self._quadratic else -1.0, 1.0, per_axis)
+
+    def _scan_points(self, cells: range | np.ndarray, axis: np.ndarray) -> np.ndarray:
+        """Feasible lattice points, each followed by its boundary projection.
+
+        The quadratic boundary is reached by radial scaling onto the unit
+        sphere, the linear one by a shift along the coefficients onto the
+        plane where the ideal witness value is 0; a shifted point that leaves
+        the box is dropped.
+        """
+        digits = np.unravel_index(cells, (len(axis),) * len(self.copies))
+        points = axis[np.stack(digits, axis=1)]
+        if self._quadratic:
+            norm = np.sqrt(np.sum(points * points, axis=1))
+            feasible = norm <= 1.0
+            on_boundary = norm > 0.0
+            boundary = points / np.where(on_boundary, norm, 1.0)[:, None]
+        else:
+            coeffs = np.array([float(c) for c in self.witness.coefficients])
+            ideal = points @ coeffs + float(self.witness.constant)
+            feasible = ideal >= 0.0
+            # Without coefficients there is no plane; the shift is then 0.
+            weight = float(coeffs @ coeffs) or math.inf
+            boundary = points - (ideal / weight)[:, None] * coeffs
+            on_boundary = np.all(np.abs(boundary) <= 1.0, axis=1)
+        keep = np.stack([feasible, on_boundary], axis=1).ravel()
+        return np.stack([points, boundary], axis=1).reshape(-1, points.shape[1])[keep]
+
+    @cached_property
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Best two distinct scan points of every outcome.
+
+        Returns their masses (2, G), -inf where an outcome has no second
+        distinct point, and the points themselves (2, G, M).  The scan runs
+        in chunks of ``_SCAN_CHUNK`` lattice points; ties go to the earlier
+        point in lattice order, so the result does not depend on the chunk
+        size.
+        """
+        self._check_feasible_region()
+        cells, axis = self._scan_lattice()
+        columns = np.arange(len(self.grid))
+        best = np.full((2, len(self.grid)), -np.inf)
+        where = np.zeros((2, len(self.grid), len(self.copies)))
+
+        def pick(rows, held, chunk):
+            chosen = held[np.minimum(rows, 1), columns]
+            new = rows >= 2
+            chosen[new] = chunk[rows[new] - 2]
+            return chosen
+
+        for start in range(0, len(cells), _SCAN_CHUNK):
+            points = self._scan_points(cells[start : start + _SCAN_CHUNK], axis)
+            if not len(points):
+                continue
+            # Rows 0-1 of each column are the outcome's current two best,
+            # the rest are this chunk's points.
+            mass = np.vstack([best, self._engine.pmf_batch(points)])
+            first = np.argmax(mass, axis=0)
+            leader = pick(first, where, points)
+            distance_sq = np.vstack(
+                [
+                    np.sum((where - leader) ** 2, axis=2),
+                    np.sum(points * points, axis=1)[:, None]
+                    + np.sum(leader * leader, axis=1)
+                    - 2.0 * points @ leader.T,
+                ]
+            )
+            apart = np.where(distance_sq > _SCAN_SEED_SEPARATION**2, mass, -np.inf)
+            second = np.argmax(apart, axis=0)
+            best = np.stack([mass[first, columns], apart[second, columns]])
+            where = np.stack([leader, pick(second, where, points)])
+        return best, where
+
     def _check_feasible_region(self) -> None:
         if self._quadratic:
             return
@@ -207,17 +312,34 @@ class WorstCaseProblem:
         options: SearchOptions | None = None,
         seed_points: Sequence[Sequence[float]] = (),
     ) -> WorstCaseResult:
-        """Worst-case probability of one exact outcome."""
+        """Worst-case probability of one exact outcome.
+
+        The search polishes the outcome's two best scan points, the analytic
+        worst case where one applies, and ``seed_points``, with one
+        Nelder-Mead run each.  It uses no random restarts and no annealing,
+        so ``options.seed``, ``restarts`` and the ``anneal_*`` fields have no
+        effect; the iteration limits, tolerances and penalty weight apply.
+        """
         key = as_fraction(outcome)
-        if key not in set(self.grid):
-            raise DomainError(f"outcome {key} is not on the grid")
-        weights = np.array([1.0 if o == key else 0.0 for o in self.grid])
-        return self._maximize(weights, options, seed_points)
+        try:
+            index = self.grid.index(key)
+        except ValueError:
+            raise DomainError(f"outcome {key} is not on the grid") from None
+        weights = np.zeros(len(self.grid))
+        weights[index] = 1.0
+        mass, where = self._scan
+        seeds = [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
+        polish = replace(options or SearchOptions(), restarts=0, anneal_steps=0)
+        return self._maximize(weights, polish, seeds + list(seed_points), reflect_simplex=True)
 
     def maximize_all_points(
         self, options: SearchOptions | None = None
     ) -> dict[Fraction, WorstCaseResult]:
-        """Point-wise worst case for every grid outcome (each gets its own search)."""
+        """Point-wise worst case for every grid outcome.
+
+        One scan of the feasible region seeds every outcome, and each then
+        gets its own short polish (see ``maximize_point``).
+        """
         return {outcome: self.maximize_point(outcome, options) for outcome in self.grid}
 
     def _maximize(
@@ -225,7 +347,17 @@ class WorstCaseProblem:
         outcome_weights: np.ndarray,
         options: SearchOptions | None,
         seed_points: Sequence[Sequence[float]] = (),
+        reflect_simplex: bool = False,
     ) -> WorstCaseResult:
+        """Best of Nelder-Mead runs from the analytic point, the seeds and
+        random feasible starts.
+
+        scipy builds the first simplex by scaling each coordinate by 1.05; it
+        reflects a vertex beyond the upper bound back inside but clips one
+        below the lower bound, so a start on the face t = -1 gets a flat
+        simplex that cannot leave the face.  ``reflect_simplex`` reflects at
+        both bounds.
+        """
         opts = options or SearchOptions()
         self._check_feasible_region()
         objective = self._make_objective(outcome_weights)
@@ -273,7 +405,11 @@ class WorstCaseProblem:
                 start,
                 method="Nelder-Mead",
                 bounds=self._bounds(),
-                options=nm_options,
+                options=(
+                    {**nm_options, "initial_simplex": self._reflected_simplex(start)}
+                    if reflect_simplex
+                    else nm_options
+                ),
             )
             restarts_used += 1
             value = record(result.x)
@@ -314,6 +450,16 @@ class WorstCaseProblem:
             restarts_used=restarts_used,
             converged=converged,
         )
+
+    def _reflected_simplex(self, start: np.ndarray) -> np.ndarray:
+        """scipy's default first simplex, reflected into the box at both bounds."""
+        low = 0.0 if self._quadratic else -1.0
+        simplex = np.tile(start, (len(start) + 1, 1))
+        diagonal = np.arange(len(start))
+        simplex[diagonal + 1, diagonal] = np.where(start != 0.0, 1.05 * start, 0.00025)
+        simplex = np.where(simplex > 1.0, 2.0 - simplex, simplex)
+        simplex = np.where(simplex < low, 2.0 * low - simplex, simplex)
+        return np.clip(simplex, low, 1.0)
 
     def _anneal(
         self,

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: schemas, outputs, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -69,6 +70,17 @@ class TestDist:
         _, first = run(tmp_path, "dist", doc, "--format", "csv")
         _, second = run(tmp_path, "dist", doc, "--format", "csv")
         assert first == second
+
+    def test_five_thousand_copies(self, tmp_path):
+        # Beyond 1,000 copies the binomial weights come from log space.
+        doc = {
+            "witness": {"kind": "linear", "coefficients": [1]},
+            "correlations": [0.3],
+            "copies": [5000],
+        }
+        code, text = run(tmp_path, "dist", doc)
+        assert code == 0
+        assert json.loads(text)["mean"] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestWorstCase:
@@ -336,3 +348,19 @@ class TestPlanBooleans:
         }
         config = write_config(tmp_path, doc)
         assert main(["plan", "--config", config]) == 2
+
+
+class TestWorkers:
+    """``--workers`` is checked when the arguments are parsed, before any pool starts."""
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two", str((os.cpu_count() or 1) + 1)])
+    def test_out_of_range_rejected(self, tmp_path, workers):
+        doc = {
+            "witness": {"kind": "quadratic", "settings": 1},
+            "correlations": [0.5],
+            "copies": [2],
+        }
+        config = write_config(tmp_path, doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--config", config, "--workers", workers])
+        assert exc.value.code == 2

@@ -62,6 +62,17 @@ class TestCorrelationPmf:
         assert pmf.outcomes[1] == F(-4, 5)
         assert all(o.denominator in (1, 5) for o in pmf.outcomes)
 
+    @pytest.mark.parametrize("correlation", [0.3, -0.9, 0.999])
+    def test_log_space_weights_keep_unit_mass(self, correlation):
+        # 5,000 copies take the log-space path; unnormalised it summed to
+        # 1 + 2e-12 at correlation 0.3 and failed the mass check.
+        setting = CorrelationSetting(correlation, 5000)
+        pmf = correlation_pmf(setting)
+        mean, variance = correlation_moments(setting)
+        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert pmf.mean() == pytest.approx(mean, abs=1e-12)
+        assert pmf.variance() == pytest.approx(variance, abs=1e-12)
+
 
 class TestMoments:
     @pytest.mark.parametrize(

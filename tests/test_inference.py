@@ -11,6 +11,7 @@ from entcert.errors import DomainError, UndefinedOutcomeError
 from entcert.finite_stats import CorrelationSetting
 from entcert.inference import (
     PriorPair,
+    _best_first_search,
     bayes_acceptance_set,
     build_test_report,
     confidence,
@@ -290,6 +291,41 @@ class TestMaxPowerSearch:
         # The prefix path cannot reach the poor-ratio outcomes 0 and 1, which
         # is exactly why the exhaustive search exists.
         assert greedy.acceptance.outcomes == {F(9, 4), F(3)}
+
+    def test_best_first_order_finds_the_most_powerful_feasible_subset(self):
+        class SumChecker:
+            """Feasible when the subset's separable masses sum to within budget."""
+
+            def __init__(self, sep, budget):
+                self.sep, self.budget = sep, budget
+
+            def check(self, indices):
+                return float(self.sep[indices].sum()) <= self.budget, None
+
+            def outcomes(self, indices):
+                return frozenset(F(int(i)) for i in indices)
+
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            size = int(rng.integers(1, 10))
+            sep = rng.random(size)
+            ent = rng.random(size)
+            budget = float(rng.uniform(0.0, sep.sum()))
+            order = np.argsort(ent, kind="stable")
+            masses = [float(ent[i]) for i in order]
+            found, _ = _best_first_search(
+                order, masses, sum(masses), SumChecker(sep, budget), 10**6
+            )
+            best = max(
+                (
+                    sum(ent[i] for i in subset)
+                    for k in range(1, size + 1)
+                    for subset in itertools.combinations(range(size), k)
+                    if sep[list(subset)].sum() <= budget
+                ),
+                default=0.0,
+            )
+            assert sum(ent[int(o)] for o in found) == pytest.approx(best, abs=1e-12)
 
     def test_pop_budget_overflow_falls_back_to_greedy(self):
         witness = QuadraticWitness(3)

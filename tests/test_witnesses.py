@@ -203,6 +203,15 @@ class TestGridEngine:
         assert pmf.outcomes == reference.outcomes
         assert pmf.probabilities == pytest.approx(reference.probabilities, abs=1e-15)
 
+    @pytest.mark.parametrize("witness", [LinearWitness([1]), QuadraticWitness(1)])
+    def test_five_thousand_copies_keep_unit_mass(self, witness):
+        sts = settings([0.3], [5000])
+        pmf = witness_pmf(sts, witness)
+        mean, variance = witness_moments(sts, witness)
+        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert pmf.mean() == pytest.approx(mean, abs=1e-12)
+        assert pmf.variance() == pytest.approx(variance, abs=1e-12)
+
 
 class TestValidation:
     def test_length_mismatch(self):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entcert import worst_case
 from entcert.acceptance import AcceptanceSet
 from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
@@ -239,6 +240,118 @@ class TestInvariants:
                 )
                 assert fast.outcomes == slow.outcomes
                 assert fast.probabilities == pytest.approx(slow.probabilities, abs=1e-12)
+
+
+def one_hot(problem, outcome):
+    return np.array([1.0 if o == outcome else 0.0 for o in problem.grid])
+
+
+def dense_feasible_points(problem, step=1e-3):
+    """Dense lattice of the feasible region plus its boundary (one or two settings)."""
+    quadratic = isinstance(problem.witness, QuadraticWitness)
+    axis = np.arange(0.0 if quadratic else -1.0, 1.0 + step / 2, step)
+    lattice = np.stack(np.meshgrid(*[axis] * len(problem.copies), indexing="ij"), -1)
+    lattice = lattice.reshape(-1, len(problem.copies))
+    if quadratic:
+        feasible = lattice[np.sum(lattice**2, axis=1) <= 1.0]
+        if len(problem.copies) == 1:
+            return np.vstack([feasible, [[1.0]]])
+        angles = np.arange(0.0, np.pi / 2 + step / 2, step / 2)
+        return np.vstack([feasible, np.stack([np.cos(angles), np.sin(angles)], axis=1)])
+    coeffs = np.array([float(c) for c in problem.witness.coefficients])
+    const = float(problem.witness.constant)
+    feasible = lattice[lattice @ coeffs + const >= 0.0]
+    if len(problem.copies) == 1:
+        return np.vstack([feasible, [[-const / coeffs[0]]]])
+    t2 = -(const + coeffs[0] * axis) / coeffs[1]
+    line = np.stack([axis, t2], axis=1)[np.abs(t2) <= 1.0]
+    return np.vstack([feasible, line])
+
+
+class TestScan:
+    """One scan of the feasible region seeds every pointwise polish."""
+
+    SMALL = [
+        (QuadraticWitness(1), (6,)),
+        (QuadraticWitness(2), (4, 3)),
+        (QuadraticWitness(3), (3, 2, 2)),
+        (LinearWitness([1], F(-1, 3)), (5,)),
+        (LinearWitness([1, -1], 1), (4, 3)),
+        (LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (3, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize("witness,copies", SMALL)
+    def test_never_below_multistart_search(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        scanned = problem.maximize_all_points(OPTS)
+        multistart = SearchOptions(restarts=12, seed=7)
+        for outcome, result in scanned.items():
+            reference = problem._maximize(one_hot(problem, outcome), multistart)
+            assert result.objective >= reference.objective - 1e-6
+            assert problem.violation(result.correlations) <= 1e-9
+
+    @pytest.mark.parametrize("witness,copies", [c for c in SMALL if len(c[1]) <= 2])
+    def test_never_below_dense_lattice(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        scanned = problem.maximize_all_points(OPTS)
+        points = dense_feasible_points(problem)
+        chunks = [points[i : i + 4096] for i in range(0, len(points), 4096)]
+        dense = np.max([problem._engine.pmf_batch(c).max(axis=0) for c in chunks], axis=0)
+        for outcome, value in zip(problem.grid, dense):
+            assert scanned[outcome].objective >= value - 1e-6
+
+    @pytest.mark.parametrize(
+        "witness,copies",
+        [(QuadraticWitness(3), (4, 4, 4)), (LinearWitness([1, -1, -1], 1), (4, 3, 2))],
+    )
+    def test_independent_of_seed_options_and_chunk_size(self, witness, copies, monkeypatch):
+        def run(options):
+            results = WorstCaseProblem(witness, copies).maximize_all_points(options)
+            return {o: (r.objective, r.correlations) for o, r in results.items()}
+
+        reference = run(SearchOptions(restarts=3, seed=1))
+        monkeypatch.setattr(worst_case, "_SCAN_CHUNK", 7)
+        varied = SearchOptions(restarts=20, seed=2, anneal_steps=50, stall_tolerance=0.1)
+        assert run(varied) == reference
+        monkeypatch.setattr(worst_case, "_SCAN_CHUNK", 1000)
+        assert run(SearchOptions(restarts=3, seed=1)) == reference
+
+    @pytest.mark.parametrize("m", [16, 21])
+    def test_scan_is_capped(self, m):
+        problem = WorstCaseProblem(LinearWitness([1] + [-1] * (m - 1), 1), (1,) * m)
+        cells, axis = problem._scan_lattice()
+        assert len(cells) == worst_case._SCAN_LATTICE_CAP == len(set(cells.tolist()))
+        assert list(axis) == [-1.0, 1.0]
+        rows = []
+        batch = problem._engine.pmf_batch
+
+        def counted(points):
+            rows.append(len(points))
+            return batch(points)
+
+        problem._engine.pmf_batch = counted
+        mass, where = problem._scan
+        assert max(rows) <= 2 * worst_case._SCAN_CHUNK
+        assert sum(rows) <= 2 * worst_case._SCAN_LATTICE_CAP
+        assert np.all(np.isfinite(mass[0]))
+        assert max(problem.violation(t) for t in where[0]) <= 1e-9
+
+    def test_objective_matches_tensordot_chain(self):
+        rng = np.random.default_rng(3)
+        for witness, copies in [
+            (QuadraticWitness(3), (5, 4, 4)),
+            (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
+        ]:
+            problem = WorstCaseProblem(witness, copies)
+            shape = tuple(len(s) for s in problem._engine.supports)
+            for _ in range(50):
+                weights = rng.uniform(0.0, 1.0, len(problem.grid))
+                point = problem.sample_feasible(rng)
+                stacked = problem._setting_weights(point)
+                value = weights[problem._inverse].reshape(shape)
+                for s in problem._slices:
+                    value = np.tensordot(stacked[s], value, axes=([0], [0]))
+                assert problem._make_objective(weights)(point) == float(value)
 
 
 class TestLimits:
