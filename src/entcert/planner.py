@@ -162,8 +162,6 @@ class PlanEvaluator:
         priors: PriorPair,
         min_validity: float,
         options: SearchOptions | None = None,
-        pointwise_options: SearchOptions | None = None,
-        max_exhaustive: int = 24,
     ):
         self.witness_kind = witness_kind
         self.ent_model = ent_model
@@ -171,10 +169,7 @@ class PlanEvaluator:
         self.min_validity = min_validity
         self.options = options or SearchOptions(restarts=12)
         # Single-outcome objectives are tame; a looser polish is plenty.
-        self.pointwise_options = pointwise_options or replace(
-            self.options, max_iterations=300, xatol=1e-4, fatol=1e-10
-        )
-        self.max_exhaustive = max_exhaustive
+        self.pointwise_options = replace(self.options, max_iterations=300, xatol=1e-4, fatol=1e-10)
         self._cache: dict[tuple[int, ...], _AllocationEvaluation] = {}
 
     def evaluate(self, copies: tuple[int, ...]) -> _AllocationEvaluation:
@@ -219,8 +214,6 @@ class PlanEvaluator:
             self.priors,
             self.min_validity,
             self.options,
-            self.pointwise_options,
-            self.max_exhaustive,
         )
 
     def prefetch(self, allocations: list[tuple[int, ...]], workers: int = 1) -> None:
@@ -264,7 +257,6 @@ class PlanEvaluator:
             options=self.options,
             problem=evaluation.problem,
             pointwise=evaluation.pointwise,
-            max_exhaustive=self.max_exhaustive,
         )
         if search is None:
             return None

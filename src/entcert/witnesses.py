@@ -3,7 +3,9 @@
 Two shapes are supported: a linear combination of correlations plus a
 constant, and the sum of squared full correlations.  Outcome distributions
 of independent settings come from one integer encoding of the outcome grid,
-``WitnessGrid``, shared with the worst-case search and the simulator.
+``WitnessGrid``, shared with the worst-case search and the simulator: its
+partial-sum steps aggregate probabilities forwards in ``pmf_batch`` and
+carry outcome weights backwards in ``expectation``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,8 +97,10 @@ class WitnessGrid:
     from different settings (9/25 + 1 + 1 = 59/25) group exactly: setting j
     with k agreeing products adds ``values[j][k]`` to ``shift``, with
     binomial weight ``comb * q**k * (1 - q)**(n - k)`` from the padded
-    tables.  Probabilities are aggregated setting by setting, never over the
-    full combination space.
+    tables.  One step per setting maps every (partial sum, count k) pair to
+    its place among the next partial sums.  ``pmf_batch`` runs the steps
+    first to last, and ``expectation`` runs them last to first, so neither
+    ever enumerates the full combination space.
     """
 
     def __init__(self, witness: Witness, copies: Sequence[int]):
@@ -124,7 +127,6 @@ class WitnessGrid:
                 for c, a, n in zip(counts, witness.coefficients, copies)
             ]
         self.denominator = denom
-        self.supports = [np.unique(v) for v in self.values]
 
         m, width = len(copies), max(copies) + 1
         self.k_table = np.zeros((m, width))
@@ -136,50 +138,63 @@ class WitnessGrid:
             self.nk_table[j, : n + 1] = n - ks
             if n <= _DIRECT_BINOMIAL_LIMIT:
                 self.comb_table[j, : n + 1] = [math.comb(n, int(k)) for k in ks]
-        starts = np.cumsum([0] + [len(s) for s in self.supports])
-        self.slices = [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
+        self._log_space = [(j, n) for j, n in enumerate(copies) if n > _DIRECT_BINOMIAL_LIMIT]
 
-        # Partial sums setting by setting: step j maps every (partial sum,
-        # count k) pair to its place among the next partial sums.
+        # Step j: the place among the next partial sums of every (partial
+        # sum, count k) pair, as a (partial sums, n + 1) table.
         sums = np.array([self.shift], dtype=np.int64)
         self._steps = []
-        for value in self.values:
+        for n, value in zip(copies, self.values):
             sums, inverse = np.unique(np.add.outer(sums, value).ravel(), return_inverse=True)
-            self._steps.append((inverse.ravel(), len(sums)))
+            self._steps.append((inverse.reshape(-1, n + 1), len(sums)))
+        #: Entries of the largest step table; ``pmf_batch`` holds this many
+        #: floats per row.
+        self.table_size = max(inverse.size for inverse, _ in self._steps)
         self.integers = sums
         self.outcomes: tuple[Fraction, ...] = tuple(Fraction(int(v), denom) for v in sums)
 
-    @cached_property
-    def block(self) -> np.ndarray:
-        """0/1 map from the padded count cells (j, k) onto the concatenated supports."""
-        width = self.k_table.shape[1]
-        block = np.zeros((self.slices[-1].stop, len(self.copies) * width))
-        for j, (n, value, support) in enumerate(zip(self.copies, self.values, self.supports)):
-            rows = self.slices[j].start + np.searchsorted(support, value)
-            block[rows, j * width + np.arange(n + 1)] = 1.0
-        return block
+    def _binomials(self, t: np.ndarray) -> np.ndarray:
+        """Binomial weights (B, M, width) of every setting at correlations (B, M).
 
-    def combination_index(self) -> np.ndarray:
-        """Grid position of every combination of support values (C order)."""
-        total = reduce(np.add.outer, self.supports).ravel() + self.shift
-        return np.searchsorted(self.integers, total)
+        Row j holds setting j's n_j + 1 weights, then zeros.
+        """
+        q = (1.0 + t[:, :, None]) / 2.0
+        table = self.comb_table * q**self.k_table * (1.0 - q) ** self.nk_table
+        for j, n in self._log_space:
+            table[:, j, : n + 1] = [_binomial_weights(n, s) for s in q[:, j, 0]]
+        return table
 
     def pmf_batch(self, correlations) -> np.ndarray:
         """Grid probabilities (B, G) at a batch of correlation vectors (B, M)."""
         t = np.asarray(correlations, dtype=np.float64)
         rows = len(t)
+        table = self._binomials(t)
         mass = np.ones((rows, 1))
         for j, (n, (inverse, size)) in enumerate(zip(self.copies, self._steps)):
-            q = (1.0 + t[:, j, None]) / 2.0
-            if n > _DIRECT_BINOMIAL_LIMIT:
-                weights = np.array([_binomial_weights(n, s) for s in q[:, 0]])
-            else:
-                k, nk = self.k_table[j, : n + 1], self.nk_table[j, : n + 1]
-                weights = self.comb_table[j, : n + 1] * q**k * (1.0 - q) ** nk
-            combos = mass[:, :, None] * weights[:, None, :]
-            index = inverse + size * np.arange(rows)[:, None]
+            combos = mass[:, :, None] * table[:, j, None, : n + 1]
+            index = inverse + size * np.arange(rows)[:, None, None]
             mass = np.bincount(index.ravel(), combos.ravel(), rows * size).reshape(rows, size)
         return mass
+
+    def expectation(self, weights) -> Callable[[Sequence[float]], float]:
+        """The map  t -> pmf_batch([t])[0] @ weights, as the transpose of ``pmf_batch``.
+
+        From the last setting to the first, each step gathers the current
+        weights through its inverse map and contracts them with that
+        setting's binomial weights; the outcome probabilities are never
+        formed.
+        """
+        inverses = [inverse for inverse, _ in self._steps]
+        tail = np.asarray(weights, dtype=np.float64)[inverses[-1]]
+
+        def expectation(correlations) -> float:
+            table = self._binomials(np.asarray(correlations, dtype=np.float64)[None])[0]
+            value = tail.dot(table[-1, : tail.shape[1]])
+            for j in range(len(inverses) - 2, -1, -1):
+                value = value[inverses[j]].dot(table[j, : inverses[j].shape[1]])
+            return float(value[0])
+
+        return expectation
 
     def pmf(self, correlations: Sequence[float]) -> OutcomePmf:
         """Exact outcome pmf at one correlation vector."""

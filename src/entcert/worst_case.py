@@ -7,9 +7,11 @@ witnesses, a sum of squares at most 1 for the quadratic witness, and every
 correlation inside [-1, 1].  Such correlations bound what any separable
 state can do even when they correspond to no physical state.
 
-Acceptance-set searches are multi-start Nelder-Mead with an exterior
-quadratic penalty, refined by a short simulated-annealing pass when the
-restarts stall, and the final point is projected back onto the feasible set.
+The objective is ``WitnessGrid.expectation``: the outcome weights carried
+backwards through the grid engine's steps.  Acceptance-set searches are
+multi-start Nelder-Mead with an exterior quadratic penalty, refined by a
+short simulated-annealing pass when the restarts stall, and the final point
+is projected back onto the feasible set.
 Single-outcome searches share one deterministic scan of the feasible region
 per problem: a capped lattice of the box plus each lattice point's projection
 onto the separability boundary, evaluated in chunks with the batched grid
@@ -39,16 +41,14 @@ from .witnesses import QuadraticWitness, Witness, WitnessGrid
 #: Tolerated constraint violation of a returned point.
 FEASIBILITY_TOLERANCE = 1e-9
 
-#: Guard against accidentally enormous outcome-combination spaces.
-_MAX_COMBINATIONS = 4_000_000
-
 #: Lattice points of the pointwise scan, whatever the number of settings.
 _SCAN_LATTICE_CAP = 32_768
 
-#: Lattice points per ``pmf_batch`` call of the scan (each adds at most one
-#: boundary point, so at most 256 rows), so the scan never holds a
-#: points-by-grid matrix.
-_SCAN_CHUNK = 128
+#: Floats that one ``pmf_batch`` call of the scan may hold in its largest
+#: step table, rows x ``WitnessGrid.table_size``.  Each lattice point adds at
+#: most one boundary point (two rows), and a call takes at least 1 and at
+#: most 128 lattice points.
+_SCAN_FLOATS = 2**20
 
 #: Scan points closer than this (Euclidean) count as one seed.
 _SCAN_SEED_SEPARATION = 1e-6
@@ -85,12 +85,12 @@ class WorstCaseResult:
 
 
 class WorstCaseProblem:
-    """One witness + copy allocation, with precomputed combination space.
+    """One witness + copy allocation and its worst-case searches.
 
-    The outcome grid and its integer encoding come from ``WitnessGrid``; the
-    probability of every grid outcome is a polynomial in the per-setting
-    binomial weights, evaluated with one batched matrix product per
-    candidate correlation vector.
+    The outcome grid and its integer encoding come from ``WitnessGrid``.
+    Every objective is that engine's ``expectation`` of the outcome
+    weights, and the scan evaluates candidate points with its
+    ``pmf_batch``.
     """
 
     def __init__(self, witness: Witness, copies: tuple[int, ...] | list[int]):
@@ -103,39 +103,13 @@ class WorstCaseProblem:
         self.copies = grid.copies
         self._quadratic = isinstance(witness, QuadraticWitness)
         self._engine = grid
-        size = math.prod(len(s) for s in grid.supports)
-        if size > _MAX_COMBINATIONS:
-            raise DomainError(f"outcome combination space too large ({size} points)")
-        self._inverse = grid.combination_index()
         self.grid: tuple[Fraction, ...] = grid.outcomes
-        self._k_table, self._nk_table, self._comb_table = grid.k_table, grid.nk_table, grid.comb_table
-        self._slices, self._block = grid.slices, grid.block
 
     # -- evaluation --------------------------------------------------------
-
-    def _setting_weights(self, correlations) -> np.ndarray:
-        """Concatenated per-setting outcome-contribution probabilities."""
-        q = (1.0 + np.asarray(correlations, dtype=np.float64))[:, None] / 2.0
-        powers = np.power(q, self._k_table) * np.power(1.0 - q, self._nk_table)
-        return self._block @ (powers * self._comb_table).ravel()
 
     def pmf_at(self, correlations) -> OutcomePmf:
         """Exact-grid outcome pmf for the given correlations."""
         return self._engine.pmf(correlations)
-
-    def _make_objective(self, outcome_weights: np.ndarray):
-        """Maximand  sum_combos P(combo) * weight(outcome(combo))."""
-        weight_tensor = outcome_weights[self._inverse]
-        slices = self._slices
-
-        def objective(correlations) -> float:
-            stacked = self._setting_weights(correlations)
-            value = weight_tensor
-            for s in slices:
-                value = stacked[s] @ value.reshape(s.stop - s.start, -1)
-            return float(value[0])
-
-        return objective
 
     def outcome_weights(self, acc: AcceptanceSet) -> np.ndarray:
         acc.validate_on_grid(self.grid)
@@ -242,12 +216,13 @@ class WorstCaseProblem:
 
         Returns their masses (2, G), -inf where an outcome has no second
         distinct point, and the points themselves (2, G, M).  The scan runs
-        in chunks of ``_SCAN_CHUNK`` lattice points; ties go to the earlier
-        point in lattice order, so the result does not depend on the chunk
-        size.
+        in chunks of lattice points sized by ``_SCAN_FLOATS``; ties go to the
+        earlier point in lattice order, so the result does not depend on the
+        chunk size.
         """
         self._check_feasible_region()
         cells, axis = self._scan_lattice()
+        per_call = max(1, min(128, _SCAN_FLOATS // (2 * self._engine.table_size)))
         columns = np.arange(len(self.grid))
         best = np.full((2, len(self.grid)), -np.inf)
         where = np.zeros((2, len(self.grid), len(self.copies)))
@@ -258,8 +233,8 @@ class WorstCaseProblem:
             chosen[new] = chunk[rows[new] - 2]
             return chosen
 
-        for start in range(0, len(cells), _SCAN_CHUNK):
-            points = self._scan_points(cells[start : start + _SCAN_CHUNK], axis)
+        for start in range(0, len(cells), per_call):
+            points = self._scan_points(cells[start : start + per_call], axis)
             if not len(points):
                 continue
             # Rows 0-1 of each column are the outcome's current two best,
@@ -330,7 +305,7 @@ class WorstCaseProblem:
         mass, where = self._scan
         seeds = [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
         polish = replace(options or SearchOptions(), restarts=0, anneal_steps=0)
-        return self._maximize(weights, polish, seeds + list(seed_points), reflect_simplex=True)
+        return self._maximize(weights, polish, seeds + list(seed_points))
 
     def maximize_all_points(
         self, options: SearchOptions | None = None
@@ -347,20 +322,17 @@ class WorstCaseProblem:
         outcome_weights: np.ndarray,
         options: SearchOptions | None,
         seed_points: Sequence[Sequence[float]] = (),
-        reflect_simplex: bool = False,
     ) -> WorstCaseResult:
         """Best of Nelder-Mead runs from the analytic point, the seeds and
-        random feasible starts.
+        random feasible starts, annealed and polished once more if they stall.
 
-        scipy builds the first simplex by scaling each coordinate by 1.05; it
-        reflects a vertex beyond the upper bound back inside but clips one
-        below the lower bound, so a start on the face t = -1 gets a flat
-        simplex that cannot leave the face.  ``reflect_simplex`` reflects at
-        both bounds.
+        Every run starts from ``_reflected_simplex``, not from scipy's own
+        first simplex, which clips a vertex below the lower bound: a start on
+        the face t = -1 would get a flat simplex that cannot leave the face.
         """
         opts = options or SearchOptions()
         self._check_feasible_region()
-        objective = self._make_objective(outcome_weights)
+        objective = self._engine.expectation(outcome_weights)
         penalty = opts.penalty_weight
 
         def penalized_negative(t) -> float:
@@ -389,28 +361,28 @@ class WorstCaseProblem:
             candidates.append((value, tuple(float(x) for x in projected)))
             return value
 
-        nm_options = {
-            "xatol": opts.xatol,
-            "fatol": opts.fatol,
-            "maxiter": opts.max_iterations,
-            "maxfev": 4 * opts.max_iterations,
-        }
+        def nelder_mead(start):
+            options = {
+                "xatol": opts.xatol,
+                "fatol": opts.fatol,
+                "maxiter": opts.max_iterations,
+                "maxfev": 4 * opts.max_iterations,
+                "initial_simplex": self._reflected_simplex(start),
+            }
+            return minimize(
+                penalized_negative,
+                start,
+                method="Nelder-Mead",
+                bounds=self._bounds(),
+                options=options,
+            )
+
         best_so_far = -np.inf
         last_improvement = 0
         restarts_used = 0
         for i, start in enumerate(starts):
             record(start)
-            result = minimize(
-                penalized_negative,
-                start,
-                method="Nelder-Mead",
-                bounds=self._bounds(),
-                options=(
-                    {**nm_options, "initial_simplex": self._reflected_simplex(start)}
-                    if reflect_simplex
-                    else nm_options
-                ),
-            )
+            result = nelder_mead(start)
             restarts_used += 1
             value = record(result.x)
             if value > best_so_far + opts.stall_tolerance:
@@ -422,14 +394,7 @@ class WorstCaseProblem:
             best_point = np.array(max(candidates)[1])
             annealed = self._anneal(best_point, penalized_negative, rng_pool[-1], opts)
             record(annealed)
-            polish = minimize(
-                penalized_negative,
-                annealed,
-                method="Nelder-Mead",
-                bounds=self._bounds(),
-                options=nm_options,
-            )
-            record(polish.x)
+            record(nelder_mead(annealed).x)
 
         best_value = max(value for value, _ in candidates)
         # Tie-break deterministically, but never settle below the analytic

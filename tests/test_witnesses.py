@@ -185,6 +185,8 @@ class TestGridEngine:
             assert masses.tolist() == pytest.approx(expected, abs=1e-14)
             single = grid.pmf_batch([row])[0]
             assert single.tolist() == pytest.approx(masses.tolist(), abs=1e-15)
+            weights = np.linspace(-1.0, 2.0, len(grid.outcomes))
+            assert abs(grid.expectation(weights)(row) - single @ weights) <= 1e-14
 
     @pytest.mark.parametrize("witness", [LinearWitness([1] + [-1] * 35, 1), QuadraticWitness(36)])
     def test_many_single_copy_settings(self, witness):

@@ -149,6 +149,18 @@ class TestSetSearch:
         result = problem.maximize_set(acc, OPTS)
         assert result.objective == pytest.approx(acc.weighted_mass(result.dist), abs=1e-12)
 
+    def test_search_leaves_the_lower_face(self):
+        # A start on the face t1 = -1: clipping the first simplex there would
+        # flatten it onto the face and leave the seed's 0.206998.
+        probe = SearchOptions(
+            restarts=1, anneal_steps=0, max_iterations=250, xatol=1e-4, fatol=1e-10
+        )
+        problem = WorstCaseProblem(LinearWitness([1, -1, -1], 1), (4, 3, 2))
+        result = problem.maximize_set(
+            AcceptanceSet.explicit([F(-1, 3)]), probe, seed_points=[(-1.0, 0.2258, -0.2258)]
+        )
+        assert result.objective >= 0.20735
+
     def test_acceptance_must_live_on_grid(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
         with pytest.raises(DomainError):
@@ -310,18 +322,17 @@ class TestScan:
             return {o: (r.objective, r.correlations) for o, r in results.items()}
 
         reference = run(SearchOptions(restarts=3, seed=1))
-        monkeypatch.setattr(worst_case, "_SCAN_CHUNK", 7)
+        table_size = WorstCaseProblem(witness, copies)._engine.table_size
+        # Budgets for 7 and for 50 lattice points per pmf_batch call.
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 7 * table_size)
         varied = SearchOptions(restarts=20, seed=2, anneal_steps=50, stall_tolerance=0.1)
         assert run(varied) == reference
-        monkeypatch.setattr(worst_case, "_SCAN_CHUNK", 1000)
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 50 * table_size)
         assert run(SearchOptions(restarts=3, seed=1)) == reference
 
-    @pytest.mark.parametrize("m", [16, 21])
-    def test_scan_is_capped(self, m):
-        problem = WorstCaseProblem(LinearWitness([1] + [-1] * (m - 1), 1), (1,) * m)
-        cells, axis = problem._scan_lattice()
-        assert len(cells) == worst_case._SCAN_LATTICE_CAP == len(set(cells.tolist()))
-        assert list(axis) == [-1.0, 1.0]
+    @staticmethod
+    def scan_rows(problem):
+        """Rows of every pmf_batch call that the problem's scan makes."""
         rows = []
         batch = problem._engine.pmf_batch
 
@@ -330,34 +341,64 @@ class TestScan:
             return batch(points)
 
         problem._engine.pmf_batch = counted
-        mass, where = problem._scan
-        assert max(rows) <= 2 * worst_case._SCAN_CHUNK
+        problem._scan
+        return rows
+
+    @pytest.mark.parametrize("m", [16, 21])
+    def test_scan_is_capped(self, m):
+        problem = WorstCaseProblem(LinearWitness([1] + [-1] * (m - 1), 1), (1,) * m)
+        cells, axis = problem._scan_lattice()
+        assert len(cells) == worst_case._SCAN_LATTICE_CAP == len(set(cells.tolist()))
+        assert list(axis) == [-1.0, 1.0]
+        rows = self.scan_rows(problem)
+        assert max(rows) * problem._engine.table_size <= worst_case._SCAN_FLOATS
+        assert max(rows) <= 256
         assert sum(rows) <= 2 * worst_case._SCAN_LATTICE_CAP
+        mass, where = problem._scan
         assert np.all(np.isfinite(mass[0]))
         assert max(problem.violation(t) for t in where[0]) <= 1e-9
 
-    def test_objective_matches_tensordot_chain(self):
-        rng = np.random.default_rng(3)
-        for witness, copies in [
-            (QuadraticWitness(3), (5, 4, 4)),
-            (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
-        ]:
-            problem = WorstCaseProblem(witness, copies)
-            shape = tuple(len(s) for s in problem._engine.supports)
-            for _ in range(50):
-                weights = rng.uniform(0.0, 1.0, len(problem.grid))
-                point = problem.sample_feasible(rng)
-                stacked = problem._setting_weights(point)
-                value = weights[problem._inverse].reshape(shape)
-                for s in problem._slices:
-                    value = np.tensordot(stacked[s], value, axes=([0], [0]))
-                assert problem._make_objective(weights)(point) == float(value)
+    @pytest.mark.parametrize(
+        "floats,lattice,points", [(1, 64, 1), (2**12, 64, 16), (2**20, 32_768, 128)]
+    )
+    def test_scan_chunk_is_sized_by_the_grid(self, floats, lattice, points, monkeypatch):
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", floats)
+        monkeypatch.setattr(worst_case, "_SCAN_LATTICE_CAP", lattice)
+        problem = WorstCaseProblem(LinearWitness([1, F(1, 5), F(1, 25)], 1), (4, 4, 4))
+        # 25 partial sums x 5 counts in the last step.
+        assert problem._engine.table_size == 125
+        cells = []
+        scan_points = problem._scan_points
+
+        def counted(chunk, axis):
+            cells.append(len(chunk))
+            return scan_points(chunk, axis)
+
+        problem._scan_points = counted
+        rows = self.scan_rows(problem)
+        assert max(cells) == points
+        assert max(rows) <= 2 * points
+        assert max(rows) * 125 <= max(floats, 2 * 125)
 
 
 class TestLimits:
     def test_copies_beyond_direct_binomial_limit_rejected(self):
         with pytest.raises(DomainError):
             WorstCaseProblem(LinearWitness([1]), (1001,))
+
+    @pytest.mark.parametrize(
+        "witness,copies",
+        [(LinearWitness((1,) + (-1,) * 9, 1), (4,) * 10), (QuadraticWitness(15), (4,) * 15)],
+    )
+    def test_millions_of_outcome_combinations(self, witness, copies):
+        # 5**10 and 3**15 combinations of per-setting values; the objective
+        # never enumerates them.
+        problem = WorstCaseProblem(witness, copies)
+        result = problem.maximize_point(problem.grid[0])
+        assert problem.violation(result.correlations) <= 1e-9
+        if isinstance(witness, QuadraticWitness):
+            # Outcome 0: every setting splits 2/2, at most 6 * (1/2)**4 each.
+            assert result.objective == 0.375**15
 
 
 class TestInfeasible:
