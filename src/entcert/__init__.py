@@ -79,8 +79,6 @@ from .worst_case import (
     WorstCaseProblem,
     WorstCaseResult,
     analytic_worst_case,
-    maximize_point_probability,
-    maximize_set_probability,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ types before any computation starts.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -160,28 +161,17 @@ def parse_priors(doc: Any, where: str = "priors") -> PriorPair:
 
 
 def parse_optimizer(doc: Any, seed_override: int | None, where: str = "optimizer") -> SearchOptions:
+    """``SearchOptions`` from an object keyed by its field names.
+
+    A field with an integer default takes an integer, the others a number;
+    ``SearchOptions`` itself rejects out-of-range values with DomainError.
+    """
     doc = doc or {}
-    allowed = {
-        "restarts",
-        "seed",
-        "max_iterations",
-        "xatol",
-        "fatol",
-        "penalty_weight",
-        "anneal_steps",
-        "anneal_factor",
-        "anneal_initial_temp",
-        "anneal_initial_step",
-        "stall_tolerance",
-        "tie_tolerance",
+    parsers = {
+        f.name: integer if isinstance(f.default, int) else number for f in fields(SearchOptions)
     }
-    check_keys(doc, where, set(), allowed)
-    kwargs: dict[str, Any] = {}
-    for key in allowed & set(doc):
-        if key in ("restarts", "seed", "max_iterations", "anneal_steps"):
-            kwargs[key] = integer(doc, key, where)
-        else:
-            kwargs[key] = number(doc, key, where)
+    check_keys(doc, where, set(), set(parsers))
+    kwargs = {key: parsers[key](doc, key, where) for key in doc}
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return SearchOptions(**kwargs)

@@ -10,7 +10,7 @@ bounds.  The entangled hypothesis is an explicit outcome distribution.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
@@ -20,7 +20,7 @@ from .acceptance import AcceptanceSet
 from .errors import DomainError, UndefinedOutcomeError
 from .pmf import OutcomePmf
 from .witnesses import Witness
-from .worst_case import SearchOptions, WorstCaseProblem, WorstCaseResult
+from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
 #: Largest grid for which the acceptance-set search enumerates all subsets.
 MAX_EXHAUSTIVE_OUTCOMES = 24
@@ -109,10 +109,14 @@ def posterior_map(
     return out
 
 
-def bayes_acceptance_set(q_bayes: float, posteriors: Mapping[Fraction, float]) -> AcceptanceSet:
-    """Accept exactly the outcomes whose posterior bound reaches ``q_bayes``."""
+def _check_q_bayes(q_bayes: float) -> None:
     if not (0.0 <= q_bayes <= 1.0):
         raise DomainError(f"q_bayes must lie in [0, 1], got {q_bayes}")
+
+
+def bayes_acceptance_set(q_bayes: float, posteriors: Mapping[Fraction, float]) -> AcceptanceSet:
+    """Accept exactly the outcomes whose posterior bound reaches ``q_bayes``."""
+    _check_q_bayes(q_bayes)
     return AcceptanceSet.explicit(o for o, p in posteriors.items() if p >= q_bayes)
 
 
@@ -127,8 +131,9 @@ def expected_loss_bound(
 
     False positives are weighted by ``q_bayes`` and bounded through the
     worst-case acceptance mass; false negatives are weighted by 1 - q_bayes
-    and use the entangled model directly.
+    and use the entangled model directly.  ``q_bayes`` must lie in [0, 1].
     """
+    _check_q_bayes(q_bayes)
     reject_mass = 1.0 - acc.weighted_mass(ent_pmf)
     return q_bayes * worst_case_mass * priors.p_sep + (1.0 - q_bayes) * reject_mass * priors.p_ent
 
@@ -207,7 +212,7 @@ class _FeasibilityChecker:
     pointwise worst cases (an upper bound on the interval worst case)
     certifies feasibility, and any already-found feasible correlation vector
     whose mass overshoots certifies infeasibility.  Undecided candidates get
-    a short search seeded from the most threatening pool points; only
+    a ``POLISH`` probe seeded from the most threatening pool points; only
     survivors pay for the full search.
     """
 
@@ -225,9 +230,6 @@ class _FeasibilityChecker:
         self.problem = problem
         self.budget = budget
         self.options = options
-        self._probe_options = replace(
-            options, restarts=1, anneal_steps=0, max_iterations=250, xatol=1e-4, fatol=1e-10
-        )
         self.pointwise_mass = np.array([pointwise[o].objective for o in problem.grid])
         self._points: list[tuple[float, ...]] = []
         self._columns: list[np.ndarray] = []
@@ -262,9 +264,7 @@ class _FeasibilityChecker:
             return False, None
         order = np.argsort(masses)[::-1][:2]
         acc = AcceptanceSet.explicit(self.outcomes(indices))
-        probe = self.problem.maximize_set(
-            acc, self._probe_options, seed_points=[self._points[i] for i in order]
-        )
+        probe = self.problem.maximize_set(acc, POLISH, seed_points=[self._points[i] for i in order])
         self._add_pool(probe.correlations, probe.dist)
         if probe.objective > self.budget:
             return False, None
@@ -286,15 +286,15 @@ def max_power_acceptance_set(
     options: SearchOptions | None = None,
     problem: WorstCaseProblem | None = None,
     pointwise: Mapping[Fraction, WorstCaseResult] | None = None,
-    max_exhaustive: int = MAX_EXHAUSTIVE_OUTCOMES,
-    max_pops: int = MAX_SEARCH_POPS,
 ) -> SetSearchOutcome | None:
     """Power-maximizing explicit acceptance set with worst-case mass in budget.
 
-    Grids with at most ``max_exhaustive`` outcomes are searched exactly: all
-    subsets are enumerated best-power-first and the first feasible one wins.
-    Larger grids (or an exhausted pop budget) fall back to likelihood-ratio
-    prefixes.  Returns None when not even a single outcome is feasible.
+    The universe is the outcomes that add power and fit the budget alone.
+    Universes of at most ``MAX_EXHAUSTIVE_OUTCOMES`` outcomes are searched
+    exactly: all subsets are enumerated best-power-first and the first
+    feasible one wins.  Larger universes (or more than ``MAX_SEARCH_POPS``
+    heap pops) fall back to likelihood-ratio prefixes.  Both limits are read
+    at call time.  Returns None when not even a single outcome is feasible.
     """
     opts = options or SearchOptions()
     problem = problem or WorstCaseProblem(witness, tuple(copies))
@@ -320,8 +320,8 @@ def max_power_acceptance_set(
     masses = [ent_pmf.probabilities[i] for i in universe]
     order = np.array(universe, dtype=np.intp)
 
-    if len(universe) <= max_exhaustive:
-        found = _best_first_search(order, masses, total_power, checker, max_pops)
+    if len(universe) <= MAX_EXHAUSTIVE_OUTCOMES:
+        found = _best_first_search(order, masses, total_power, checker, MAX_SEARCH_POPS)
         if found is not None:
             outcomes, result = found
             if not outcomes:

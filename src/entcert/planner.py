@@ -11,7 +11,7 @@ frameworks reuse work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
@@ -30,7 +30,13 @@ from .inference import (
 from .pmf import OutcomePmf
 from .states import EntangledStateModel
 from .witnesses import LinearWitness, QuadraticWitness, Witness, witness_pmf
-from .worst_case import SearchOptions, WorstCaseProblem, WorstCaseResult, analytic_worst_case
+from .worst_case import (
+    POLISH,
+    SearchOptions,
+    WorstCaseProblem,
+    WorstCaseResult,
+    analytic_worst_case,
+)
 
 WitnessKind = Literal["linear", "quadratic"]
 Framework = Literal["frequentist", "bayesian"]
@@ -168,8 +174,6 @@ class PlanEvaluator:
         self.priors = priors
         self.min_validity = min_validity
         self.options = options or SearchOptions(restarts=12)
-        # Single-outcome objectives are tame; a looser polish is plenty.
-        self.pointwise_options = replace(self.options, max_iterations=300, xatol=1e-4, fatol=1e-10)
         self._cache: dict[tuple[int, ...], _AllocationEvaluation] = {}
 
     def evaluate(self, copies: tuple[int, ...]) -> _AllocationEvaluation:
@@ -180,7 +184,8 @@ class PlanEvaluator:
         signs = family_signs(self.witness_kind, len(copies))
         problem = WorstCaseProblem(witness, copies)
         ent = self.ent_model.outcome_pmf(witness, copies, signs)
-        pointwise = problem.maximize_all_points(self.pointwise_options)
+        # Single-outcome objectives are tame; a loose polish is plenty.
+        pointwise = problem.maximize_all_points(POLISH)
         posteriors = posterior_map(
             ent, {o: r.objective for o, r in pointwise.items()}, self.priors
         )

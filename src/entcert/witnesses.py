@@ -51,11 +51,6 @@ class LinearWitness:
     def num_settings(self) -> int:
         return len(self.coefficients)
 
-    def ideal_value(self, correlations: Sequence[float]) -> float:
-        return float(self.constant) + sum(
-            float(c) * t for c, t in zip(self.coefficients, correlations)
-        )
-
 
 @dataclass(frozen=True)
 class QuadraticWitness:
@@ -75,9 +70,6 @@ class QuadraticWitness:
         ):
             raise DomainError(f"num_settings must be a positive integer, got {self.num_settings!r}")
         object.__setattr__(self, "num_settings", int(self.num_settings))
-
-    def ideal_value(self, correlations: Sequence[float]) -> float:
-        return sum(t * t for t in correlations)
 
 
 Witness = LinearWitness | QuadraticWitness

@@ -53,23 +53,53 @@ _SCAN_FLOATS = 2**20
 #: Scan points closer than this (Euclidean) count as one seed.
 _SCAN_SEED_SEPARATION = 1e-6
 
+#: Weight of the exterior quadratic penalty on constraint violations.
+_PENALTY_WEIGHT = 1e4
+
+#: Start temperature and step width of the annealing walk, and the factor
+#: that shrinks both after every step.
+_ANNEAL_INITIAL_TEMP = 0.05
+_ANNEAL_INITIAL_STEP = 0.25
+_ANNEAL_FACTOR = 0.95
+
+#: A run improves on the best value so far only by more than this.
+_STALL_TOLERANCE = 1e-6
+
+#: Candidates within this of the best value tie; the smallest point wins.
+_TIE_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Tunable knobs of the worst-case search; defaults are reproducible."""
+    """Tunable knobs of the worst-case search; defaults are reproducible.
+
+    ``restarts`` random feasible starts, drawn from ``seed``, join the
+    analytic point and any seed points.  Every start gets one Nelder-Mead
+    run of at most ``max_iterations`` iterations with tolerances ``xatol``
+    and ``fatol``; a stalled search gets an annealing walk of
+    ``anneal_steps`` steps.
+    """
 
     restarts: int = 32
     seed: int = 0
     max_iterations: int = 600
     xatol: float = 1e-6
     fatol: float = 1e-12
-    penalty_weight: float = 1e4
     anneal_steps: int = 200
-    anneal_factor: float = 0.95
-    anneal_initial_temp: float = 0.05
-    anneal_initial_step: float = 0.25
-    stall_tolerance: float = 1e-6
-    tie_tolerance: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("restarts", "seed", "max_iterations", "anneal_steps"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("xatol", "fatol"):
+            if not getattr(self, name) > 0.0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+
+
+#: One loose Nelder-Mead run from each seed point and from the analytic
+#: start, without random restarts or annealing.  The planner's pointwise
+#: searches and the feasibility probes of the acceptance-set search use it.
+POLISH = SearchOptions(restarts=0, anneal_steps=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
 
 
 @dataclass(frozen=True)
@@ -292,8 +322,8 @@ class WorstCaseProblem:
         The search polishes the outcome's two best scan points, the analytic
         worst case where one applies, and ``seed_points``, with one
         Nelder-Mead run each.  It uses no random restarts and no annealing,
-        so ``options.seed``, ``restarts`` and the ``anneal_*`` fields have no
-        effect; the iteration limits, tolerances and penalty weight apply.
+        so ``options.seed``, ``restarts`` and ``anneal_steps`` have no
+        effect; the iteration limit and the tolerances apply.
         """
         key = as_fraction(outcome)
         try:
@@ -325,6 +355,8 @@ class WorstCaseProblem:
     ) -> WorstCaseResult:
         """Best of Nelder-Mead runs from the analytic point, the seeds and
         random feasible starts, annealed and polished once more if they stall.
+        With no start at all (no analytic point, no seeds, no restarts) it
+        raises DomainError.
 
         Every run starts from ``_reflected_simplex``, not from scipy's own
         first simplex, which clips a vertex below the lower bound: a start on
@@ -333,10 +365,9 @@ class WorstCaseProblem:
         opts = options or SearchOptions()
         self._check_feasible_region()
         objective = self._engine.expectation(outcome_weights)
-        penalty = opts.penalty_weight
 
         def penalized_negative(t) -> float:
-            return -objective(t) + penalty * self.violation(t) ** 2
+            return -objective(t) + _PENALTY_WEIGHT * self.violation(t) ** 2
 
         starts: list[np.ndarray] = []
         analytic_floor = -np.inf
@@ -350,8 +381,10 @@ class WorstCaseProblem:
             starts.append(self.project(point))
         seeds = np.random.SeedSequence(opts.seed).spawn(opts.restarts + 1)
         rng_pool = [np.random.default_rng(s) for s in seeds]
-        while len(starts) < max(opts.restarts, len(starts)):
+        while len(starts) < opts.restarts:
             starts.append(self.sample_feasible(rng_pool[len(starts) % opts.restarts]))
+        if not starts:
+            raise DomainError("the search has no start: this witness needs restarts >= 1")
 
         candidates: list[tuple[float, tuple[float, ...]]] = []
 
@@ -385,7 +418,7 @@ class WorstCaseProblem:
             result = nelder_mead(start)
             restarts_used += 1
             value = record(result.x)
-            if value > best_so_far + opts.stall_tolerance:
+            if value > best_so_far + _STALL_TOLERANCE:
                 best_so_far = value
                 last_improvement = i
 
@@ -399,7 +432,7 @@ class WorstCaseProblem:
         best_value = max(value for value, _ in candidates)
         # Tie-break deterministically, but never settle below the analytic
         # floor when one applies.
-        floor = max(best_value - opts.tie_tolerance, analytic_floor)
+        floor = max(best_value - _TIE_TOLERANCE, analytic_floor)
         ties = sorted(point for value, point in candidates if value >= floor)
         chosen = ties[0]
         if self.violation(chosen) > FEASIBILITY_TOLERANCE:
@@ -438,8 +471,8 @@ class WorstCaseProblem:
         current = np.array(start, dtype=np.float64)
         current_value = penalized_negative(current)
         best, best_value = current, current_value
-        temperature = opts.anneal_initial_temp
-        step = opts.anneal_initial_step
+        temperature = _ANNEAL_INITIAL_TEMP
+        step = _ANNEAL_INITIAL_STEP
         for _ in range(opts.anneal_steps):
             proposal = np.clip(current + rng.normal(0.0, step, len(current)), low, 1.0)
             value = penalized_negative(proposal)
@@ -449,8 +482,8 @@ class WorstCaseProblem:
                 current, current_value = proposal, value
                 if value < best_value:
                     best, best_value = proposal, value
-            temperature *= opts.anneal_factor
-            step *= opts.anneal_factor
+            temperature *= _ANNEAL_FACTOR
+            step *= _ANNEAL_FACTOR
         return best
 
 
@@ -468,23 +501,3 @@ def analytic_worst_case(witness: Witness) -> tuple[float, ...]:
     if witness.coefficients == expected and witness.constant == 1:
         return (-1.0 / m,) + (1.0 / m,) * (m - 1)
     raise DomainError("no analytic worst case for this witness shape")
-
-
-def maximize_set_probability(
-    witness: Witness,
-    copies,
-    acc: AcceptanceSet,
-    options: SearchOptions | None = None,
-) -> WorstCaseResult:
-    """Convenience wrapper: worst-case acceptance-set probability."""
-    return WorstCaseProblem(witness, copies).maximize_set(acc, options)
-
-
-def maximize_point_probability(
-    witness: Witness,
-    copies,
-    outcome: RationalLike,
-    options: SearchOptions | None = None,
-) -> WorstCaseResult:
-    """Convenience wrapper: worst-case single-outcome probability."""
-    return WorstCaseProblem(witness, copies).maximize_point(outcome, options)

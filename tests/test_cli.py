@@ -1,11 +1,23 @@
 """End-to-end CLI runs: schemas, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
+from entcert.acceptance import snap_to_grid
 from entcert.cli import main, validate_report
+from entcert.config import parse_optimizer
+from entcert.errors import DomainError, SchemaError
+from entcert.pmf import format_fraction, round_fraction
+from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid
+from entcert.worst_case import SearchOptions
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -166,6 +178,21 @@ class TestTest:
         assert report["frequentist"]["confidence"] == pytest.approx(0.9964, abs=1.5e-3)
         assert report["frequentist"]["power"] == pytest.approx(0.535, abs=1.5e-3)
         assert report["bayesian"]["expected_loss"] == pytest.approx(0.007, abs=2e-3)
+
+
+    @pytest.mark.parametrize("q_bayes", [1.5, -0.1])
+    def test_q_bayes_outside_unit_interval_rejected(self, tmp_path, q_bayes):
+        doc = {
+            "witness": {"kind": "quadratic", "settings": 1},
+            "copies": [4],
+            "acceptance": {"kind": "threshold", "bound": 1, "direction": "accept_high"},
+            "entangled": {"purity": 0.75},
+            "priors": {"entangled": 0.5},
+            "q_bayes": q_bayes,
+            "optimizer": {"restarts": 2, "seed": 5},
+        }
+        config = write_config(tmp_path, doc)
+        assert main(["test", "--config", config]) == 2
 
 
 class TestPlan:
@@ -364,3 +391,125 @@ class TestWorkers:
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--config", config, "--workers", workers])
         assert exc.value.code == 2
+
+
+class TestOptimizerSchema:
+    """The ``optimizer`` object takes exactly the ``SearchOptions`` fields."""
+
+    FIELDS = {"restarts", "seed", "max_iterations", "xatol", "fatol", "anneal_steps"}
+
+    def worst_case_doc(self, optimizer, coefficients=(1, -1)):
+        return {
+            "witness": {"kind": "linear", "coefficients": list(coefficients), "constant": 1},
+            "copies": [4, 4],
+            "acceptance": {"kind": "threshold", "bound": 0, "direction": "accept_low"},
+            "optimizer": optimizer,
+        }
+
+    def test_keys_are_the_search_option_fields(self):
+        assert {f.name for f in dataclasses.fields(SearchOptions)} == self.FIELDS
+        doc = {
+            "restarts": 3,
+            "seed": 4,
+            "max_iterations": 5,
+            "xatol": 1e-3,
+            "fatol": 1e-9,
+            "anneal_steps": 6,
+        }
+        assert parse_optimizer(doc, None) == SearchOptions(**doc)
+        assert parse_optimizer({"xatol": 1}, None).xatol == 1.0
+        with pytest.raises(SchemaError):
+            parse_optimizer({"restarts": 2.0}, None)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "penalty_weight",
+            "anneal_factor",
+            "anneal_initial_temp",
+            "anneal_initial_step",
+            "stall_tolerance",
+            "tie_tolerance",
+        ],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, key):
+        config = write_config(tmp_path, self.worst_case_doc({"restarts": 2, key: 0.5}))
+        assert main(["worst-case", "--config", config]) == 2
+
+    def test_no_start_exits_2(self, tmp_path):
+        # No analytic worst case for (2, -1), no seeds and no restarts.
+        config = write_config(tmp_path, self.worst_case_doc({"restarts": 0}, (2, -1)))
+        assert main(["worst-case", "--config", config]) == 2
+
+    def test_negative_restarts_exit_2(self, tmp_path):
+        config = write_config(tmp_path, self.worst_case_doc({"restarts": -5}))
+        assert main(["worst-case", "--config", config]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        config = write_config(tmp_path, self.worst_case_doc({"restarts": 2, "seed": -1}))
+        assert main(["worst-case", "--config", config]) == 2
+
+    def test_negative_seed_flag_exits_2(self, tmp_path):
+        config = write_config(tmp_path, self.worst_case_doc({"restarts": 2}))
+        assert main(["worst-case", "--config", config, "--seed", "-1"]) == 2
+
+
+@st.composite
+def witness_grids(draw):
+    """A random small witness as its JSON document, its copies and its grid."""
+    m = draw(st.integers(1, 3))
+    copies = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        witness = QuadraticWitness(m)
+        doc = {"kind": "quadratic", "settings": m}
+    else:
+        rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+        witness = LinearWitness(draw(st.lists(rationals, min_size=m, max_size=m)), draw(rationals))
+        doc = {
+            "kind": "linear",
+            "coefficients": [format_fraction(c) for c in witness.coefficients],
+            "constant": format_fraction(witness.constant),
+        }
+    return doc, copies, witness_grid(copies, witness)
+
+
+def display_decimal(value: Fraction, digits: int) -> str:
+    """``value`` rounded to ``digits`` places, written out as a decimal string."""
+    scaled = int(round_fraction(value, digits) * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    whole, part = divmod(abs(scaled), 10**digits)
+    return f"{sign}{whole}.{part:0{digits}d}"
+
+
+class TestOutcomeParsing:
+    """Outcome values round-trip through ``snap_to_grid`` on random witness grids."""
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(witness_grids(), st.integers(1, 4))
+    def test_round_trip(self, case, digits):
+        doc, copies, grid = case
+        # Off the grid: above its largest outcome, as a fraction and as a decimal.
+        rejected = [
+            format_fraction(grid[-1] + Fraction(1, 3)),
+            display_decimal(grid[-1] + 2, digits),
+        ]
+        for outcome in grid:
+            assert snap_to_grid(format_fraction(outcome), grid) == outcome
+            text = display_decimal(outcome, digits)
+            shown = round_fraction(outcome, digits)
+            matches = [g for g in grid if round_fraction(g, digits) == shown]
+            if Fraction(text) in grid:
+                assert snap_to_grid(text, grid) == Fraction(text)
+            elif len(matches) == 1:
+                assert snap_to_grid(text, grid) == outcome
+            else:
+                rejected.append(text)
+        for text in rejected:
+            with pytest.raises(DomainError):
+                snap_to_grid(text, grid)
+        with tempfile.TemporaryDirectory() as folder:
+            for text in rejected[:3]:
+                path = os.path.join(folder, "config.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump({"witness": doc, "copies": copies, "outcome": text}, handle)
+                assert main(["worst-case", "--config", path]) == 2

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entcert import inference
 from entcert.acceptance import AcceptanceSet
 from entcert.errors import DomainError, UndefinedOutcomeError
 from entcert.finite_stats import CorrelationSetting
@@ -274,7 +275,7 @@ class TestMaxPowerSearch:
         # Every single outcome has a worst case above this tiny budget.
         assert max_power_acceptance_set(witness, (2,), ent, 1e-6, OPTS) is None
 
-    def test_greedy_fallback_on_large_grids(self):
+    def test_greedy_fallback_on_large_grids(self, monkeypatch):
         # Forcing the grid over the exhaustive limit exercises the
         # likelihood-ratio prefix path: still feasible, possibly weaker.
         witness = QuadraticWitness(3)
@@ -282,9 +283,8 @@ class TestMaxPowerSearch:
         model = EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
         ent = model.outcome_pmf(witness, copies, (1, 1, 1))
         exhaustive = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
-        greedy = max_power_acceptance_set(
-            witness, copies, ent, 0.30, OPTS, max_exhaustive=2
-        )
+        monkeypatch.setattr(inference, "MAX_EXHAUSTIVE_OUTCOMES", 2)
+        greedy = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
         assert greedy.search_path == "greedy"
         assert greedy.worst_case.objective <= 0.30
         assert greedy.power <= exhaustive.power + 1e-12
@@ -327,12 +327,13 @@ class TestMaxPowerSearch:
             )
             assert sum(ent[int(o)] for o in found) == pytest.approx(best, abs=1e-12)
 
-    def test_pop_budget_overflow_falls_back_to_greedy(self):
+    def test_pop_budget_overflow_falls_back_to_greedy(self, monkeypatch):
         witness = QuadraticWitness(3)
         copies = (4, 4, 4)
         model = EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
         ent = model.outcome_pmf(witness, copies, (1, 1, 1))
-        capped = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS, max_pops=2)
+        monkeypatch.setattr(inference, "MAX_SEARCH_POPS", 2)
+        capped = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
         assert capped.search_path == "greedy"
         assert capped.worst_case.objective <= 0.30
 

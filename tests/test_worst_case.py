@@ -12,13 +12,7 @@ from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
 from entcert.pmf import OutcomePmf
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
-from entcert.worst_case import (
-    SearchOptions,
-    WorstCaseProblem,
-    analytic_worst_case,
-    maximize_point_probability,
-    maximize_set_probability,
-)
+from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem, analytic_worst_case
 
 F = Fraction
 OPTS = SearchOptions(restarts=12, seed=101)
@@ -127,8 +121,8 @@ class TestSetSearch:
         assert result.objective == pytest.approx(0.298, abs=5e-3)
 
     def test_two_setting_mass_matches_grid_oracle(self):
-        result = maximize_set_probability(
-            QuadraticWitness(2), (10, 10), AcceptanceSet.threshold(2, "accept_high"), OPTS
+        result = WorstCaseProblem(QuadraticWitness(2), (10, 10)).maximize_set(
+            AcceptanceSet.threshold(2, "accept_high"), OPTS
         )
         oracle_value, oracle_point = dense_quadratic_oracle((10, 10), {F(2)})
         assert result.objective == pytest.approx(oracle_value, abs=1e-4)
@@ -151,15 +145,22 @@ class TestSetSearch:
 
     def test_search_leaves_the_lower_face(self):
         # A start on the face t1 = -1: clipping the first simplex there would
-        # flatten it onto the face and leave the seed's 0.206998.
-        probe = SearchOptions(
-            restarts=1, anneal_steps=0, max_iterations=250, xatol=1e-4, fatol=1e-10
-        )
+        # flatten it onto the face and leave the seed's 0.206998.  POLISH is
+        # what the feasibility probes of the set search run.
         problem = WorstCaseProblem(LinearWitness([1, -1, -1], 1), (4, 3, 2))
         result = problem.maximize_set(
-            AcceptanceSet.explicit([F(-1, 3)]), probe, seed_points=[(-1.0, 0.2258, -0.2258)]
+            AcceptanceSet.explicit([F(-1, 3)]), POLISH, seed_points=[(-1.0, 0.2258, -0.2258)]
         )
         assert result.objective >= 0.20735
+
+    def test_no_start_rejected(self):
+        # (2, -1) has no analytic worst case; without seeds or restarts
+        # there is nothing to search from.
+        problem = WorstCaseProblem(LinearWitness([2, -1], 1), (4, 4))
+        acc = AcceptanceSet.threshold(0, "accept_low")
+        with pytest.raises(DomainError):
+            problem.maximize_set(acc, POLISH)
+        assert problem.maximize_set(acc, POLISH, seed_points=[(0.0, 0.0)]).objective > 0.0
 
     def test_acceptance_must_live_on_grid(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
@@ -167,14 +168,32 @@ class TestSetSearch:
             problem.maximize_set(AcceptanceSet.explicit([F(1, 3)]), OPTS)
 
 
+class TestSearchOptions:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("restarts", -5),
+            ("seed", -1),
+            ("max_iterations", -1),
+            ("anneal_steps", -1),
+            ("xatol", 0.0),
+            ("fatol", -1e-12),
+            ("xatol", float("nan")),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            SearchOptions(**{field: value})
+
+
 class TestPointwise:
     def test_deterministic_single_point(self):
-        result = maximize_point_probability(QuadraticWitness(1), (2,), 1, OPTS)
+        result = WorstCaseProblem(QuadraticWitness(1), (2,)).maximize_point(1, OPTS)
         assert result.objective == pytest.approx(1.0, abs=1e-12)
         assert result.correlations == pytest.approx((1.0,), abs=1e-9)
 
     def test_two_setting_point_matches_grid_oracle(self):
-        result = maximize_point_probability(QuadraticWitness(2), (10, 10), 2, OPTS)
+        result = WorstCaseProblem(QuadraticWitness(2), (10, 10)).maximize_point(2, OPTS)
         oracle_value, _ = dense_quadratic_oracle((10, 10), {F(2)})
         assert result.objective == pytest.approx(oracle_value, abs=1e-4)
 
@@ -182,9 +201,7 @@ class TestPointwise:
         # E = tau1 - tau2 + 1 = -1 forces (tau1, tau2) = (-1, 1); on the
         # active constraint T2 = T1 + 1 the mass is ((1-t)(2+t)/4)^10,
         # maximized at t = -1/2.
-        result = maximize_point_probability(
-            LinearWitness([1, -1], 1), (10, 10), -1, OPTS
-        )
+        result = WorstCaseProblem(LinearWitness([1, -1], 1), (10, 10)).maximize_point(-1, OPTS)
         ts = np.arange(-1.0, 0.0 + 1e-9, 1e-3)
         oracle = np.max(((1 - ts) / 2) ** 10 * ((2 + ts) / 2) ** 10)
         assert result.objective == pytest.approx(float(oracle), abs=1e-6)
@@ -192,7 +209,7 @@ class TestPointwise:
 
     def test_off_grid_outcome_rejected(self):
         with pytest.raises(DomainError):
-            maximize_point_probability(QuadraticWitness(2), (4, 4), F(7, 13), OPTS)
+            WorstCaseProblem(QuadraticWitness(2), (4, 4)).maximize_point(F(7, 13), OPTS)
 
 
 class TestInvariants:
@@ -325,7 +342,7 @@ class TestScan:
         table_size = WorstCaseProblem(witness, copies)._engine.table_size
         # Budgets for 7 and for 50 lattice points per pmf_batch call.
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 7 * table_size)
-        varied = SearchOptions(restarts=20, seed=2, anneal_steps=50, stall_tolerance=0.1)
+        varied = SearchOptions(restarts=20, seed=2, anneal_steps=50)
         assert run(varied) == reference
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 50 * table_size)
         assert run(SearchOptions(restarts=3, seed=1)) == reference
@@ -405,8 +422,8 @@ class TestInfeasible:
     def test_empty_constraint_region(self):
         witness = LinearWitness([1, -1], -10)
         with pytest.raises(InfeasibleError):
-            maximize_set_probability(
-                witness, (4, 4), AcceptanceSet.threshold(0, "accept_low"), OPTS
+            WorstCaseProblem(witness, (4, 4)).maximize_set(
+                AcceptanceSet.threshold(0, "accept_low"), OPTS
             )
 
 
