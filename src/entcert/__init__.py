@@ -74,11 +74,6 @@ from .witnesses import (
     witness_moments,
     witness_pmf,
 )
-from .worst_case import (
-    SearchOptions,
-    WorstCaseProblem,
-    WorstCaseResult,
-    analytic_worst_case,
-)
+from .worst_case import SearchOptions, WorstCaseProblem, WorstCaseResult
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from . import config as cfg
 from .acceptance import snap_to_grid
 from .errors import DomainError, EntcertError, InfeasibleError, SchemaError
 from .finite_stats import CorrelationSetting
-from .inference import build_test_report
+from .inference import _check_q_bayes, build_test_report
 from .pmf import OutcomePmf, format_fraction
 from .planner import (
     PlanEvaluator,
@@ -30,7 +30,7 @@ from .planner import (
 )
 from .simulate import SimulationConfig, chi_square_compare, simulate_witness
 from .states import white_noise_success_probability
-from .witnesses import QuadraticWitness, witness_pmf
+from .witnesses import witness_pmf
 from .worst_case import WorstCaseProblem, WorstCaseResult
 
 EXIT_OK = 0
@@ -133,10 +133,10 @@ def cmd_test(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
     copies = cfg.integer_list(doc["copies"], "copies")
     priors = cfg.parse_priors(doc["priors"])
     q_bayes = cfg.number(doc, "q_bayes", "config")
+    _check_q_bayes(q_bayes)
     options = cfg.parse_optimizer(doc.get("optimizer"), args.seed)
     model = cfg.parse_entangled(doc["entangled"])
-    kind = "quadratic" if isinstance(witness, QuadraticWitness) else "linear"
-    signs = cfg.parse_signs(doc, len(copies), family_signs(kind, len(copies)))
+    signs = cfg.parse_signs(doc, len(copies), family_signs(witness.kind, len(copies)))
 
     problem = WorstCaseProblem(witness, copies)
     acc = cfg.parse_acceptance(doc["acceptance"], problem.grid)

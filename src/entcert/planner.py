@@ -30,13 +30,7 @@ from .inference import (
 from .pmf import OutcomePmf
 from .states import EntangledStateModel
 from .witnesses import LinearWitness, QuadraticWitness, Witness, witness_pmf
-from .worst_case import (
-    POLISH,
-    SearchOptions,
-    WorstCaseProblem,
-    WorstCaseResult,
-    analytic_worst_case,
-)
+from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
 WitnessKind = Literal["linear", "quadratic"]
 Framework = Literal["frequentist", "bayesian"]
@@ -448,9 +442,7 @@ def equal_split_sweep(
         witness = witness_for(witness_kind, m)
         signs = family_signs(witness_kind, m)
         ent_settings = [CorrelationSetting(s * purity, n) for s in signs]
-        sep_settings = [
-            CorrelationSetting(t, n) for t in analytic_worst_case(witness)
-        ]
+        sep_settings = [CorrelationSetting(t, n) for t in witness.analytic_worst_case()]
         ent = witness_pmf(ent_settings, witness)
         sep = witness_pmf(sep_settings, witness)
         accept_low = witness_kind == "linear"

@@ -1,7 +1,10 @@
 """Witness functionals of correlations and their exact outcome distributions.
 
 Two shapes are supported: a linear combination of correlations plus a
-constant, and the sum of squared full correlations.  Outcome distributions
+constant, and the sum of squared full correlations.  Each shape's class
+also carries its grid values, moments, separable region and analytic worst
+case, so the grid engine, the worst-case search and the CLI never ask which
+class they hold.  Outcome distributions
 of independent settings come from one integer encoding of the outcome grid,
 ``WitnessGrid``, shared with the worst-case search and the simulator: its
 partial-sum steps aggregate probabilities forwards in ``pmf_batch`` and
@@ -14,11 +17,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 from .finite_stats import (
     _DIRECT_BINOMIAL_LIMIT,
     CorrelationSetting,
@@ -35,8 +38,13 @@ class LinearWitness:
 
     The convention is that separable states give a nonnegative value in the
     infinite-statistics limit, so negative observed values indicate
-    entanglement.
+    entanglement.  The separable region is the box [-1, 1]^M cut by the
+    half-space where that ideal value is nonnegative.
     """
+
+    kind: ClassVar[str] = "linear"
+    #: Lower end of every correlation in the separable region.
+    low: ClassVar[float] = -1.0
 
     coefficients: tuple[Fraction, ...]
     constant: Fraction
@@ -51,14 +59,117 @@ class LinearWitness:
     def num_settings(self) -> int:
         return len(self.coefficients)
 
+    def grid_values(self, copies: Sequence[int]) -> tuple[int, int, list[np.ndarray]]:
+        """Denominator, shift and per-setting integer values of c_j * (2k - n) / n."""
+        denom = math.lcm(
+            self.constant.denominator,
+            *(a.denominator * n for a, n in zip(self.coefficients, copies)),
+        )
+        values = [
+            _count_differences(n) * (a.numerator * (denom // (a.denominator * n)))
+            for a, n in zip(self.coefficients, copies)
+        ]
+        return denom, self.constant.numerator * (denom // self.constant.denominator), values
+
+    def moments(self, settings: Sequence[CorrelationSetting]) -> tuple[float, float]:
+        """Mean: the ideal witness value; variance: the coefficient-weighted
+        sum of the estimate variances."""
+        mean = float(self.constant)
+        variance = 0.0
+        for s, c in zip(settings, self.coefficients):
+            m, v = correlation_moments(s)
+            cf = float(c)
+            mean += cf * m
+            variance += cf * cf * v
+        return mean, variance
+
+    # -- separable region --------------------------------------------------
+
+    def violation(self, correlations) -> float:
+        """How far a point lies outside the separable region (0 inside)."""
+        worst = 0.0
+        ideal = float(self.constant)
+        for t, c in zip(correlations, self.coefficients):
+            worst = max(worst, abs(t) - 1.0)
+            ideal += float(c) * t
+        return max(worst, -ideal, 0.0)
+
+    def project(self, correlations) -> np.ndarray:
+        """Map a point into the separable region.
+
+        Clipping to the box alternates with a shift along the coefficients
+        onto the plane.  Where that stalls, in a thin region, bisection on
+        the multiplier gives the exact projection clip(t + lam * c, -1, 1).
+        """
+        t = start = np.asarray(correlations, dtype=np.float64)
+        coeffs = np.array([float(c) for c in self.coefficients])
+        const = float(self.constant)
+        weight = float(np.dot(coeffs, coeffs))
+        for _ in range(100):
+            t = np.clip(t, -1.0, 1.0)
+            ideal = float(np.dot(coeffs, t)) + const
+            if ideal >= -1e-15:
+                return t
+            t = t + coeffs * (-ideal / weight) * (1.0 + 1e-12)
+        self.check_separable_region()
+        # At ``high`` every setting with a coefficient sits at its best corner.
+        moved = coeffs != 0.0
+        low, high = 0.0, float(np.max((1.0 + np.abs(start[moved])) / np.abs(coeffs[moved])))
+        for _ in range(100):
+            middle = 0.5 * (low + high)
+            if float(np.dot(coeffs, np.clip(start + middle * coeffs, -1.0, 1.0))) + const >= 0.0:
+                high = middle
+            else:
+                low = middle
+        return np.clip(start + high * coeffs, -1.0, 1.0)
+
+    def sample_separable(self, rng: np.random.Generator) -> np.ndarray:
+        """A random point of the separable region."""
+        for _ in range(64):
+            t = rng.uniform(-1.0, 1.0, self.num_settings)
+            if self.violation(t) == 0.0:
+                return t
+        return self.project(rng.uniform(-1.0, 1.0, self.num_settings))
+
+    def boundary(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feasible mask, boundary points and kept mask of box points (B, M):
+        the shift along the coefficients onto the plane, kept inside the box."""
+        coeffs = np.array([float(c) for c in self.coefficients])
+        ideal = points @ coeffs + float(self.constant)
+        # Without coefficients there is no plane; the shift is then 0.
+        weight = float(coeffs @ coeffs) or math.inf
+        boundary = points - (ideal / weight)[:, None] * coeffs
+        return ideal >= 0.0, boundary, np.all(np.abs(boundary) <= 1.0, axis=1)
+
+    def check_separable_region(self) -> None:
+        """Raise InfeasibleError when the witness is negative on the whole box."""
+        if self.constant + sum(abs(c) for c in self.coefficients) < 0:
+            raise InfeasibleError(
+                "separability constraint is empty: the witness is negative on the whole box"
+            )
+
+    def analytic_worst_case(self) -> tuple[float, ...]:
+        """Known worst case of coefficients (1, -1, ..., -1) and unit
+        constant: (-1/M, 1/M, ..., 1/M).  Other shapes raise DomainError and
+        must use the numeric search."""
+        m = self.num_settings
+        if self.coefficients == (Fraction(1),) + (Fraction(-1),) * (m - 1) and self.constant == 1:
+            return (-1.0 / m,) + (1.0 / m,) * (m - 1)
+        raise DomainError("no analytic worst case for this witness shape")
+
 
 @dataclass(frozen=True)
 class QuadraticWitness:
     """Witness value  sum_j correlation_j^2 over ``num_settings`` settings.
 
     Values above 1 are impossible for separable states with infinite
-    statistics.
+    statistics.  The separable region is the part of the unit ball in the
+    box [0, 1]^M; negative correlations mirror positive ones.
     """
+
+    kind: ClassVar[str] = "quadratic"
+    #: Lower end of every correlation in the separable region.
+    low: ClassVar[float] = 0.0
 
     num_settings: int
 
@@ -71,8 +182,75 @@ class QuadraticWitness:
             raise DomainError(f"num_settings must be a positive integer, got {self.num_settings!r}")
         object.__setattr__(self, "num_settings", int(self.num_settings))
 
+    def grid_values(self, copies: Sequence[int]) -> tuple[int, int, list[np.ndarray]]:
+        """Denominator, shift 0 and per-setting integer values of ((2k - n) / n)^2."""
+        denom = math.lcm(*(n * n for n in copies))
+        return denom, 0, [_count_differences(n) ** 2 * (denom // (n * n)) for n in copies]
+
+    def moments(self, settings: Sequence[CorrelationSetting]) -> tuple[float, float]:
+        """Per-setting squared-estimate moments add; for equal copy counts n
+        the mean is ((n - 1) * S_ideal + M) / n."""
+        mean = 0.0
+        variance = 0.0
+        for s in settings:
+            m, v = squared_correlation_moments(s)
+            mean += m
+            variance += v
+        return mean, variance
+
+    # -- separable region --------------------------------------------------
+
+    def violation(self, correlations) -> float:
+        """How far a point lies outside the separable region (0 inside)."""
+        worst = 0.0
+        total = 0.0
+        for t in correlations:
+            worst = max(worst, -t, abs(t) - 1.0)
+            total += t * t
+        return max(worst, total - 1.0, 0.0)
+
+    def project(self, correlations) -> np.ndarray:
+        """Map a point into the separable region: clip, then scale radially."""
+        t = np.clip(np.asarray(correlations, dtype=np.float64), 0.0, 1.0)
+        norm_sq = float(np.sum(t * t))
+        if norm_sq > 1.0:
+            t = t / math.sqrt(norm_sq) * (1.0 - 1e-12)
+        return t
+
+    def sample_separable(self, rng: np.random.Generator) -> np.ndarray:
+        """A random point of the separable region."""
+        m = self.num_settings
+        for _ in range(64):
+            t = rng.uniform(0.0, 1.0, m)
+            if float(np.sum(t * t)) <= 1.0:
+                return t
+        t = rng.uniform(0.0, 1.0, m)
+        return t / math.sqrt(float(np.sum(t * t))) * rng.uniform(0.0, 1.0) ** (1.0 / m)
+
+    def boundary(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feasible mask, boundary points and kept mask of box points (B, M):
+        the radial scaling onto the unit sphere, which the origin lacks."""
+        square = np.sum(points * points, axis=1)
+        # Below the smallest normal float the squared norm has lost its
+        # precision, and so would the scaled point.
+        on_boundary = square >= np.finfo(np.float64).tiny
+        norm = np.sqrt(square)
+        return norm <= 1.0, points / np.where(on_boundary, norm, 1.0)[:, None], on_boundary
+
+    def check_separable_region(self) -> None:
+        """The region always holds the origin."""
+
+    def analytic_worst_case(self) -> tuple[float, ...]:
+        """Known worst case of symmetric thresholds: every correlation at 1/sqrt(M)."""
+        return (1.0 / math.sqrt(self.num_settings),) * self.num_settings
+
 
 Witness = LinearWitness | QuadraticWitness
+
+
+def _count_differences(n: int) -> np.ndarray:
+    """Agreeing minus disagreeing products, 2k - n, for k = 0..n."""
+    return 2 * np.arange(n + 1, dtype=np.int64) - n
 
 
 def _check_settings(settings: Sequence[CorrelationSetting], witness: Witness) -> None:
@@ -102,22 +280,7 @@ class WitnessGrid:
         if any(n < 1 for n in copies):
             raise DomainError("copies must all be >= 1")
         self.copies = copies
-        counts = [2 * np.arange(n + 1, dtype=np.int64) - n for n in copies]
-        if isinstance(witness, QuadraticWitness):
-            denom = math.lcm(*(n * n for n in copies))
-            self.shift = 0
-            self.values = [c * c * (denom // (n * n)) for c, n in zip(counts, copies)]
-        else:
-            constant = witness.constant
-            denom = math.lcm(
-                constant.denominator,
-                *(a.denominator * n for a, n in zip(witness.coefficients, copies)),
-            )
-            self.shift = constant.numerator * (denom // constant.denominator)
-            self.values = [
-                c * (a.numerator * (denom // (a.denominator * n)))
-                for c, a, n in zip(counts, witness.coefficients, copies)
-            ]
+        denom, self.shift, self.values = witness.grid_values(copies)
         self.denominator = denom
 
         m, width = len(copies), max(copies) + 1
@@ -200,30 +363,9 @@ def witness_pmf(settings: Sequence[CorrelationSetting], witness: Witness) -> Out
 
 
 def witness_moments(settings: Sequence[CorrelationSetting], witness: Witness) -> tuple[float, float]:
-    """Closed-form mean and variance of the witness outcome.
-
-    Linear: mean is the ideal witness value, variance the coefficient-weighted
-    sum of estimate variances.  Quadratic: per-setting squared-estimate
-    moments add, which for equal copy counts n reduces to
-    ((n - 1) * S_ideal + M) / n for the mean.
-    """
+    """Closed-form mean and variance of the witness outcome (``witness.moments``)."""
     _check_settings(settings, witness)
-    if isinstance(witness, LinearWitness):
-        mean = float(witness.constant)
-        variance = 0.0
-        for s, c in zip(settings, witness.coefficients):
-            m, v = correlation_moments(s)
-            cf = float(c)
-            mean += cf * m
-            variance += cf * cf * v
-        return mean, variance
-    mean = 0.0
-    variance = 0.0
-    for s in settings:
-        m, v = squared_correlation_moments(s)
-        mean += m
-        variance += v
-    return mean, variance
+    return witness.moments(settings)
 
 
 def witness_grid(copies: Sequence[int], witness: Witness) -> tuple[Fraction, ...]:

@@ -5,7 +5,8 @@ find the correlation vector that maximizes the acceptance probability while
 staying inside the separability region: a nonnegative ideal value for linear
 witnesses, a sum of squares at most 1 for the quadratic witness, and every
 correlation inside [-1, 1].  Such correlations bound what any separable
-state can do even when they correspond to no physical state.
+state can do even when they correspond to no physical state.  The witness
+class supplies its region's violation, projection and boundary points.
 
 The objective is ``WitnessGrid.expectation``: the outcome weights carried
 backwards through the grid engine's steps.  Acceptance-set searches are
@@ -36,7 +37,7 @@ from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
 from .finite_stats import _DIRECT_BINOMIAL_LIMIT
 from .pmf import OutcomePmf, RationalLike, as_fraction
-from .witnesses import QuadraticWitness, Witness, WitnessGrid
+from .witnesses import Witness, WitnessGrid
 
 #: Tolerated constraint violation of a returned point.
 FEASIBILITY_TOLERANCE = 1e-9
@@ -131,7 +132,6 @@ class WorstCaseProblem:
             )
         self.witness = witness
         self.copies = grid.copies
-        self._quadratic = isinstance(witness, QuadraticWitness)
         self._engine = grid
         self.grid: tuple[Fraction, ...] = grid.outcomes
 
@@ -145,56 +145,7 @@ class WorstCaseProblem:
         acc.validate_on_grid(self.grid)
         return np.array([acc.weight(o) for o in self.grid], dtype=np.float64)
 
-    # -- feasible region ---------------------------------------------------
-
-    def violation(self, correlations) -> float:
-        worst = 0.0
-        if self._quadratic:
-            total = 0.0
-            for t in correlations:
-                worst = max(worst, -t, abs(t) - 1.0)
-                total += t * t
-            return max(worst, total - 1.0, 0.0)
-        ideal = float(self.witness.constant)
-        for t, c in zip(correlations, self.witness.coefficients):
-            worst = max(worst, abs(t) - 1.0)
-            ideal += float(c) * t
-        return max(worst, -ideal, 0.0)
-
-    def project(self, correlations) -> np.ndarray:
-        """Map a point onto the feasible set (radial scaling / plane shift)."""
-        t = np.asarray(correlations, dtype=np.float64)
-        if self._quadratic:
-            t = np.clip(t, 0.0, 1.0)
-            norm_sq = float(np.sum(t * t))
-            if norm_sq > 1.0:
-                t = t / math.sqrt(norm_sq) * (1.0 - 1e-12)
-            return t
-        coeffs = np.array([float(c) for c in self.witness.coefficients])
-        const = float(self.witness.constant)
-        weight = float(np.dot(coeffs, coeffs))
-        for _ in range(100):
-            t = np.clip(t, -1.0, 1.0)
-            ideal = float(np.dot(coeffs, t)) + const
-            if ideal >= -1e-15:
-                return t
-            t = t + coeffs * (-ideal / weight) * (1.0 + 1e-12)
-        raise InfeasibleError("could not project onto the separability constraint")
-
-    def sample_feasible(self, rng: np.random.Generator) -> np.ndarray:
-        m = len(self.copies)
-        if self._quadratic:
-            for _ in range(64):
-                t = rng.uniform(0.0, 1.0, m)
-                if float(np.sum(t * t)) <= 1.0:
-                    return t
-            t = rng.uniform(0.0, 1.0, m)
-            return t / math.sqrt(float(np.sum(t * t))) * rng.uniform(0.0, 1.0) ** (1.0 / m)
-        for _ in range(64):
-            t = rng.uniform(-1.0, 1.0, m)
-            if self.violation(t) == 0.0:
-                return t
-        return self.project(rng.uniform(-1.0, 1.0, m))
+    # -- scan of the separable region -------------------------------------
 
     def _scan_lattice(self) -> tuple[range | np.ndarray, np.ndarray]:
         """Flat indices and axis values of the scan lattice of the feasible box.
@@ -212,31 +163,15 @@ class WorstCaseProblem:
         else:
             corners = np.random.default_rng(0).choice(2**m, _SCAN_LATTICE_CAP, replace=False)
             cells = np.sort(corners)
-        return cells, np.linspace(0.0 if self._quadratic else -1.0, 1.0, per_axis)
+        return cells, np.linspace(self.witness.low, 1.0, per_axis)
 
     def _scan_points(self, cells: range | np.ndarray, axis: np.ndarray) -> np.ndarray:
-        """Feasible lattice points, each followed by its boundary projection.
-
-        The quadratic boundary is reached by radial scaling onto the unit
-        sphere, the linear one by a shift along the coefficients onto the
-        plane where the ideal witness value is 0; a shifted point that leaves
-        the box is dropped.
-        """
+        """Feasible lattice points, each followed by its boundary point (see
+        the witness's ``boundary``); a boundary point it does not keep is
+        dropped."""
         digits = np.unravel_index(cells, (len(axis),) * len(self.copies))
         points = axis[np.stack(digits, axis=1)]
-        if self._quadratic:
-            norm = np.sqrt(np.sum(points * points, axis=1))
-            feasible = norm <= 1.0
-            on_boundary = norm > 0.0
-            boundary = points / np.where(on_boundary, norm, 1.0)[:, None]
-        else:
-            coeffs = np.array([float(c) for c in self.witness.coefficients])
-            ideal = points @ coeffs + float(self.witness.constant)
-            feasible = ideal >= 0.0
-            # Without coefficients there is no plane; the shift is then 0.
-            weight = float(coeffs @ coeffs) or math.inf
-            boundary = points - (ideal / weight)[:, None] * coeffs
-            on_boundary = np.all(np.abs(boundary) <= 1.0, axis=1)
+        feasible, boundary, on_boundary = self.witness.boundary(points)
         keep = np.stack([feasible, on_boundary], axis=1).ravel()
         return np.stack([points, boundary], axis=1).reshape(-1, points.shape[1])[keep]
 
@@ -250,7 +185,7 @@ class WorstCaseProblem:
         earlier point in lattice order, so the result does not depend on the
         chunk size.
         """
-        self._check_feasible_region()
+        self.witness.check_separable_region()
         cells, axis = self._scan_lattice()
         per_call = max(1, min(128, _SCAN_FLOATS // (2 * self._engine.table_size)))
         columns = np.arange(len(self.grid))
@@ -286,20 +221,7 @@ class WorstCaseProblem:
             where = np.stack([leader, pick(second, where, points)])
         return best, where
 
-    def _check_feasible_region(self) -> None:
-        if self._quadratic:
-            return
-        best = float(self.witness.constant) + sum(abs(float(c)) for c in self.witness.coefficients)
-        if best < 0.0:
-            raise InfeasibleError(
-                "separability constraint is empty: the witness is negative on the whole box"
-            )
-
     # -- search ------------------------------------------------------------
-
-    def _bounds(self):
-        low = 0.0 if self._quadratic else -1.0
-        return [(low, 1.0)] * len(self.copies)
 
     def maximize_set(
         self,
@@ -363,33 +285,33 @@ class WorstCaseProblem:
         the face t = -1 would get a flat simplex that cannot leave the face.
         """
         opts = options or SearchOptions()
-        self._check_feasible_region()
+        self.witness.check_separable_region()
         objective = self._engine.expectation(outcome_weights)
 
         def penalized_negative(t) -> float:
-            return -objective(t) + _PENALTY_WEIGHT * self.violation(t) ** 2
+            return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
 
         starts: list[np.ndarray] = []
         analytic_floor = -np.inf
         try:
-            analytic = np.array(analytic_worst_case(self.witness), dtype=np.float64)
+            analytic = np.array(self.witness.analytic_worst_case(), dtype=np.float64)
             starts.append(analytic)
-            analytic_floor = objective(self.project(analytic))
+            analytic_floor = objective(self.witness.project(analytic))
         except DomainError:
             pass
         for point in seed_points:
-            starts.append(self.project(point))
+            starts.append(self.witness.project(point))
         seeds = np.random.SeedSequence(opts.seed).spawn(opts.restarts + 1)
         rng_pool = [np.random.default_rng(s) for s in seeds]
         while len(starts) < opts.restarts:
-            starts.append(self.sample_feasible(rng_pool[len(starts) % opts.restarts]))
+            starts.append(self.witness.sample_separable(rng_pool[len(starts) % opts.restarts]))
         if not starts:
             raise DomainError("the search has no start: this witness needs restarts >= 1")
 
         candidates: list[tuple[float, tuple[float, ...]]] = []
 
         def record(point) -> float:
-            projected = self.project(point)
+            projected = self.witness.project(point)
             value = objective(projected)
             candidates.append((value, tuple(float(x) for x in projected)))
             return value
@@ -406,7 +328,7 @@ class WorstCaseProblem:
                 penalized_negative,
                 start,
                 method="Nelder-Mead",
-                bounds=self._bounds(),
+                bounds=[(self.witness.low, 1.0)] * len(self.copies),
                 options=options,
             )
 
@@ -435,7 +357,7 @@ class WorstCaseProblem:
         floor = max(best_value - _TIE_TOLERANCE, analytic_floor)
         ties = sorted(point for value, point in candidates if value >= floor)
         chosen = ties[0]
-        if self.violation(chosen) > FEASIBILITY_TOLERANCE:
+        if self.witness.violation(chosen) > FEASIBILITY_TOLERANCE:
             raise InfeasibleError("worst-case search returned an infeasible point")
         dist = self.pmf_at(chosen)
         achieved = float(np.dot(outcome_weights, np.array(dist.probabilities)))
@@ -451,7 +373,7 @@ class WorstCaseProblem:
 
     def _reflected_simplex(self, start: np.ndarray) -> np.ndarray:
         """scipy's default first simplex, reflected into the box at both bounds."""
-        low = 0.0 if self._quadratic else -1.0
+        low = self.witness.low
         simplex = np.tile(start, (len(start) + 1, 1))
         diagonal = np.arange(len(start))
         simplex[diagonal + 1, diagonal] = np.where(start != 0.0, 1.05 * start, 0.00025)
@@ -467,14 +389,13 @@ class WorstCaseProblem:
         opts: SearchOptions,
     ) -> np.ndarray:
         """Geometric-cooling Metropolis walk used to escape shallow basins."""
-        low = 0.0 if self._quadratic else -1.0
         current = np.array(start, dtype=np.float64)
         current_value = penalized_negative(current)
         best, best_value = current, current_value
         temperature = _ANNEAL_INITIAL_TEMP
         step = _ANNEAL_INITIAL_STEP
         for _ in range(opts.anneal_steps):
-            proposal = np.clip(current + rng.normal(0.0, step, len(current)), low, 1.0)
+            proposal = np.clip(current + rng.normal(0.0, step, len(current)), self.witness.low, 1.0)
             value = penalized_negative(proposal)
             if value < current_value or rng.random() < math.exp(
                 -(value - current_value) / max(temperature, 1e-12)
@@ -486,18 +407,3 @@ class WorstCaseProblem:
             step *= _ANNEAL_FACTOR
         return best
 
-
-def analytic_worst_case(witness: Witness) -> tuple[float, ...]:
-    """Known worst-case correlations for symmetric threshold problems.
-
-    Quadratic witness: every correlation at 1/sqrt(M).  Linear witness with
-    coefficients (1, -1, ..., -1) and unit constant: (-1/M, 1/M, ..., 1/M).
-    Other shapes raise DomainError and must use the numeric search.
-    """
-    m = witness.num_settings
-    if isinstance(witness, QuadraticWitness):
-        return (1.0 / math.sqrt(m),) * m
-    expected = (Fraction(1),) + (Fraction(-1),) * (m - 1)
-    if witness.coefficients == expected and witness.constant == 1:
-        return (-1.0 / m,) + (1.0 / m,) * (m - 1)
-    raise DomainError("no analytic worst case for this witness shape")

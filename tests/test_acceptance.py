@@ -53,7 +53,7 @@ from entcert.witnesses import (
     witness_moments,
     witness_pmf,
 )
-from entcert.worst_case import SearchOptions, WorstCaseProblem, analytic_worst_case
+from entcert.worst_case import SearchOptions, WorstCaseProblem
 
 F = Fraction
 PP = 1.5e-3  # 0.15 percentage points
@@ -387,7 +387,7 @@ def test_criterion_09_worst_case_recovery():
         for witness, copies, acc in cases:
             problem = WorstCaseProblem(witness, copies)
             result = problem.maximize_set(acc, OPTS)
-            analytic = analytic_worst_case(witness)
+            analytic = witness.analytic_worst_case()
             reference = acc.weighted_mass(problem.pmf_at(analytic))
             label = f"{type(witness).__name__} M={witness.num_settings}"
             c.check(
@@ -399,7 +399,7 @@ def test_criterion_09_worst_case_recovery():
                 max(abs(a - b) for a, b in zip(result.correlations, analytic)) <= 1e-2,
             )
             c.check(
-                f"{label}: infeasible point", problem.violation(result.correlations) <= 1e-9
+                f"{label}: infeasible point", problem.witness.violation(result.correlations) <= 1e-9
             )
 
 
@@ -426,9 +426,9 @@ def test_criterion_11_monte_carlo_validation():
             ("c2 sep", quad2, [0.5**0.5] * 2, [10, 10], 103),
             ("c2 rho", quad2, [0.75, -0.75], [10, 10], 104),
             ("c4 ent", lin5, [-0.75] + [0.75] * 4, [4] * 5, 105),
-            ("c4 sep", lin5, list(analytic_worst_case(lin5)), [4] * 5, 106),
+            ("c4 sep", lin5, list(lin5.analytic_worst_case()), [4] * 5, 106),
             ("c5 ent", quad5, [0.75] * 5, [4] * 5, 107),
-            ("c5 sep", quad5, list(analytic_worst_case(quad5)), [4] * 5, 108),
+            ("c5 sep", quad5, list(quad5.analytic_worst_case()), [4] * 5, 108),
         ]
         trials = 10**6
         for label, witness, correlations, copies, seed in runs:

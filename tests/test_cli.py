@@ -17,7 +17,7 @@ from entcert.config import parse_optimizer
 from entcert.errors import DomainError, SchemaError
 from entcert.pmf import format_fraction, round_fraction
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid
-from entcert.worst_case import SearchOptions
+from entcert.worst_case import SearchOptions, WorstCaseProblem
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -190,6 +190,23 @@ class TestTest:
             "priors": {"entangled": 0.5},
             "q_bayes": q_bayes,
             "optimizer": {"restarts": 2, "seed": 5},
+        }
+        config = write_config(tmp_path, doc)
+        assert main(["test", "--config", config]) == 2
+
+    def test_q_bayes_checked_before_any_search(self, tmp_path, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("q_bayes must be checked before the worst-case search")
+
+        monkeypatch.setattr(WorstCaseProblem, "maximize_set", search)
+        doc = {
+            "witness": {"kind": "linear", "coefficients": [1, -1, -1, -1, -1], "constant": 1},
+            "copies": [4, 4, 4, 4, 4],
+            "acceptance": {"kind": "threshold", "bound": -3, "direction": "accept_low"},
+            "entangled": {"purity": 0.75},
+            "priors": {"entangled": 0.5},
+            "q_bayes": 1.5,
+            "optimizer": {"restarts": 8, "seed": 5},
         }
         config = write_config(tmp_path, doc)
         assert main(["test", "--config", config]) == 2

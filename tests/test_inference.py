@@ -122,7 +122,7 @@ class TestPosterior:
         bound = posterior_lower_bound(outcome, ent, gq, priors)
         rng = np.random.default_rng(17)
         for _ in range(100):
-            point = problem.sample_feasible(rng)
+            point = problem.witness.sample_separable(rng)
             sep_mass = problem.pmf_at(point).probability(outcome)
             truth = (
                 ent.probability(outcome)

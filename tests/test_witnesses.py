@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from entcert.errors import DomainError
+from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
 from entcert.witnesses import (
     LinearWitness,
@@ -19,6 +19,7 @@ from entcert.witnesses import (
     witness_moments,
     witness_pmf,
 )
+from entcert.worst_case import FEASIBILITY_TOLERANCE
 
 F = Fraction
 PP = 1.5e-3  # percentage-point tolerance on reported probabilities
@@ -213,6 +214,77 @@ class TestGridEngine:
         assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
         assert pmf.mean() == pytest.approx(mean, abs=1e-12)
         assert pmf.variance() == pytest.approx(variance, abs=1e-12)
+
+
+@st.composite
+def separable_witnesses(draw):
+    """A random witness of 1-4 settings whose separable region is not empty."""
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return QuadraticWitness(m)
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=100)
+    coefficients = draw(st.lists(rationals, min_size=m, max_size=m))
+    constant = draw(rationals)
+    assume(constant + sum(abs(c) for c in coefficients) >= 0)
+    return LinearWitness(coefficients, constant)
+
+
+#: Regions of tiny and of zero area: t2 >= 1 - t1/100, and the point (1, 1).
+THIN = [LinearWitness([F(1, 100), 1], -1), LinearWitness([F(1, 100), 1], F(-101, 100))]
+
+
+def off_constraint(witness, points, boundary):
+    """How far boundary points (B, M) lie from the surface that bounds the
+    region.  A linear witness without coefficients has no such surface, and
+    its boundary points are the points themselves."""
+    if isinstance(witness, QuadraticWitness):
+        return np.abs(np.sum(boundary * boundary, axis=1) - 1.0)
+    coeffs = np.array([float(c) for c in witness.coefficients])
+    if not coeffs.any():
+        return np.abs(boundary - points).max(axis=1, initial=0.0)
+    return np.abs(boundary @ coeffs + float(witness.constant))
+
+
+class TestSeparableRegion:
+    """Each witness class's region methods, over random witnesses of both classes."""
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        separable_witnesses(),
+        st.lists(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(THIN[0], [[-1.0, 0.5, 0.0, 0.0]], 0)
+    @example(THIN[1], [[-1.0, 0.5, 0.0, 0.0], [0.3, -0.7, 0.0, 0.0]], 0)
+    def test_methods_stay_in_the_region(self, witness, rows, seed):
+        points = np.array(rows)[:, : witness.num_settings]
+        for t in points:
+            assert witness.violation(witness.project(t)) <= FEASIBILITY_TOLERANCE
+        box = np.clip(points, witness.low, 1.0)
+        feasible, boundary, kept = witness.boundary(box)
+        assert feasible.shape == kept.shape == (len(box),)
+        on_surface = boundary[kept]
+        assert np.all((on_surface >= witness.low) & (on_surface <= 1.0))
+        assert np.all(off_constraint(witness, box[kept], on_surface) <= 1e-12)
+        rng = np.random.default_rng(seed)
+        assert witness.violation(witness.sample_separable(rng)) <= FEASIBILITY_TOLERANCE
+
+    def test_projection_reaches_a_thin_region(self):
+        # Clip-and-shift moves about 1e-6 a round here; bisection on the
+        # multiplier lands on the region's corner.
+        assert THIN[0].project([-1.0, 0.5]) == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert THIN[1].project([-1.0, 0.5]) == pytest.approx((1.0, 1.0), abs=1e-12)
+
+    def test_region_emptiness_is_exact(self):
+        empty = LinearWitness([F(1, 100), 1], F(-102, 100))
+        with pytest.raises(InfeasibleError):
+            empty.check_separable_region()
+        with pytest.raises(InfeasibleError):
+            empty.project([0.0, 0.0])
+        # The point (1, 1), although 1/2 + 1/3 - 5/6 is below 0 in floats.
+        point = LinearWitness([F(1, 2), F(1, 3)], F(-5, 6))
+        point.check_separable_region()
+        assert point.project([0.0, 0.0]) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
 from entcert.pmf import OutcomePmf
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
-from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem, analytic_worst_case
+from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem
 
 F = Fraction
 OPTS = SearchOptions(restarts=12, seed=101)
@@ -66,20 +66,20 @@ def _squared_mass(n, value, t):
 
 class TestAnalytic:
     def test_linear_pattern(self):
-        assert analytic_worst_case(LinearWitness([1, -1], 1)) == pytest.approx((-0.5, 0.5))
-        assert analytic_worst_case(LinearWitness([1, -1, -1, -1, -1], 1)) == pytest.approx(
+        assert LinearWitness([1, -1], 1).analytic_worst_case() == pytest.approx((-0.5, 0.5))
+        assert LinearWitness([1, -1, -1, -1, -1], 1).analytic_worst_case() == pytest.approx(
             (-0.2, 0.2, 0.2, 0.2, 0.2)
         )
 
     def test_quadratic_pattern(self):
-        assert analytic_worst_case(QuadraticWitness(2)) == pytest.approx((0.5**0.5,) * 2)
-        assert analytic_worst_case(QuadraticWitness(1)) == pytest.approx((1.0,))
+        assert QuadraticWitness(2).analytic_worst_case() == pytest.approx((0.5**0.5,) * 2)
+        assert QuadraticWitness(1).analytic_worst_case() == pytest.approx((1.0,))
 
     def test_unsupported_shape_raises(self):
         with pytest.raises(DomainError):
-            analytic_worst_case(LinearWitness([2, -1], 1))
+            LinearWitness([2, -1], 1).analytic_worst_case()
         with pytest.raises(DomainError):
-            analytic_worst_case(LinearWitness([1, -1], 0))
+            LinearWitness([1, -1], 0).analytic_worst_case()
 
 
 class TestRecovery:
@@ -93,24 +93,24 @@ class TestRecovery:
         witness = LinearWitness([1] + [-1] * (m - 1), 1)
         problem = WorstCaseProblem(witness, (copies,) * m)
         result = problem.maximize_set(AcceptanceSet.threshold(bound, "accept_low"), OPTS)
-        analytic = analytic_worst_case(witness)
+        analytic = witness.analytic_worst_case()
         reference = problem.pmf_at(analytic).mass_below(bound)
         assert result.objective >= reference - 1e-12
         assert abs(result.objective - reference) < 1e-3
         assert np.allclose(result.correlations, analytic, atol=1e-2)
-        assert problem.violation(result.correlations) <= 1e-9
+        assert problem.witness.violation(result.correlations) <= 1e-9
 
     @pytest.mark.parametrize("m,copies,bound", [(2, 10, F(2)), (3, 4, F(9, 4)), (5, 4, F(4))])
     def test_quadratic_threshold(self, m, copies, bound):
         witness = QuadraticWitness(m)
         problem = WorstCaseProblem(witness, (copies,) * m)
         result = problem.maximize_set(AcceptanceSet.threshold(bound, "accept_high"), OPTS)
-        analytic = analytic_worst_case(witness)
+        analytic = witness.analytic_worst_case()
         reference = problem.pmf_at(analytic).mass_above(bound)
         assert result.objective >= reference - 1e-12
         assert abs(result.objective - reference) < 1e-3
         assert np.allclose(result.correlations, analytic, atol=1e-2)
-        assert problem.violation(result.correlations) <= 1e-9
+        assert problem.witness.violation(result.correlations) <= 1e-9
 
 
 class TestSetSearch:
@@ -222,7 +222,7 @@ class TestInvariants:
         assert pointwise_sum >= interval.objective - 1e-9
         rng = np.random.default_rng(77)
         for _ in range(100):
-            point = problem.sample_feasible(rng)
+            point = problem.witness.sample_separable(rng)
             mass = acc.weighted_mass(problem.pmf_at(point))
             assert interval.objective >= mass - 1e-9
 
@@ -234,7 +234,7 @@ class TestInvariants:
             problem = WorstCaseProblem(QuadraticWitness(m), copies)
             outcome = problem.grid[int(rng.integers(0, len(problem.grid)))]
             result = problem.maximize_point(outcome, SearchOptions(restarts=4, seed=9))
-            assert problem.violation(result.correlations) <= 1e-9
+            assert problem.witness.violation(result.correlations) <= 1e-9
 
     def test_determinism_under_fixed_seed(self):
         problem = WorstCaseProblem(QuadraticWitness(3), (4, 4, 4))
@@ -262,7 +262,7 @@ class TestInvariants:
         ]:
             problem = WorstCaseProblem(witness, copies)
             for _ in range(5):
-                point = problem.sample_feasible(rng)
+                point = problem.witness.sample_separable(rng)
                 fast = problem.pmf_at(point)
                 slow = convolution_pmf(
                     [CorrelationSetting(float(t), n) for t, n in zip(point, copies)], witness
@@ -317,7 +317,7 @@ class TestScan:
         for outcome, result in scanned.items():
             reference = problem._maximize(one_hot(problem, outcome), multistart)
             assert result.objective >= reference.objective - 1e-6
-            assert problem.violation(result.correlations) <= 1e-9
+            assert problem.witness.violation(result.correlations) <= 1e-9
 
     @pytest.mark.parametrize("witness,copies", [c for c in SMALL if len(c[1]) <= 2])
     def test_never_below_dense_lattice(self, witness, copies):
@@ -373,7 +373,7 @@ class TestScan:
         assert sum(rows) <= 2 * worst_case._SCAN_LATTICE_CAP
         mass, where = problem._scan
         assert np.all(np.isfinite(mass[0]))
-        assert max(problem.violation(t) for t in where[0]) <= 1e-9
+        assert max(problem.witness.violation(t) for t in where[0]) <= 1e-9
 
     @pytest.mark.parametrize(
         "floats,lattice,points", [(1, 64, 1), (2**12, 64, 16), (2**20, 32_768, 128)]
@@ -412,7 +412,7 @@ class TestLimits:
         # never enumerates them.
         problem = WorstCaseProblem(witness, copies)
         result = problem.maximize_point(problem.grid[0])
-        assert problem.violation(result.correlations) <= 1e-9
+        assert problem.witness.violation(result.correlations) <= 1e-9
         if isinstance(witness, QuadraticWitness):
             # Outcome 0: every setting splits 2/2, at most 6 * (1/2)**4 each.
             assert result.objective == 0.375**15
@@ -427,6 +427,31 @@ class TestInfeasible:
             )
 
 
+class TestThinRegion:
+    """Regions of tiny or zero area, where clip-and-shift projection stalls."""
+
+    def test_sliver_region_is_searched(self):
+        # 1/100 t1 + t2 >= 1: a sliver of 1/800 of the box along t2 = 1.
+        witness = LinearWitness([F(1, 100), 1], -1)
+        problem = WorstCaseProblem(witness, (4, 4))
+        middle = problem.grid[len(problem.grid) // 2]
+        acc = AcceptanceSet.threshold(middle, "accept_low")
+        result = problem.maximize_set(acc, SearchOptions(restarts=8))
+        assert witness.violation(result.correlations) <= 1e-9
+        t1 = np.repeat(np.linspace(0.0, 1.0, 1001), 21)
+        t2 = 1.0 - t1 / 100 * np.tile(np.linspace(1.0, 0.0, 21), 1001)
+        masses = problem._engine.pmf_batch(np.stack([t1, t2], axis=1))
+        dense = np.max(masses @ problem.outcome_weights(acc))
+        assert result.objective >= dense - 1e-9
+
+    def test_single_point_region(self):
+        # 1/100 t1 + t2 >= 101/100 holds only at (1, 1), where the outcome is 0.
+        problem = WorstCaseProblem(LinearWitness([F(1, 100), 1], F(-101, 100)), (4, 4))
+        result = problem.maximize_set(AcceptanceSet.explicit([0]), SearchOptions(restarts=8))
+        assert result.correlations == pytest.approx((1.0, 1.0), abs=1e-9)
+        assert result.objective == pytest.approx(1.0, abs=1e-9)
+
+
 class TestValidityPowerTradeoff:
     def test_statistics_reduction_collapses_power(self):
         # Two squared correlations at 0.8, validity 90%: cutting the copies
@@ -439,7 +464,7 @@ class TestValidityPowerTradeoff:
                 [CorrelationSetting(0.8, n), CorrelationSetting(-0.8, n)], witness
             )
             sep = witness_pmf(
-                [CorrelationSetting(t, n) for t in analytic_worst_case(witness)], witness
+                [CorrelationSetting(t, n) for t in witness.analytic_worst_case()], witness
             )
             powers[n] = max(
                 (ent.mass_above(b) for b in ent.outcomes if sep.mass_above(b) <= 0.1),
