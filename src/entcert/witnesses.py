@@ -98,30 +98,64 @@ class LinearWitness:
         """Map a point into the separable region.
 
         Clipping to the box alternates with a shift along the coefficients
-        onto the plane.  Where that stalls, in a thin region, bisection on
-        the multiplier gives the exact projection clip(t + lam * c, -1, 1).
+        onto the plane.  Each round leaves a share of the shortfall below
+        the plane, the share of the shift that clipping takes back, and that
+        share never falls from round to round.  Once even the latest share
+        cannot close the gap in the rounds left, as in a thin region where
+        it is close to 1, ``project_batch`` gives the exact projection.
         """
         t = start = np.asarray(correlations, dtype=np.float64)
         coeffs = np.array([float(c) for c in self.coefficients])
         const = float(self.constant)
         weight = float(np.dot(coeffs, coeffs))
-        for _ in range(100):
+        previous = 0.0
+        for rounds_left in range(99, -1, -1):
             t = np.clip(t, -1.0, 1.0)
             ideal = float(np.dot(coeffs, t)) + const
             if ideal >= -1e-15:
                 return t
+            if previous:
+                # Shortfalls far above the rounding of the witness value.
+                settled = 1e-12 * max(1.0, abs(const) + float(np.sum(np.abs(coeffs))))
+                if previous > settled and -ideal * (-ideal / previous) ** rounds_left > settled:
+                    break
+            previous = -ideal
             t = t + coeffs * (-ideal / weight) * (1.0 + 1e-12)
+        return self.project_batch(start[None])[0]
+
+    def project_batch(self, points) -> np.ndarray:
+        """Euclidean projections (B, M) of points (B, M) onto the separable
+        region: clip(t + lam * c, -1, 1) with the smallest lam >= 0 that
+        reaches the half-space.
+
+        Along that path the witness value is piecewise linear and
+        nondecreasing in lam, with a kink wherever a setting reaches -1 or
+        1, so lam is found on the first piece whose end reaches 0.
+        """
+        t = np.asarray(points, dtype=np.float64)
+        coeffs = np.array([float(c) for c in self.coefficients])
+        const = float(self.constant)
+        projected = np.clip(t, -1.0, 1.0)
+        short = projected @ coeffs + const < 0.0
+        if not short.any():
+            return projected
         self.check_separable_region()
-        # At ``high`` every setting with a coefficient sits at its best corner.
-        moved = coeffs != 0.0
-        low, high = 0.0, float(np.max((1.0 + np.abs(start[moved])) / np.abs(coeffs[moved])))
-        for _ in range(100):
-            middle = 0.5 * (low + high)
-            if float(np.dot(coeffs, np.clip(start + middle * coeffs, -1.0, 1.0))) + const >= 0.0:
-                high = middle
-            else:
-                low = middle
-        return np.clip(start + high * coeffs, -1.0, 1.0)
+        start = t[short]
+        steered = coeffs != 0.0
+        ends = (np.array([[-1.0], [1.0]]) - start[:, None, steered]) / coeffs[steered]
+        kinks = np.hstack([np.zeros((len(start), 1)), ends.reshape(len(start), -1)])
+        kinks = np.sort(np.maximum(kinks, 0.0), axis=1)
+        value = np.clip(start[:, None, :] + kinks[:, :, None] * coeffs, -1.0, 1.0) @ coeffs + const
+        # Rounding may leave a single-point region below 0 at every kink;
+        # the last kink, every setting at its best end, is then the answer.
+        end = np.minimum(np.sum(value < 0.0, axis=1), kinks.shape[1] - 1)
+        rows = np.arange(len(start))
+        low, high = value[rows, end - 1], value[rows, end]
+        share = np.ones(len(start))
+        np.divide(-low, high - low, out=share, where=high >= 0.0)
+        lam = kinks[rows, end - 1] + share * (kinks[rows, end] - kinks[rows, end - 1])
+        projected[short] = np.clip(start + lam[:, None] * coeffs, -1.0, 1.0)
+        return projected
 
     def sample_separable(self, rng: np.random.Generator) -> np.ndarray:
         """A random point of the separable region."""
@@ -136,10 +170,10 @@ class LinearWitness:
         the shift along the coefficients onto the plane, kept inside the box."""
         coeffs = np.array([float(c) for c in self.coefficients])
         ideal = points @ coeffs + float(self.constant)
-        # Without coefficients there is no plane; the shift is then 0.
+        # Without coefficients there is no plane and no boundary point.
         weight = float(coeffs @ coeffs) or math.inf
         boundary = points - (ideal / weight)[:, None] * coeffs
-        return ideal >= 0.0, boundary, np.all(np.abs(boundary) <= 1.0, axis=1)
+        return ideal >= 0.0, boundary, np.all(np.abs(boundary) <= 1.0, axis=1) & coeffs.any()
 
     def check_separable_region(self) -> None:
         """Raise InfeasibleError when the witness is negative on the whole box."""
@@ -210,12 +244,15 @@ class QuadraticWitness:
         return max(worst, total - 1.0, 0.0)
 
     def project(self, correlations) -> np.ndarray:
-        """Map a point into the separable region: clip, then scale radially."""
-        t = np.clip(np.asarray(correlations, dtype=np.float64), 0.0, 1.0)
-        norm_sq = float(np.sum(t * t))
-        if norm_sq > 1.0:
-            t = t / math.sqrt(norm_sq) * (1.0 - 1e-12)
-        return t
+        """Map a point into the separable region (see ``project_batch``)."""
+        return self.project_batch(np.asarray(correlations, dtype=np.float64)[None])[0]
+
+    def project_batch(self, points) -> np.ndarray:
+        """Euclidean projections (B, M) of points (B, M) onto the separable
+        region: negative correlations to 0, then radially into the unit ball."""
+        t = np.maximum(np.asarray(points, dtype=np.float64), 0.0)
+        norm = np.sqrt(np.sum(t * t, axis=1))
+        return t / np.maximum(norm, 1.0)[:, None]
 
     def sample_separable(self, rng: np.random.Generator) -> np.ndarray:
         """A random point of the separable region."""
@@ -319,17 +356,57 @@ class WitnessGrid:
             table[:, j, : n + 1] = [_binomial_weights(n, s) for s in q[:, j, 0]]
         return table
 
+    def _advance(self, mass: np.ndarray, table: np.ndarray, j: int) -> np.ndarray:
+        """Partial-sum masses (B, S_j+1) after step j, from those before it
+        (B, S_j) and the binomial weights (B, M, width)."""
+        inverse, size = self._steps[j]
+        rows = len(mass)
+        combos = mass[:, :, None] * table[:, j, None, : inverse.shape[1]]
+        index = inverse + size * np.arange(rows)[:, None, None]
+        return np.bincount(index.ravel(), combos.ravel(), rows * size).reshape(rows, size)
+
     def pmf_batch(self, correlations) -> np.ndarray:
         """Grid probabilities (B, G) at a batch of correlation vectors (B, M)."""
         t = np.asarray(correlations, dtype=np.float64)
-        rows = len(t)
         table = self._binomials(t)
-        mass = np.ones((rows, 1))
-        for j, (n, (inverse, size)) in enumerate(zip(self.copies, self._steps)):
-            combos = mass[:, :, None] * table[:, j, None, : n + 1]
-            index = inverse + size * np.arange(rows)[:, None, None]
-            mass = np.bincount(index.ravel(), combos.ravel(), rows * size).reshape(rows, size)
+        mass = np.ones((len(t), 1))
+        for j in range(len(self.copies)):
+            mass = self._advance(mass, table, j)
         return mass
+
+    def value_and_grad(self, weights, correlations) -> tuple[np.ndarray, np.ndarray]:
+        """Values (B,) of ``pmf_batch(T) @ w`` row by row, for weights W (B, G)
+        and correlations T (B, M), and their gradients (B, M) in T.
+
+        The forward pass keeps the partial-sum masses before every step; the
+        backward pass gathers the weights through each step's inverse map,
+        as ``expectation`` does.  Setting j's gradient pairs the masses
+        before its step with the weights gathered after it and with the
+        derivatives of its binomial weights.  Only the direct binomial
+        tables are differentiated, which covers every ``WorstCaseProblem``.
+        """
+        if self._log_space:
+            raise DomainError(f"gradients take at most {_DIRECT_BINOMIAL_LIMIT} copies per setting")
+        t = np.asarray(correlations, dtype=np.float64)
+        table = self._binomials(t)
+        q = (1.0 + t[:, :, None]) / 2.0
+        # k q^(k-1) and (n-k) (1-q)^(n-k-1) vanish at k = 0 and k = n, where
+        # the powers alone would be 1/0 at q = 0 or 1.
+        rise = self.k_table * q ** np.maximum(self.k_table - 1.0, 0.0) * (1.0 - q) ** self.nk_table
+        fall = self.nk_table * q**self.k_table * (1.0 - q) ** np.maximum(self.nk_table - 1.0, 0.0)
+        slope = 0.5 * self.comb_table * (rise - fall)
+        masses = [np.ones((len(t), 1))]
+        for j in range(len(self.copies) - 1):
+            masses.append(self._advance(masses[-1], table, j))
+        adjoint = np.asarray(weights, dtype=np.float64)
+        grad = np.empty(t.shape)
+        for j in range(len(self.copies) - 1, -1, -1):
+            inverse = self._steps[j][0]
+            gathered = adjoint[:, inverse]
+            per_count = np.sum(masses[j][:, :, None] * gathered, axis=1)
+            grad[:, j] = np.sum(per_count * slope[:, j, : inverse.shape[1]], axis=1)
+            adjoint = np.sum(gathered * table[:, j, None, : inverse.shape[1]], axis=2)
+        return adjoint[:, 0], grad
 
     def expectation(self, weights) -> Callable[[Sequence[float]], float]:
         """The map  t -> pmf_batch([t])[0] @ weights, as the transpose of ``pmf_batch``.

@@ -8,24 +8,25 @@ correlation inside [-1, 1].  Such correlations bound what any separable
 state can do even when they correspond to no physical state.  The witness
 class supplies its region's violation, projection and boundary points.
 
-The objective is ``WitnessGrid.expectation``: the outcome weights carried
-backwards through the grid engine's steps.  Acceptance-set searches are
-multi-start Nelder-Mead with an exterior quadratic penalty, refined by a
-short simulated-annealing pass when the restarts stall, and the final point
-is projected back onto the feasible set.
+Acceptance-set searches maximize ``WitnessGrid.expectation``, the outcome
+weights carried backwards through the grid engine's steps, by multi-start
+Nelder-Mead with an exterior quadratic penalty, refined by a short
+simulated-annealing pass when the restarts stall; the final point is
+projected back onto the feasible set.
 Single-outcome searches share one deterministic scan of the feasible region
 per problem: a capped lattice of the box plus each lattice point's projection
 onto the separability boundary, evaluated in chunks with the batched grid
-engine, keeps the two best distinct points of every outcome; a short
-Nelder-Mead polish from those seeds, without random restarts or annealing,
-gives the result.  Symmetric threshold problems additionally have known
+engine, keeps the two best distinct points of every outcome.  One batched
+projected-gradient ascent on the engine's exact gradients
+(``WitnessGrid.value_and_grad``) then polishes every outcome from those
+seeds at once.  Symmetric threshold problems additionally have known
 analytic solutions that seed every search and floor the result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -45,10 +46,12 @@ FEASIBILITY_TOLERANCE = 1e-9
 #: Lattice points of the pointwise scan, whatever the number of settings.
 _SCAN_LATTICE_CAP = 32_768
 
-#: Floats that one ``pmf_batch`` call of the scan may hold in its largest
-#: step table, rows x ``WitnessGrid.table_size``.  Each lattice point adds at
-#: most one boundary point (two rows), and a call takes at least 1 and at
-#: most 128 lattice points.
+#: Floats that one engine call of the scan or the pointwise polish may hold
+#: in its largest step table, rows x ``WitnessGrid.table_size``.  Each
+#: lattice point adds at most one boundary point (two rows), and a scan call
+#: takes at least 1 and at most 128 lattice points.  A polish row probes
+#: each setting once when it looks flat (M rows), and a polish call takes
+#: at least 1 row.
 _SCAN_FLOATS = 2**20
 
 #: Scan points closer than this (Euclidean) count as one seed.
@@ -69,16 +72,32 @@ _STALL_TOLERANCE = 1e-6
 #: Candidates within this of the best value tie; the smallest point wins.
 _TIE_TOLERANCE = 1e-6
 
+#: Largest entry of the first step of the pointwise ascent, and of the
+#: probe that projects its gradients (see ``_ascent_directions``).
+_FIRST_STEP = 0.1
+
+#: Cap on the largest entry of an ascent step before projection, far beyond
+#: the box, so that a row sliding along a face cannot double its step until
+#: the step overflows.
+_MAX_STEP = 1e4
+
+#: Share of the first-order gain that an accepted ascent step must reach,
+#: over the lowest of the row's last ``_MEMORY`` values.
+_ARMIJO = 1e-4
+_MEMORY = 3
+
 
 @dataclass(frozen=True)
 class SearchOptions:
     """Tunable knobs of the worst-case search; defaults are reproducible.
 
-    ``restarts`` random feasible starts, drawn from ``seed``, join the
-    analytic point and any seed points.  Every start gets one Nelder-Mead
-    run of at most ``max_iterations`` iterations with tolerances ``xatol``
-    and ``fatol``; a stalled search gets an annealing walk of
-    ``anneal_steps`` steps.
+    Acceptance-set searches: ``restarts`` random feasible starts, drawn
+    from ``seed``, join the analytic point and any seed points.  Every start
+    gets one Nelder-Mead run of at most ``max_iterations`` iterations with
+    tolerances ``xatol`` and ``fatol``; a stalled search gets an annealing
+    walk of ``anneal_steps`` steps.  Pointwise searches use only
+    ``max_iterations``, ``xatol`` and ``fatol``, for their gradient ascent
+    (see ``WorstCaseProblem._ascend``).
     """
 
     restarts: int = 32
@@ -97,9 +116,10 @@ class SearchOptions:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-#: One loose Nelder-Mead run from each seed point and from the analytic
-#: start, without random restarts or annealing.  The planner's pointwise
-#: searches and the feasibility probes of the acceptance-set search use it.
+#: One loose run from each seed point and from the analytic start, without
+#: random restarts or annealing.  The planner's pointwise searches (a
+#: gradient ascent) and the feasibility probes of the acceptance-set search
+#: (Nelder-Mead) use it.
 POLISH = SearchOptions(restarts=0, anneal_steps=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
 
 
@@ -115,13 +135,20 @@ class WorstCaseResult:
     converged: bool
 
 
+def _largest(rows: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of every row, 1 for a row of zeros."""
+    largest = np.max(np.abs(rows), axis=1)
+    return np.where(largest > 0.0, largest, 1.0)
+
+
 class WorstCaseProblem:
     """One witness + copy allocation and its worst-case searches.
 
     The outcome grid and its integer encoding come from ``WitnessGrid``.
-    Every objective is that engine's ``expectation`` of the outcome
-    weights, and the scan evaluates candidate points with its
-    ``pmf_batch``.
+    Acceptance-set objectives are that engine's ``expectation`` of the
+    outcome weights, the scan evaluates candidate points with its
+    ``pmf_batch``, and the pointwise polish climbs with its
+    ``value_and_grad``.
     """
 
     def __init__(self, witness: Witness, copies: tuple[int, ...] | list[int]):
@@ -239,35 +266,216 @@ class WorstCaseProblem:
         options: SearchOptions | None = None,
         seed_points: Sequence[Sequence[float]] = (),
     ) -> WorstCaseResult:
-        """Worst-case probability of one exact outcome.
-
-        The search polishes the outcome's two best scan points, the analytic
-        worst case where one applies, and ``seed_points``, with one
-        Nelder-Mead run each.  It uses no random restarts and no annealing,
-        so ``options.seed``, ``restarts`` and ``anneal_steps`` have no
-        effect; the iteration limit and the tolerances apply.
-        """
+        """Worst-case probability of one exact outcome (see ``_polish``)."""
         key = as_fraction(outcome)
         try:
             index = self.grid.index(key)
         except ValueError:
             raise DomainError(f"outcome {key} is not on the grid") from None
-        weights = np.zeros(len(self.grid))
-        weights[index] = 1.0
-        mass, where = self._scan
-        seeds = [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
-        polish = replace(options or SearchOptions(), restarts=0, anneal_steps=0)
-        return self._maximize(weights, polish, seeds + list(seed_points))
+        return self._polish([index], options, seed_points)[0]
 
     def maximize_all_points(
         self, options: SearchOptions | None = None
     ) -> dict[Fraction, WorstCaseResult]:
-        """Point-wise worst case for every grid outcome.
+        """Point-wise worst case for every grid outcome (see ``_polish``)."""
+        return dict(zip(self.grid, self._polish(range(len(self.grid)), options)))
 
-        One scan of the feasible region seeds every outcome, and each then
-        gets its own short polish (see ``maximize_point``).
+    def _polish(
+        self,
+        indices: Sequence[int],
+        options: SearchOptions | None,
+        seed_points: Sequence[Sequence[float]] = (),
+    ) -> list[WorstCaseResult]:
+        """Worst cases of the outcomes at ``indices``, one result each.
+
+        Every outcome gets one row per start: the analytic worst case where
+        one applies, its two best scan points and ``seed_points``.  All rows
+        climb at once (``_ascend``), in chunks sized by ``_SCAN_FLOATS``, and
+        every row is computed on its own, so an outcome's result does not
+        depend on the others searched with it.  Only
+        ``max_iterations``, ``xatol`` and ``fatol`` of the options apply.
+        An outcome's result is ``converged`` when the row that gave its
+        point met its stopping test within ``max_iterations``.
         """
-        return {outcome: self.maximize_point(outcome, options) for outcome in self.grid}
+        opts = options or SearchOptions()
+        mass, where = self._scan
+        try:
+            analytic = [self.witness.analytic_worst_case()]
+        except DomainError:
+            analytic = []
+        counts: list[int] = []
+        starts: list[Sequence[float]] = []
+        for index in indices:
+            scanned = [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
+            points = analytic + scanned + list(seed_points)
+            if not points:
+                raise DomainError("the search has no start: this witness needs seed points")
+            counts.append(len(points))
+            starts += points
+        owner = np.repeat(np.asarray(indices, dtype=np.int64), counts)
+        start = np.array(starts, dtype=np.float64).reshape(len(owner), len(self.copies))
+        per_call = max(1, _SCAN_FLOATS // (len(self.copies) * self._engine.table_size))
+        climbs = [
+            self._ascend(owner[i : i + per_call], start[i : i + per_call], opts)
+            for i in range(0, len(owner), per_call)
+        ]
+        first, first_value, top, top_value, stopped = (np.concatenate(c) for c in zip(*climbs))
+
+        results = []
+        ends = np.cumsum(counts)
+        for index, count, end in zip(indices, counts, ends):
+            rows = range(end - count, end)
+            candidates = [
+                (float(values[r]), tuple(float(x) for x in points[r]), not stopped[r])
+                for values, points in ((first_value, first), (top_value, top))
+                for r in rows
+            ]
+            best_value = max(value for value, _, _ in candidates)
+            # Tie-break deterministically, but never settle below the
+            # analytic start when one applies.
+            floor = best_value - _TIE_TOLERANCE
+            if analytic:
+                floor = max(floor, float(first_value[rows[0]]))
+            chosen, unfinished = min((p, u) for value, p, u in candidates if value >= floor)
+            if self.witness.violation(chosen) > FEASIBILITY_TOLERANCE:
+                raise InfeasibleError("worst-case search returned an infeasible point")
+            dist = self.pmf_at(chosen)
+            results.append(
+                WorstCaseResult(
+                    correlations=chosen,
+                    objective=float(dist.probabilities[index]),
+                    dist=dist,
+                    restarts_used=count,
+                    converged=not unfinished,
+                )
+            )
+        return results
+
+    def _ascend(self, owner: np.ndarray, start: np.ndarray, opts: SearchOptions):
+        """Projected-gradient ascent of the mass of outcome ``owner[i]`` from
+        ``start[i]``, row by row.
+
+        Each row searches along the projection arc P(t + a * h).  Its heading
+        h is the gradient projected onto the directions that stay in the
+        region (``_ascent_directions``), and a is first the Barzilai-Borwein
+        length of the last step, measured on those projected gradients so
+        that curvature along a curved boundary counts.  a halves until the
+        value passes the Armijo test against the lowest of the row's last
+        ``_MEMORY`` values (Bertsekas, *Nonlinear Programming*, section 2.3;
+        Birgin, Martinez and Raydan, SIAM J. Optim. 10, 2000).  Where a point
+        looks flat but ``_settled`` does not accept it, the next trial is the
+        move that ``_settled`` proposes, once.  A row stops at a point that
+        ``_settled`` accepts, or after a rejected gradient step that moves at
+        most ``xatol`` (largest entry) and promises a gain between 0 and
+        ``fatol`` to first order.  Returns the projected starts, their values, each row's
+        best point and value, and whether each row stopped within
+        ``max_iterations`` trials.
+        """
+        weights = np.zeros((len(owner), len(self.grid)))
+        weights[np.arange(len(owner)), owner] = 1.0
+        point = self.witness.project_batch(start)
+        value, grad = self._engine.value_and_grad(weights, point)
+        reach = np.full(len(owner), _FIRST_STEP)
+        direction = self._ascent_directions(point, grad, reach)
+        step = _FIRST_STEP / _largest(direction)
+        stopped, proposal = self._settled(weights, point, grad, opts)
+        first, first_value = point.copy(), value.copy()
+        best, best_value = point.copy(), value.copy()
+        recent = np.tile(value[:, None], (1, _MEMORY))
+        active = np.flatnonzero(~stopped)
+        for _ in range(opts.max_iterations):
+            if not len(active):
+                break
+            # A proposed move gets one trial as it stands.
+            proposed = np.any(proposal[active] != 0.0, axis=1)
+            heading = np.where(proposed[:, None], proposal[active], direction[active])
+            length = np.where(proposed, 1.0, np.minimum(step[active], _MAX_STEP / _largest(heading)))
+            here, slope = point[active], grad[active]
+            trial = self.witness.project_batch(here + length[:, None] * heading)
+            trial_value, trial_grad = self._engine.value_and_grad(weights[active], trial)
+            move = trial - here
+            promise = np.sum(slope * move, axis=1)
+            accept = trial_value >= np.min(recent[active], axis=1) + _ARMIJO * promise
+            # Short enough, the step stays on the segment to the probe and
+            # promises a gain of at least 0; below fatol it has collapsed.
+            small = (np.max(np.abs(move), axis=1) <= opts.xatol) & (promise <= opts.fatol)
+            done = ~accept & ~proposed & small & (promise >= 0.0)
+            step[active] = np.where(proposed, step[active], 0.5 * length)
+            proposal[active] = 0.0
+
+            taken, moved = active[accept], move[accept]
+            size = np.max(np.abs(moved), axis=1)
+            reach[taken] = np.clip(size, opts.xatol, _FIRST_STEP)
+            turned = self._ascent_directions(trial[accept], trial_grad[accept], reach[taken])
+            # Barzilai-Borwein length where the projected gradient turned
+            # against the move, a move twice as long where it did not.
+            curvature = -np.sum(moved * (turned - direction[taken]), axis=1)
+            spectral = np.sum(moved * moved, axis=1) / np.where(curvature > 0.0, curvature, 1.0)
+            step[taken] = np.where(curvature > 0.0, spectral, 2.0 * size / _largest(turned))
+            settled, proposal[taken] = self._settled(
+                weights[taken], trial[accept], trial_grad[accept], opts
+            )
+            # A step that did not move at all has collapsed.
+            done[accept] = settled | (size == 0.0)
+            point[taken], value[taken] = trial[accept], trial_value[accept]
+            grad[taken], direction[taken] = trial_grad[accept], turned
+            recent[taken] = np.hstack([recent[taken, 1:], value[taken, None]])
+            better = taken[value[taken] > best_value[taken]]
+            best[better], best_value[better] = point[better], value[better]
+            stopped[active[done]] = True
+            active = active[~done]
+        return first, first_value, best, best_value, stopped
+
+    def _settled(self, weights, points, grads, opts: SearchOptions):
+        """Whether each row (B,) may stop, and a move (B, M) for the rows
+        that look flat but may not (zeros elsewhere).
+
+        A row looks flat where no move of largest entry ``xatol`` gains more
+        than ``fatol`` to first order, with bounds within ``xatol`` counted
+        as active.  It may stop where, in addition, a quadratic model along
+        each setting, from a probe ``xatol`` away along that setting's
+        projected gradient, gains at most ``fatol`` in all.  Along a shallow
+        ridge the gradient is led by the steep settings, so the first test
+        alone stops a row well short of the top of the shallow ones; the
+        proposed move is the sum of every setting's model step.
+        """
+        reduced = self._ascent_directions(points, grads, np.full(len(points), opts.xatol))
+        settled = opts.xatol * np.sum(np.abs(reduced), axis=1) <= opts.fatol
+        proposal = np.zeros_like(points)
+        near = np.flatnonzero(settled)
+        if not len(near):
+            return settled, proposal
+        rows, m = len(near), points.shape[1]
+        base = points[near][:, None, :]
+        moves = opts.xatol * np.sign(reduced[near])[:, :, None] * np.eye(m)
+        probes = self.witness.project_batch((base + moves).reshape(-1, m))
+        offset = probes.reshape(rows, m, m) - base
+        _, probe_grad = self._engine.value_and_grad(np.repeat(weights[near], m, axis=0), probes)
+        slope = grads[near][:, None, :]
+        rise = np.sum(slope * offset, axis=2)
+        bend = -np.sum((probe_grad.reshape(rows, m, m) - slope) * offset, axis=2)
+        # Along each offset that rises, the model peaks rise / bend offsets
+        # away and gains rise**2 / (2 bend) there; one that rises without
+        # bending down has no peak.
+        climbs = (rise > 0.0) & (bend > 0.0)
+        peak = np.divide(rise, bend, out=np.zeros_like(rise), where=climbs)
+        gain = np.where(climbs, 0.5 * rise * peak, np.where(rise > 0.0, np.inf, 0.0))
+        flat = np.sum(gain, axis=1) <= opts.fatol
+        settled[near] = flat
+        proposal[near[~flat]] = np.sum(peak[:, :, None] * offset, axis=1)[~flat]
+        return settled, proposal
+
+    def _ascent_directions(
+        self, points: np.ndarray, grads: np.ndarray, reach: np.ndarray
+    ) -> np.ndarray:
+        """Gradients (B, M) projected onto the directions that stay in the
+        region near points (B, M): a probe step of length ``reach`` (largest
+        entry) along each gradient, projected, and scaled back.  Bounds
+        within that reach count as active, so that a row near an edge
+        follows it instead of bouncing between its two faces."""
+        scale = _largest(grads) / reach
+        probe = self.witness.project_batch(points + grads / scale[:, None])
+        return (probe - points) * scale[:, None]
 
     def _maximize(
         self,

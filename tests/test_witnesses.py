@@ -157,8 +157,9 @@ class TestBruteForceEquivalence:
 
 
 @st.composite
-def witness_batches(draw):
-    """A random small witness, its copy counts and 1-3 correlation vectors."""
+def witness_batches(draw, margin=0.0):
+    """A random small witness, its copy counts and 1-3 correlation vectors
+    at least ``margin`` inside [-1, 1]."""
     m = draw(st.integers(1, 4))
     copies = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
     if draw(st.booleans()):
@@ -166,7 +167,7 @@ def witness_batches(draw):
     else:
         rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
         witness = LinearWitness(draw(st.lists(rationals, min_size=m, max_size=m)), draw(rationals))
-    correlation = st.floats(-1.0, 1.0, allow_nan=False)
+    correlation = st.floats(-1.0 + margin, 1.0 - margin, allow_nan=False)
     rows = draw(st.lists(st.lists(correlation, min_size=m, max_size=m), min_size=1, max_size=3))
     return witness, copies, rows
 
@@ -188,6 +189,46 @@ class TestGridEngine:
             assert single.tolist() == pytest.approx(masses.tolist(), abs=1e-15)
             weights = np.linspace(-1.0, 2.0, len(grid.outcomes))
             assert abs(grid.expectation(weights)(row) - single @ weights) <= 1e-14
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(witness_batches(margin=1e-3), st.integers(0, 2**32 - 1))
+    def test_value_and_grad_match_expectation_and_differences(self, case, seed):
+        # Rows 1e-3 inside the box keep the central differences in [-1, 1].
+        witness, copies, rows = case
+        grid = WitnessGrid(witness, copies)
+        t = np.array(rows)
+        weights = np.random.default_rng(seed).uniform(-1.0, 2.0, (len(t), len(grid.outcomes)))
+        values, grads = grid.value_and_grad(weights, t)
+        assert values.shape == (len(t),) and grads.shape == t.shape
+        h = 1e-6
+        for w, row, value, grad in zip(weights, t, values, grads):
+            objective = grid.expectation(w)
+            assert abs(value - objective(row)) <= 1e-14
+            central = [(objective(row + e) - objective(row - e)) / (2 * h) for e in h * np.eye(len(row))]
+            assert np.max(np.abs(grad - central)) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "witness,copies", [(QuadraticWitness(2), (4, 1)), (LinearWitness([1, -1, 2], 1), (3, 2, 5))]
+    )
+    def test_gradient_at_the_box_corners(self, witness, copies):
+        # At t = +-1 the binomial derivative table has 0 * q**-1 terms,
+        # which must give 0, not NaN or a division warning.
+        grid = WitnessGrid(witness, copies)
+        corners = np.array([[1.0] * len(copies), [-1.0] * len(copies), [1.0, -1.0] + [0.5] * (len(copies) - 2)])
+        weights = np.linspace(-1.0, 2.0, len(grid.outcomes))
+        _, grads = grid.value_and_grad(np.tile(weights, (3, 1)), corners)
+        objective = grid.expectation(weights)
+        h = 1e-7
+        for row, grad in zip(corners, grads):
+            inward = -np.sign(row) * h * np.eye(len(row))
+            one_sided = [(objective(row + e) - objective(row)) / e.sum() for e in inward]
+            assert np.all(np.isfinite(grad))
+            assert np.max(np.abs(grad - one_sided)) <= 1e-4
+
+    def test_gradients_need_direct_binomials(self):
+        grid = WitnessGrid(LinearWitness([1]), (1001,))
+        with pytest.raises(DomainError):
+            grid.value_and_grad(np.ones((1, len(grid.outcomes))), [[0.0]])
 
     @pytest.mark.parametrize("witness", [LinearWitness([1] + [-1] * 35, 1), QuadraticWitness(36)])
     def test_many_single_copy_settings(self, witness):
@@ -217,10 +258,11 @@ class TestGridEngine:
 
 
 @st.composite
-def separable_witnesses(draw):
-    """A random witness of 1-4 settings whose separable region is not empty."""
+def separable_witnesses(draw, quadratic=True):
+    """A random witness of 1-4 settings whose separable region is not empty;
+    linear only unless ``quadratic``."""
     m = draw(st.integers(1, 4))
-    if draw(st.booleans()):
+    if quadratic and draw(st.booleans()):
         return QuadraticWitness(m)
     rationals = st.fractions(min_value=-3, max_value=3, max_denominator=100)
     coefficients = draw(st.lists(rationals, min_size=m, max_size=m))
@@ -233,16 +275,29 @@ def separable_witnesses(draw):
 THIN = [LinearWitness([F(1, 100), 1], -1), LinearWitness([F(1, 100), 1], F(-101, 100))]
 
 
-def off_constraint(witness, points, boundary):
-    """How far boundary points (B, M) lie from the surface that bounds the
-    region.  A linear witness without coefficients has no such surface, and
-    its boundary points are the points themselves."""
+def off_constraint(witness, boundary):
+    """How far boundary points (B, M) lie from the surface that bounds the region."""
     if isinstance(witness, QuadraticWitness):
         return np.abs(np.sum(boundary * boundary, axis=1) - 1.0)
     coeffs = np.array([float(c) for c in witness.coefficients])
-    if not coeffs.any():
-        return np.abs(boundary - points).max(axis=1, initial=0.0)
     return np.abs(boundary @ coeffs + float(witness.constant))
+
+
+def clip_and_shift(witness, point):
+    """The clip-and-shift loop of ``LinearWitness.project`` as it ran when
+    it could not stop early: its point where it reaches the region within
+    100 rounds, else None."""
+    coeffs = np.array([float(c) for c in witness.coefficients])
+    const = float(witness.constant)
+    weight = float(np.dot(coeffs, coeffs))
+    t = np.asarray(point, dtype=np.float64)
+    for _ in range(100):
+        t = np.clip(t, -1.0, 1.0)
+        ideal = float(np.dot(coeffs, t)) + const
+        if ideal >= -1e-15:
+            return t
+        t = t + coeffs * (-ideal / weight) * (1.0 + 1e-12)
+    return None
 
 
 class TestSeparableRegion:
@@ -265,9 +320,61 @@ class TestSeparableRegion:
         assert feasible.shape == kept.shape == (len(box),)
         on_surface = boundary[kept]
         assert np.all((on_surface >= witness.low) & (on_surface <= 1.0))
-        assert np.all(off_constraint(witness, box[kept], on_surface) <= 1e-12)
+        assert np.all(off_constraint(witness, on_surface) <= 1e-12)
+        if isinstance(witness, LinearWitness) and not any(witness.coefficients):
+            # Without coefficients there is no plane to put a point on.
+            assert not kept.any()
         rng = np.random.default_rng(seed)
         assert witness.violation(witness.sample_separable(rng)) <= FEASIBILITY_TOLERANCE
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        separable_witnesses(),
+        st.lists(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(QuadraticWitness(2), [[2.0, 1.0, 0.0, 0.0]], 0)
+    @example(THIN[0], [[-1.0, 0.5, 0.0, 0.0], [0.5, 0.9, 0.0, 0.0]], 0)
+    def test_batch_projection_is_the_nearest_point(self, witness, rows, seed):
+        points = np.array(rows)[:, : witness.num_settings]
+        projected = witness.project_batch(points)
+        rng = np.random.default_rng(seed)
+        region = [witness.sample_separable(rng) for _ in range(20)]
+        for t, p in zip(points, projected):
+            assert witness.violation(p) <= FEASIBILITY_TOLERANCE
+            # The nearest point of a convex region sees every other point of
+            # it at an angle of at least 90 degrees from t.
+            assert max(np.dot(t - p, z - p) for z in region) <= 1e-9
+
+    def test_quadratic_projection_is_not_a_clip(self):
+        # Clipping (2, 1) to the box first would give (1, 1) / sqrt(2).
+        assert QuadraticWitness(2).project([2.0, 1.0]) == pytest.approx(
+            (2 / 5**0.5, 1 / 5**0.5), abs=1e-15
+        )
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(
+        separable_witnesses(quadratic=False),
+        st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    )
+    # Clip-and-shift reaches these in their 100th round.
+    @example(
+        LinearWitness([F(9, 7), 0, 2], F(-13, 5)),
+        [-1.9584932673226287, 1.5740480557797873, -0.5716257479507876, 0.0],
+    )
+    @example(
+        LinearWitness([F(3, 5), F(7, 8), F(-3, 7)], F(-22, 15)),
+        [-1.927337324405101, -0.7296096761089004, -0.16630864286142888, 0.0],
+    )
+    @example(THIN[0], [-1.0, 0.5, 0.0, 0.0])
+    def test_projection_keeps_clip_and_shift_where_it_converges(self, witness, row):
+        t = np.array(row[: witness.num_settings])
+        reference = clip_and_shift(witness, t)
+        projected = witness.project(t)
+        if reference is None:
+            assert witness.violation(projected) <= FEASIBILITY_TOLERANCE
+        else:
+            assert np.array_equal(projected, reference)
 
     def test_projection_reaches_a_thin_region(self):
         # Clip-and-shift moves about 1e-6 a round here; bisection on the

@@ -212,6 +212,63 @@ class TestPointwise:
             WorstCaseProblem(QuadraticWitness(2), (4, 4)).maximize_point(F(7, 13), OPTS)
 
 
+class TestPolish:
+    """One batched projected-gradient ascent polishes every outcome."""
+
+    CASES = [
+        (QuadraticWitness(3), (5, 4, 4)),
+        (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
+        (LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (3, 2, 2)),
+    ]
+
+    @staticmethod
+    def fields(result):
+        return result.objective, result.correlations, result.converged, result.restarts_used
+
+    @pytest.mark.parametrize("witness,copies", CASES)
+    @pytest.mark.parametrize("rows_per_call", [None, 2])
+    def test_single_outcome_matches_the_batch(self, witness, copies, rows_per_call, monkeypatch):
+        problem = WorstCaseProblem(witness, copies)
+        if rows_per_call is not None:
+            # Two rows per engine call, each probing every setting.
+            floats = rows_per_call * len(copies) * problem._engine.table_size
+            monkeypatch.setattr(worst_case, "_SCAN_FLOATS", floats)
+        batch = problem.maximize_all_points(POLISH)
+        for outcome, result in batch.items():
+            assert self.fields(problem.maximize_point(outcome, POLISH)) == self.fields(result)
+
+    def test_leaves_the_saddle_of_the_symmetric_start(self):
+        # From (-1/5, 1/5, 1/5, 1/5, 1/5) the ascent stays on the symmetric
+        # line and stops at a stationary point of value 0.176; the scan
+        # seeds reach the maximum.
+        problem = WorstCaseProblem(LinearWitness([1, -1, -1, -1, -1], 1), (4,) * 5)
+        result = problem.maximize_point(1, POLISH)
+        assert result.objective >= 0.375 - 1e-9
+        assert result.converged
+
+    def test_makes_no_nelder_mead_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pointwise search ran Nelder-Mead")
+
+        monkeypatch.setattr(worst_case, "minimize", refuse)
+        problem = WorstCaseProblem(LinearWitness([1, -1], 1), (4, 3))
+        problem.maximize_all_points(OPTS)
+        problem.maximize_point(problem.grid[0], OPTS, seed_points=[(0.0, 0.0)])
+
+    def test_converged_means_the_chosen_row_stopped(self):
+        # With no iterations only rows that start at a stationary point
+        # stop, such as outcome -1's analytic start (-1/2, 1/2) at one copy
+        # per setting.
+        problem = WorstCaseProblem(QuadraticWitness(2), (4, 3))
+        capped = problem.maximize_all_points(SearchOptions(max_iterations=0))
+        assert not all(r.converged for r in capped.values())
+        assert all(r.converged for r in problem.maximize_all_points(POLISH).values())
+        single = WorstCaseProblem(LinearWitness([1, -1], 1), (1, 1))
+        result = single.maximize_point(-1, SearchOptions(max_iterations=0))
+        assert result.converged
+        assert result.objective == pytest.approx(0.5625, abs=1e-15)
+
+
 class TestInvariants:
     def test_pointwise_sum_dominates_interval_dominates_feasible(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
