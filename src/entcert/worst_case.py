@@ -8,19 +8,18 @@ correlation inside [-1, 1].  Such correlations bound what any separable
 state can do even when they correspond to no physical state.  The witness
 class supplies its region's violation, projection and boundary points.
 
-Acceptance-set searches maximize ``WitnessGrid.expectation``, the outcome
-weights carried backwards through the grid engine's steps, by multi-start
-Nelder-Mead with an exterior quadratic penalty, refined by a short
-simulated-annealing pass when the restarts stall; the final point is
-projected back onto the feasible set.
-Single-outcome searches share one deterministic scan of the feasible region
-per problem: a capped lattice of the box plus each lattice point's projection
-onto the separability boundary, evaluated in chunks with the batched grid
-engine, keeps the two best distinct points of every outcome.  One batched
-projected-gradient ascent on the engine's exact gradients
-(``WitnessGrid.value_and_grad``) then polishes every outcome from those
-seeds at once.  Symmetric threshold problems additionally have known
-analytic solutions that seed every search and floor the result.
+Every search climbs by one batched projected-gradient ascent on the grid
+engine's exact gradients (``WitnessGrid.value_and_grad``), one row per
+start.  Acceptance-set searches climb the set's weighted mass from the
+analytic point, any seed points and random feasible starts, and a short
+simulated-annealing walk on a penalized objective adds one more start when
+the restarts stall.  Single-outcome searches share one deterministic scan of
+the feasible region per problem: a capped lattice of the box plus each
+lattice point's projection onto the separability boundary, evaluated in
+chunks with the batched grid engine, keeps the two best distinct points of
+every outcome, and every outcome climbs from those seeds at once.  Symmetric
+threshold problems additionally have known analytic solutions that seed
+every search and floor the result.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+# No search calls it; perfbench's tracer counts Nelder-Mead runs through this name.
+from scipy.optimize import minimize  # noqa: F401
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
@@ -46,18 +46,19 @@ FEASIBILITY_TOLERANCE = 1e-9
 #: Lattice points of the pointwise scan, whatever the number of settings.
 _SCAN_LATTICE_CAP = 32_768
 
-#: Floats that one engine call of the scan or the pointwise polish may hold
-#: in its largest step table, rows x ``WitnessGrid.table_size``.  Each
-#: lattice point adds at most one boundary point (two rows), and a scan call
-#: takes at least 1 and at most 128 lattice points.  A polish row probes
-#: each setting once when it looks flat (M rows), and a polish call takes
-#: at least 1 row.
+#: Floats that one engine call of the scan or the ascent may hold in its
+#: largest step table, rows x ``WitnessGrid.table_size``.  Each lattice
+#: point adds at most one boundary point (two rows), and a scan call takes
+#: at least 1 and at most 128 lattice points.  An ascent row probes each
+#: setting once when it looks flat (M rows), and an ascent call takes at
+#: least 1 row.
 _SCAN_FLOATS = 2**20
 
 #: Scan points closer than this (Euclidean) count as one seed.
 _SCAN_SEED_SEPARATION = 1e-6
 
-#: Weight of the exterior quadratic penalty on constraint violations.
+#: Weight of the exterior quadratic penalty on constraint violations in the
+#: objective of the annealing walk.
 _PENALTY_WEIGHT = 1e4
 
 #: Start temperature and step width of the annealing walk, and the factor
@@ -66,13 +67,14 @@ _ANNEAL_INITIAL_TEMP = 0.05
 _ANNEAL_INITIAL_STEP = 0.25
 _ANNEAL_FACTOR = 0.95
 
-#: A run improves on the best value so far only by more than this.
+#: An ascent row improves on the best value so far only by more than this.
 _STALL_TOLERANCE = 1e-6
 
-#: Candidates within this of the best value tie; the smallest point wins.
-_TIE_TOLERANCE = 1e-6
+#: Candidates within this of the best value tie, which only absorbs float
+#: noise between points that reach the same value; the smallest point wins.
+_TIE_TOLERANCE = 1e-12
 
-#: Largest entry of the first step of the pointwise ascent, and of the
+#: Largest entry of the first step of the ascent, and of the
 #: probe that projects its gradients (see ``_ascent_directions``).
 _FIRST_STEP = 0.1
 
@@ -91,13 +93,14 @@ _MEMORY = 3
 class SearchOptions:
     """Tunable knobs of the worst-case search; defaults are reproducible.
 
-    Acceptance-set searches: ``restarts`` random feasible starts, drawn
-    from ``seed``, join the analytic point and any seed points.  Every start
-    gets one Nelder-Mead run of at most ``max_iterations`` iterations with
-    tolerances ``xatol`` and ``fatol``; a stalled search gets an annealing
-    walk of ``anneal_steps`` steps.  Pointwise searches use only
-    ``max_iterations``, ``xatol`` and ``fatol``, for their gradient ascent
-    (see ``WorstCaseProblem._ascend``).
+    Every start gets one row of the gradient ascent (see
+    ``WorstCaseProblem._ascend``), of at most ``max_iterations`` trial
+    steps, stopping where no move of largest entry ``xatol`` gains more than
+    ``fatol``.  Acceptance-set searches also take ``restarts`` random
+    feasible starts, drawn from ``seed``, beside the analytic point and any
+    seed points, and a stalled search gets an annealing walk of
+    ``anneal_steps`` steps.  Pointwise searches use only ``max_iterations``,
+    ``xatol`` and ``fatol``.
     """
 
     restarts: int = 32
@@ -116,10 +119,9 @@ class SearchOptions:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-#: One loose run from each seed point and from the analytic start, without
-#: random restarts or annealing.  The planner's pointwise searches (a
-#: gradient ascent) and the feasibility probes of the acceptance-set search
-#: (Nelder-Mead) use it.
+#: One loose ascent from each seed point and from the analytic start, without
+#: random restarts or annealing.  The planner's pointwise searches and the
+#: feasibility probes of the acceptance-set search use it.
 POLISH = SearchOptions(restarts=0, anneal_steps=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
 
 
@@ -135,6 +137,15 @@ class WorstCaseResult:
     converged: bool
 
 
+def _choose(candidates: Sequence[tuple], floor: float) -> tuple:
+    """The candidate (value, point, ...) with the smallest (point, ...)
+    among those within ``_TIE_TOLERANCE`` of the best value and at least
+    ``floor``, which must not exceed the best value."""
+    best = max(candidate[0] for candidate in candidates)
+    cut = max(best - _TIE_TOLERANCE, floor)
+    return min((c for c in candidates if c[0] >= cut), key=lambda c: c[1:])
+
+
 def _largest(rows: np.ndarray) -> np.ndarray:
     """Largest absolute entry of every row, 1 for a row of zeros."""
     largest = np.max(np.abs(rows), axis=1)
@@ -145,10 +156,9 @@ class WorstCaseProblem:
     """One witness + copy allocation and its worst-case searches.
 
     The outcome grid and its integer encoding come from ``WitnessGrid``.
-    Acceptance-set objectives are that engine's ``expectation`` of the
-    outcome weights, the scan evaluates candidate points with its
-    ``pmf_batch``, and the pointwise polish climbs with its
-    ``value_and_grad``.
+    The scan evaluates candidate points with that engine's ``pmf_batch``,
+    every search climbs with its ``value_and_grad``, and the annealing walk
+    evaluates its ``expectation`` of the outcome weights.
     """
 
     def __init__(self, witness: Witness, copies: tuple[int, ...] | list[int]):
@@ -208,9 +218,13 @@ class WorstCaseProblem:
 
         Returns their masses (2, G), -inf where an outcome has no second
         distinct point, and the points themselves (2, G, M).  The scan runs
-        in chunks of lattice points sized by ``_SCAN_FLOATS``; ties go to the
-        earlier point in lattice order, so the result does not depend on the
-        chunk size.
+        in chunks of lattice points sized by ``_SCAN_FLOATS``; ties go to
+        the earlier point in lattice order.  The result can still depend on
+        the chunk size: the linear witness's ``boundary`` takes a matrix
+        product whose rounding depends on the number of rows, so a boundary
+        point can move by an ulp, or be kept or dropped at the box's edge,
+        and between points of equal mass in exact arithmetic that decides
+        which one is kept.
         """
         self.witness.check_separable_region()
         cells, axis = self._scan_lattice()
@@ -314,12 +328,10 @@ class WorstCaseProblem:
             starts += points
         owner = np.repeat(np.asarray(indices, dtype=np.int64), counts)
         start = np.array(starts, dtype=np.float64).reshape(len(owner), len(self.copies))
-        per_call = max(1, _SCAN_FLOATS // (len(self.copies) * self._engine.table_size))
-        climbs = [
-            self._ascend(owner[i : i + per_call], start[i : i + per_call], opts)
-            for i in range(0, len(owner), per_call)
-        ]
-        first, first_value, top, top_value, stopped = (np.concatenate(c) for c in zip(*climbs))
+        grid = np.arange(len(self.grid))
+        first, first_value, top, top_value, stopped = self._climb(
+            lambda rows: (owner[rows, None] == grid).astype(np.float64), start, opts
+        )
 
         results = []
         ends = np.cumsum(counts)
@@ -330,13 +342,8 @@ class WorstCaseProblem:
                 for values, points in ((first_value, first), (top_value, top))
                 for r in rows
             ]
-            best_value = max(value for value, _, _ in candidates)
-            # Tie-break deterministically, but never settle below the
-            # analytic start when one applies.
-            floor = best_value - _TIE_TOLERANCE
-            if analytic:
-                floor = max(floor, float(first_value[rows[0]]))
-            chosen, unfinished = min((p, u) for value, p, u in candidates if value >= floor)
+            floor = float(first_value[rows[0]]) if analytic else -np.inf
+            _, chosen, unfinished = _choose(candidates, floor)
             if self.witness.violation(chosen) > FEASIBILITY_TOLERANCE:
                 raise InfeasibleError("worst-case search returned an infeasible point")
             dist = self.pmf_at(chosen)
@@ -351,9 +358,23 @@ class WorstCaseProblem:
             )
         return results
 
-    def _ascend(self, owner: np.ndarray, start: np.ndarray, opts: SearchOptions):
-        """Projected-gradient ascent of the mass of outcome ``owner[i]`` from
-        ``start[i]``, row by row.
+    def _climb(self, weights, start: np.ndarray, opts: SearchOptions):
+        """``_ascend`` over the rows of ``start`` (B, M), in chunks of rows
+        sized by ``_SCAN_FLOATS``; ``weights(rows)`` gives the outcome
+        weights of the rows in the slice ``rows``, so that no more than one
+        chunk's weights are held at once.  Returns ``_ascend``'s arrays for
+        all rows."""
+        per_call = max(1, _SCAN_FLOATS // (len(self.copies) * self._engine.table_size))
+        climbs = []
+        for i in range(0, len(start), per_call):
+            rows = slice(i, i + per_call)
+            climbs.append(self._ascend(weights(rows), start[rows], opts))
+        return tuple(np.concatenate(c) for c in zip(*climbs))
+
+    def _ascend(self, weights: np.ndarray, start: np.ndarray, opts: SearchOptions):
+        """Projected-gradient ascent of the expected weight ``weights[i]``
+        (B, G) of the outcome distribution from ``start[i]`` (B, M), row by
+        row.
 
         Each row searches along the projection arc P(t + a * h).  Its heading
         h is the gradient projected onto the directions that stay in the
@@ -371,11 +392,9 @@ class WorstCaseProblem:
         best point and value, and whether each row stopped within
         ``max_iterations`` trials.
         """
-        weights = np.zeros((len(owner), len(self.grid)))
-        weights[np.arange(len(owner)), owner] = 1.0
         point = self.witness.project_batch(start)
         value, grad = self._engine.value_and_grad(weights, point)
-        reach = np.full(len(owner), _FIRST_STEP)
+        reach = np.full(len(point), _FIRST_STEP)
         direction = self._ascent_directions(point, grad, reach)
         step = _FIRST_STEP / _largest(direction)
         stopped, proposal = self._settled(weights, point, grad, opts)
@@ -483,30 +502,28 @@ class WorstCaseProblem:
         options: SearchOptions | None,
         seed_points: Sequence[Sequence[float]] = (),
     ) -> WorstCaseResult:
-        """Best of Nelder-Mead runs from the analytic point, the seeds and
-        random feasible starts, annealed and polished once more if they stall.
+        """Best of gradient ascents from the analytic point, the seeds and
+        random feasible starts, annealed and climbed once more if they stall.
         With no start at all (no analytic point, no seeds, no restarts) it
         raises DomainError.
 
-        Every run starts from ``_reflected_simplex``, not from scipy's own
-        first simplex, which clips a vertex below the lower bound: a start on
-        the face t = -1 would get a flat simplex that cannot leave the face.
+        Every start gets one row of ``_ascend``, all rows at once, and each
+        row's projected start and best point are candidates.  The search
+        stalls when none of the last max(2, B/2) of the B rows, in start
+        order, ends more than ``_STALL_TOLERANCE`` above every row before
+        it; then a Metropolis walk on the penalized objective (``_anneal``)
+        starts from the best candidate, and one more row climbs from where
+        it ends.  The result is ``converged`` when at least 3 candidates
+        (every candidate, if fewer) lie within 1e-3 of the best.
         """
         opts = options or SearchOptions()
         self.witness.check_separable_region()
-        objective = self._engine.expectation(outcome_weights)
-
-        def penalized_negative(t) -> float:
-            return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
-
         starts: list[np.ndarray] = []
-        analytic_floor = -np.inf
         try:
-            analytic = np.array(self.witness.analytic_worst_case(), dtype=np.float64)
-            starts.append(analytic)
-            analytic_floor = objective(self.witness.project(analytic))
+            starts.append(np.array(self.witness.analytic_worst_case(), dtype=np.float64))
+            analytic = True
         except DomainError:
-            pass
+            analytic = False
         for point in seed_points:
             starts.append(self.witness.project(point))
         seeds = np.random.SeedSequence(opts.seed).spawn(opts.restarts + 1)
@@ -516,78 +533,50 @@ class WorstCaseProblem:
         if not starts:
             raise DomainError("the search has no start: this witness needs restarts >= 1")
 
-        candidates: list[tuple[float, tuple[float, ...]]] = []
+        def climb(start) -> list[tuple[float, tuple[float, ...]]]:
+            """Every row's projected start, then every row's best point."""
+            weights = np.broadcast_to(outcome_weights, (len(start), len(self.grid)))
+            first, first_value, top, top_value, _ = self._climb(weights.__getitem__, start, opts)
+            points = np.concatenate([first, top])
+            values = np.concatenate([first_value, top_value])
+            return [(float(v), tuple(float(x) for x in p)) for v, p in zip(values, points)]
 
-        def record(point) -> float:
-            projected = self.witness.project(point)
-            value = objective(projected)
-            candidates.append((value, tuple(float(x) for x in projected)))
-            return value
-
-        def nelder_mead(start):
-            options = {
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
-                "maxiter": opts.max_iterations,
-                "maxfev": 4 * opts.max_iterations,
-                "initial_simplex": self._reflected_simplex(start),
-            }
-            return minimize(
-                penalized_negative,
-                start,
-                method="Nelder-Mead",
-                bounds=[(self.witness.low, 1.0)] * len(self.copies),
-                options=options,
-            )
-
+        candidates = climb(np.array(starts).reshape(len(starts), len(self.copies)))
+        # Never settle below the analytic start when one applies.
+        floor = candidates[0][0] if analytic else -np.inf
         best_so_far = -np.inf
         last_improvement = 0
-        restarts_used = 0
-        for i, start in enumerate(starts):
-            record(start)
-            result = nelder_mead(start)
-            restarts_used += 1
-            value = record(result.x)
+        for i, (value, _) in enumerate(candidates[len(starts) :]):
             if value > best_so_far + _STALL_TOLERANCE:
                 best_so_far = value
                 last_improvement = i
 
         stalled = (len(starts) - 1 - last_improvement) >= max(2, len(starts) // 2)
         if stalled and opts.anneal_steps > 0:
+            objective = self._engine.expectation(outcome_weights)
+
+            def penalized_negative(t) -> float:
+                return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
+
             best_point = np.array(max(candidates)[1])
             annealed = self._anneal(best_point, penalized_negative, rng_pool[-1], opts)
-            record(annealed)
-            record(nelder_mead(annealed).x)
+            candidates += climb(annealed[None])
 
-        best_value = max(value for value, _ in candidates)
-        # Tie-break deterministically, but never settle below the analytic
-        # floor when one applies.
-        floor = max(best_value - _TIE_TOLERANCE, analytic_floor)
-        ties = sorted(point for value, point in candidates if value >= floor)
-        chosen = ties[0]
+        _, chosen = _choose(candidates, floor)
         if self.witness.violation(chosen) > FEASIBILITY_TOLERANCE:
             raise InfeasibleError("worst-case search returned an infeasible point")
         dist = self.pmf_at(chosen)
         achieved = float(np.dot(outcome_weights, np.array(dist.probabilities)))
+        best_value = max(value for value, _ in candidates)
         near_best = sum(1 for value, _ in candidates if value >= best_value - 1e-3)
         converged = near_best >= min(3, len(candidates))
         return WorstCaseResult(
             correlations=chosen,
             objective=achieved,
             dist=dist,
-            restarts_used=restarts_used,
+            restarts_used=len(starts),
             converged=converged,
         )
-
-    def _reflected_simplex(self, start: np.ndarray) -> np.ndarray:
-        """scipy's default first simplex, reflected into the box at both bounds."""
-        low = self.witness.low
-        simplex = np.tile(start, (len(start) + 1, 1))
-        diagonal = np.arange(len(start))
-        simplex[diagonal + 1, diagonal] = np.where(start != 0.0, 1.05 * start, 0.00025)
-        simplex = np.where(simplex > 1.0, 2.0 - simplex, simplex)
-        simplex = np.where(simplex < low, 2.0 * low - simplex, simplex)
-        return np.clip(simplex, low, 1.0)
 
     def _anneal(
         self,

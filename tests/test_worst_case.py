@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from entcert import worst_case
 from entcert.acceptance import AcceptanceSet
@@ -51,6 +52,50 @@ def dense_quadratic_oracle(copies, accepted, resolution=1e-3):
     total[~feasible] = -1.0
     idx = np.unravel_index(np.argmax(total), total.shape)
     return float(total[idx]), (float(t1_grid[idx]), float(t2_grid[idx]))
+
+
+def multistart_nelder_mead(problem, weights, restarts=12, seed=7):
+    """Independent oracle: the best mass ``weights`` reaches over
+    Nelder-Mead runs on the mass with an exterior quadratic penalty, from the
+    analytic worst case where one applies and from ``restarts`` random
+    feasible starts.  Each run's start and end count, projected onto the
+    region.  A run's first simplex is scipy's, reflected into the box at
+    both bounds, so that a start on a face can leave it."""
+    witness = problem.witness
+    objective = problem._engine.expectation(weights)
+
+    def penalized_negative(t):
+        return -objective(t) + 1e4 * witness.violation(t) ** 2
+
+    rng = np.random.default_rng(seed)
+    starts = [witness.sample_separable(rng) for _ in range(restarts)]
+    try:
+        starts.insert(0, np.array(witness.analytic_worst_case()))
+    except DomainError:
+        pass
+    best = -np.inf
+    for start in starts:
+        simplex = np.tile(start, (len(start) + 1, 1))
+        diagonal = np.arange(len(start))
+        simplex[diagonal + 1, diagonal] = np.where(start != 0.0, 1.05 * start, 0.00025)
+        simplex = np.where(simplex > 1.0, 2.0 - simplex, simplex)
+        simplex = np.where(simplex < witness.low, 2.0 * witness.low - simplex, simplex)
+        run = minimize(
+            penalized_negative,
+            start,
+            method="Nelder-Mead",
+            bounds=[(witness.low, 1.0)] * len(start),
+            options={
+                "xatol": 1e-6,
+                "fatol": 1e-12,
+                "maxiter": 600,
+                "maxfev": 2400,
+                "initial_simplex": np.clip(simplex, witness.low, 1.0),
+            },
+        )
+        for point in (start, run.x):
+            best = max(best, objective(witness.project(point)))
+    return best
 
 
 def _squared_mass(n, value, t):
@@ -162,6 +207,32 @@ class TestSetSearch:
             problem.maximize_set(acc, POLISH)
         assert problem.maximize_set(acc, POLISH, seed_points=[(0.0, 0.0)]).objective > 0.0
 
+    def test_floor_is_the_ascent_value_of_the_analytic_start(self):
+        # The 5-setting linear report's set {<= -5/2} from its analytic start
+        # alone: a floor summed in another order than the ascent's values
+        # can sit above every candidate.
+        problem = WorstCaseProblem(LinearWitness([1, -1, -1, -1, -1], 1), (4,) * 5)
+        acc = AcceptanceSet.threshold(F(-5, 2), "accept_low")
+        result = problem.maximize_set(acc, POLISH)
+        assert result.objective >= 0.0159611628 - 1e-9
+
+    @pytest.mark.parametrize(
+        "witness,copies,acc",
+        [
+            (QuadraticWitness(3), (5, 4, 4), AcceptanceSet.explicit([1, F(34, 25), F(9, 4), 3])),
+            (LinearWitness([1, -1, -1], 1), (4, 3, 2), AcceptanceSet.threshold(-1, "accept_low")),
+        ],
+    )
+    def test_independent_of_chunk_size(self, witness, copies, acc, monkeypatch):
+        def run():
+            result = WorstCaseProblem(witness, copies).maximize_set(acc, OPTS)
+            return result.objective, result.correlations, result.converged, result.restarts_used
+
+        reference = run()
+        # One ascent row per engine call.
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 1)
+        assert run() == reference
+
     def test_acceptance_must_live_on_grid(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
         with pytest.raises(DomainError):
@@ -248,12 +319,31 @@ class TestPolish:
 
     def test_makes_no_nelder_mead_run(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a pointwise search ran Nelder-Mead")
+            raise AssertionError("a worst-case search ran Nelder-Mead")
 
         monkeypatch.setattr(worst_case, "minimize", refuse)
         problem = WorstCaseProblem(LinearWitness([1, -1], 1), (4, 3))
         problem.maximize_all_points(OPTS)
         problem.maximize_point(problem.grid[0], OPTS, seed_points=[(0.0, 0.0)])
+        walks = []
+        anneal = WorstCaseProblem._anneal
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return anneal(*args, **kwargs)
+
+        monkeypatch.setattr(WorstCaseProblem, "_anneal", counted)
+        acc = AcceptanceSet.threshold(0, "accept_low")
+        problem.maximize_set(acc, SearchOptions(restarts=8))
+        assert len(walks) == 1
+        problem.maximize_set(acc, POLISH, seed_points=[(0.0, 0.0)])
+
+    def test_reports_the_best_candidate(self):
+        # Every row reaches 0.1676336589; a tie tolerance of 1e-6 once
+        # reported the smaller start point 9.2e-7 lower.
+        problem = WorstCaseProblem(QuadraticWitness(3), (7, 3, 2))
+        result = problem.maximize_point(F(107, 49), POLISH)
+        assert result.objective >= 0.1676336589 - 1e-10
 
     def test_converged_means_the_chosen_row_stopped(self):
         # With no iterations only rows that start at a stationary point
@@ -370,10 +460,27 @@ class TestScan:
     def test_never_below_multistart_search(self, witness, copies):
         problem = WorstCaseProblem(witness, copies)
         scanned = problem.maximize_all_points(OPTS)
-        multistart = SearchOptions(restarts=12, seed=7)
         for outcome, result in scanned.items():
-            reference = problem._maximize(one_hot(problem, outcome), multistart)
-            assert result.objective >= reference.objective - 1e-6
+            reference = multistart_nelder_mead(problem, one_hot(problem, outcome))
+            assert result.objective >= reference - 1e-6
+            assert problem.witness.violation(result.correlations) <= 1e-9
+
+    @pytest.mark.parametrize("witness,copies", SMALL)
+    def test_set_search_never_below_multistart_search(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        grid = problem.grid
+        rng = np.random.default_rng(len(grid))
+        sets = [
+            AcceptanceSet.threshold(grid[len(grid) // 3], "accept_low"),
+            AcceptanceSet.threshold(grid[2 * len(grid) // 3], "accept_high"),
+        ] + [
+            AcceptanceSet.explicit(rng.choice(grid, max(1, len(grid) // 3), replace=False))
+            for _ in range(2)
+        ]
+        for acc in sets:
+            result = problem.maximize_set(acc, OPTS)
+            reference = multistart_nelder_mead(problem, problem.outcome_weights(acc))
+            assert result.objective >= reference - 1e-6
             assert problem.witness.violation(result.correlations) <= 1e-9
 
     @pytest.mark.parametrize("witness,copies", [c for c in SMALL if len(c[1]) <= 2])
