@@ -169,11 +169,7 @@ def neyman_pearson_test(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) 
         pe = ent_pmf.probability(outcome)
         if ps <= 0.0 and pe <= 0.0:
             continue
-        if ps <= 0.0:
-            key = (0, 0.0, -outcome)
-        else:
-            key = (1, -pe / ps, -outcome)
-        ranked.append((key, outcome, ps))
+        ranked.append((_ratio_key(outcome, pe, ps), outcome, ps))
     ranked.sort(key=lambda item: item[0])
 
     accepted: list[Fraction] = []
@@ -189,6 +185,14 @@ def neyman_pearson_test(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) 
         return AcceptanceSet.explicit(accepted, gamma=gamma, boundary=outcome)
     # Budget never exhausted: every informative outcome is already accepted.
     return AcceptanceSet.explicit(accepted)
+
+
+def _ratio_key(outcome: Fraction, ent: float, sep: float) -> tuple:
+    """Sort key of the likelihood ratio ent/sep, largest first: infinite
+    ratios lead, and ties go toward larger outcomes."""
+    if sep <= 0.0:
+        return (0, 0.0, -outcome)
+    return (1, -ent / sep, -outcome)
 
 
 # -- acceptance-set construction -------------------------------------------
@@ -320,25 +324,20 @@ def max_power_acceptance_set(
     masses = [ent_pmf.probabilities[i] for i in universe]
     order = np.array(universe, dtype=np.intp)
 
+    search_path: Literal["exhaustive", "greedy"] = "exhaustive"
+    found = None
     if len(universe) <= MAX_EXHAUSTIVE_OUTCOMES:
         found = _best_first_search(order, masses, total_power, checker, MAX_SEARCH_POPS)
-        if found is not None:
-            outcomes, result = found
-            if not outcomes:
-                return None
-            acc = AcceptanceSet.explicit(outcomes)
-            if result is None:
-                result = checker.resolve(outcomes)
-            return SetSearchOutcome(acc, result, power(acc, ent_pmf), "exhaustive")
-
-    outcome = _greedy_prefix_search(order, masses, checker)
-    if outcome is None:
+    if found is None:
+        search_path = "greedy"
+        found = _greedy_prefix_search(order, masses, checker)
+    if found is None or not found[0]:
         return None
-    outcomes, result = outcome
+    outcomes, result = found
     acc = AcceptanceSet.explicit(outcomes)
     if result is None:
         result = checker.resolve(outcomes)
-    return SetSearchOutcome(acc, result, power(acc, ent_pmf), "greedy")
+    return SetSearchOutcome(acc, result, power(acc, ent_pmf), search_path)
 
 
 def _best_first_search(
@@ -397,10 +396,7 @@ def _greedy_prefix_search(
 
     def ratio_key(position: int):
         index = order[position]
-        sep = checker.pointwise_mass[index]
-        if sep <= 0.0:
-            return (0, 0.0, -grid[index])
-        return (1, -masses[position] / sep, -grid[index])
+        return _ratio_key(grid[index], masses[position], checker.pointwise_mass[index])
 
     ranked = order[sorted(range(len(order)), key=ratio_key)]
     best: tuple[int, WorstCaseResult | None] | None = None

@@ -11,7 +11,7 @@ frameworks reuse work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
 
@@ -140,12 +140,8 @@ class _AllocationEvaluation:
     pointwise: dict[Fraction, WorstCaseResult]
     posteriors: dict[Fraction, float]
     power_bound: float
-    frequentist: Plan | None = None
-    frequentist_done: bool = False
-    bayesian: Plan | None = None
-    bayesian_done: bool = False
-    best_frequentist_validity: float = 0.0
-    best_bayesian_validity: float = 0.0
+    #: Each framework's design once ``plan_for`` has made it (None if infeasible).
+    plans: dict[Framework, Plan | None] = field(default_factory=dict)
 
 
 class PlanEvaluator:
@@ -200,8 +196,6 @@ class PlanEvaluator:
             pointwise=pointwise,
             posteriors=posteriors,
             power_bound=power_bound,
-            best_frequentist_validity=1.0 - min(r.objective for r in pointwise.values()),
-            best_bayesian_validity=max(posteriors.values(), default=0.0),
         )
         self._cache[copies] = evaluation
         return evaluation
@@ -236,15 +230,10 @@ class PlanEvaluator:
     def plan_for(self, copies: tuple[int, ...], framework: Framework) -> Plan | None:
         """The framework's optimal design for a fixed allocation (None if infeasible)."""
         evaluation = self.evaluate(tuple(copies))
-        if framework == "frequentist":
-            if not evaluation.frequentist_done:
-                evaluation.frequentist = self._frequentist_plan(evaluation)
-                evaluation.frequentist_done = True
-            return evaluation.frequentist
-        if not evaluation.bayesian_done:
-            evaluation.bayesian = self._bayesian_plan(evaluation)
-            evaluation.bayesian_done = True
-        return evaluation.bayesian
+        if framework not in evaluation.plans:
+            design = self._frequentist_plan if framework == "frequentist" else self._bayesian_plan
+            evaluation.plans[framework] = design(evaluation)
+        return evaluation.plans[framework]
 
     def _frequentist_plan(self, evaluation: _AllocationEvaluation) -> Plan | None:
         witness = witness_for(self.witness_kind, len(evaluation.copies))
@@ -380,9 +369,9 @@ def optimize_plan(spec: PlanSpec, evaluator: PlanEvaluator, workers: int = 1) ->
     for _, copies in enumerate_allocations(spec):
         evaluation = evaluator.evaluate(copies)
         achieved = (
-            evaluation.best_frequentist_validity
+            1.0 - min(r.objective for r in evaluation.pointwise.values())
             if spec.framework == "frequentist"
-            else evaluation.best_bayesian_validity
+            else max(evaluation.posteriors.values(), default=0.0)
         )
         if achieved > best_validity:
             best_validity, best_copies = achieved, copies

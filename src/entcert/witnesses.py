@@ -94,35 +94,6 @@ class LinearWitness:
             ideal += float(c) * t
         return max(worst, -ideal, 0.0)
 
-    def project(self, correlations) -> np.ndarray:
-        """Map a point into the separable region.
-
-        Clipping to the box alternates with a shift along the coefficients
-        onto the plane.  Each round leaves a share of the shortfall below
-        the plane, the share of the shift that clipping takes back, and that
-        share never falls from round to round.  Once even the latest share
-        cannot close the gap in the rounds left, as in a thin region where
-        it is close to 1, ``project_batch`` gives the exact projection.
-        """
-        t = start = np.asarray(correlations, dtype=np.float64)
-        coeffs = np.array([float(c) for c in self.coefficients])
-        const = float(self.constant)
-        weight = float(np.dot(coeffs, coeffs))
-        previous = 0.0
-        for rounds_left in range(99, -1, -1):
-            t = np.clip(t, -1.0, 1.0)
-            ideal = float(np.dot(coeffs, t)) + const
-            if ideal >= -1e-15:
-                return t
-            if previous:
-                # Shortfalls far above the rounding of the witness value.
-                settled = 1e-12 * max(1.0, abs(const) + float(np.sum(np.abs(coeffs))))
-                if previous > settled and -ideal * (-ideal / previous) ** rounds_left > settled:
-                    break
-            previous = -ideal
-            t = t + coeffs * (-ideal / weight) * (1.0 + 1e-12)
-        return self.project_batch(start[None])[0]
-
     def project_batch(self, points) -> np.ndarray:
         """Euclidean projections (B, M) of points (B, M) onto the separable
         region: clip(t + lam * c, -1, 1) with the smallest lam >= 0 that
@@ -163,13 +134,15 @@ class LinearWitness:
             t = rng.uniform(-1.0, 1.0, self.num_settings)
             if self.violation(t) == 0.0:
                 return t
-        return self.project(rng.uniform(-1.0, 1.0, self.num_settings))
+        return self.project_batch(rng.uniform(-1.0, 1.0, self.num_settings)[None])[0]
 
     def boundary(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Feasible mask, boundary points and kept mask of box points (B, M):
-        the shift along the coefficients onto the plane, kept inside the box."""
+        the shift along the coefficients onto the plane, kept inside the box.
+        The witness value is summed one setting at a time, so that each row's
+        rounding does not depend on the number of rows."""
         coeffs = np.array([float(c) for c in self.coefficients])
-        ideal = points @ coeffs + float(self.constant)
+        ideal = sum(points[:, j] * c for j, c in enumerate(coeffs)) + float(self.constant)
         # Without coefficients there is no plane and no boundary point.
         weight = float(coeffs @ coeffs) or math.inf
         boundary = points - (ideal / weight)[:, None] * coeffs
@@ -242,10 +215,6 @@ class QuadraticWitness:
             worst = max(worst, -t, abs(t) - 1.0)
             total += t * t
         return max(worst, total - 1.0, 0.0)
-
-    def project(self, correlations) -> np.ndarray:
-        """Map a point into the separable region (see ``project_batch``)."""
-        return self.project_batch(np.asarray(correlations, dtype=np.float64)[None])[0]
 
     def project_batch(self, points) -> np.ndarray:
         """Euclidean projections (B, M) of points (B, M) onto the separable

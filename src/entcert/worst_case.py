@@ -6,20 +6,23 @@ staying inside the separability region: a nonnegative ideal value for linear
 witnesses, a sum of squares at most 1 for the quadratic witness, and every
 correlation inside [-1, 1].  Such correlations bound what any separable
 state can do even when they correspond to no physical state.  The witness
-class supplies its region's violation, projection and boundary points.
+class supplies its region's violation, exact projection and boundary points.
 
-Every search climbs by one batched projected-gradient ascent on the grid
-engine's exact gradients (``WitnessGrid.value_and_grad``), one row per
-start.  Acceptance-set searches climb the set's weighted mass from the
-analytic point, any seed points and random feasible starts, and a short
-simulated-annealing walk on a penalized objective adds one more start when
-the restarts stall.  Single-outcome searches share one deterministic scan of
-the feasible region per problem: a capped lattice of the box plus each
-lattice point's projection onto the separability boundary, evaluated in
-chunks with the batched grid engine, keeps the two best distinct points of
-every outcome, and every outcome climbs from those seeds at once.  Symmetric
-threshold problems additionally have known analytic solutions that seed
-every search and floor the result.
+Every search takes one path: ``_search`` climbs groups of starts by one
+batched projected-gradient ascent on the grid engine's exact gradients
+(``WitnessGrid.value_and_grad``), one row per start, and ``_result`` checks
+the chosen point and re-evaluates it exactly.  The ascent projects every
+start onto the region, so starts may lie outside it.  Acceptance-set
+searches climb the set's weighted mass from the analytic point, any seed
+points and random feasible starts, and a short simulated-annealing walk on a
+penalized objective adds one more start when the restarts stall.
+Single-outcome searches share one deterministic scan of the feasible region
+per problem: a capped lattice of the box plus each lattice point's
+projection onto the separability boundary, evaluated in chunks with the
+batched grid engine, keeps the two best distinct points of every outcome,
+and every outcome climbs from those seeds at once.  Symmetric threshold
+problems additionally have known analytic solutions that seed every search
+and floor the result.
 """
 
 from __future__ import annotations
@@ -96,11 +99,12 @@ class SearchOptions:
     Every start gets one row of the gradient ascent (see
     ``WorstCaseProblem._ascend``), of at most ``max_iterations`` trial
     steps, stopping where no move of largest entry ``xatol`` gains more than
-    ``fatol``.  Acceptance-set searches also take ``restarts`` random
-    feasible starts, drawn from ``seed``, beside the analytic point and any
-    seed points, and a stalled search gets an annealing walk of
-    ``anneal_steps`` steps.  Pointwise searches use only ``max_iterations``,
-    ``xatol`` and ``fatol``.
+    ``fatol``.  Acceptance-set searches add random feasible starts, drawn
+    from ``seed``, to the analytic point and any seed points until there are
+    ``restarts`` starts, and a stalled search gets an annealing walk of
+    ``anneal_steps`` steps.  Pointwise searches start from the analytic
+    point and the scan, and use only ``max_iterations``, ``xatol`` and
+    ``fatol``.
     """
 
     restarts: int = 32
@@ -137,12 +141,13 @@ class WorstCaseResult:
     converged: bool
 
 
-def _choose(candidates: Sequence[tuple], floor: float) -> tuple:
-    """The candidate (value, point, ...) with the smallest (point, ...)
-    among those within ``_TIE_TOLERANCE`` of the best value and at least
-    ``floor``, which must not exceed the best value."""
+def _choose(candidates: Sequence[tuple], floored: bool) -> tuple:
+    """The candidate (value, point, unfinished) with the smallest (point,
+    unfinished) among those within ``_TIE_TOLERANCE`` of the best value and,
+    when ``floored``, at least the first candidate's value: the analytic
+    start's, which a search never settles below."""
     best = max(candidate[0] for candidate in candidates)
-    cut = max(best - _TIE_TOLERANCE, floor)
+    cut = max(best - _TIE_TOLERANCE, candidates[0][0] if floored else -np.inf)
     return min((c for c in candidates if c[0] >= cut), key=lambda c: c[1:])
 
 
@@ -219,12 +224,7 @@ class WorstCaseProblem:
         Returns their masses (2, G), -inf where an outcome has no second
         distinct point, and the points themselves (2, G, M).  The scan runs
         in chunks of lattice points sized by ``_SCAN_FLOATS``; ties go to
-        the earlier point in lattice order.  The result can still depend on
-        the chunk size: the linear witness's ``boundary`` takes a matrix
-        product whose rounding depends on the number of rows, so a boundary
-        point can move by an ulp, or be kept or dropped at the box's edge,
-        and between points of equal mass in exact arithmetic that decides
-        which one is kept.
+        the earlier point in lattice order.
         """
         self.witness.check_separable_region()
         cells, axis = self._scan_lattice()
@@ -270,15 +270,63 @@ class WorstCaseProblem:
         options: SearchOptions | None = None,
         seed_points: Sequence[Sequence[float]] = (),
     ) -> WorstCaseResult:
-        """Worst-case probability of landing in the acceptance set."""
+        """Worst-case probability of landing in the acceptance set.
+
+        One group of starts climbs the set's weighted mass (``_search``):
+        the analytic point, the seed points as given, and random feasible
+        starts until there are ``restarts`` starts.  The search stalls when
+        none of the last max(2, B/2) of the B rows, in start order, ends more
+        than ``_STALL_TOLERANCE`` above every row before it; then a
+        Metropolis walk on the penalized objective (``_anneal``) starts from
+        the best candidate, and one more row climbs from where it ends.  The
+        result is ``converged`` when at least 3 candidates (every candidate,
+        if fewer) lie within 1e-3 of the best.  With no start at all it
+        raises DomainError.
+        """
         weights = self.outcome_weights(acc)
-        return self._maximize(weights, options, seed_points)
+        opts = options or SearchOptions()
+        self.witness.check_separable_region()
+        analytic = self._analytic_start()
+        starts = analytic + list(seed_points)
+        seeds = np.random.SeedSequence(opts.seed).spawn(opts.restarts + 1)
+        rng_pool = [np.random.default_rng(s) for s in seeds]
+        while len(starts) < opts.restarts:
+            starts.append(self.witness.sample_separable(rng_pool[len(starts) % opts.restarts]))
+
+        def rows(owner):
+            return np.broadcast_to(weights, (len(owner), len(self.grid)))
+
+        (candidates,) = self._search(rows, [starts], opts)
+        best_so_far = -np.inf
+        last_improvement = 0
+        for i, (value, _, _) in enumerate(candidates[len(starts) :]):
+            if value > best_so_far + _STALL_TOLERANCE:
+                best_so_far = value
+                last_improvement = i
+
+        stalled = (len(starts) - 1 - last_improvement) >= max(2, len(starts) // 2)
+        if stalled and opts.anneal_steps > 0:
+            objective = self._engine.expectation(weights)
+
+            def penalized_negative(t) -> float:
+                return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
+
+            best_point = np.array(max(candidates)[1])
+            annealed = self._anneal(best_point, penalized_negative, rng_pool[-1], opts)
+            candidates += self._search(rows, [[annealed]], opts)[0]
+
+        _, chosen, _ = _choose(candidates, floored=bool(analytic))
+        best_value = max(value for value, _, _ in candidates)
+        near_best = sum(1 for value, _, _ in candidates if value >= best_value - 1e-3)
+        return self._result(
+            chosen,
+            lambda dist: float(np.dot(weights, np.array(dist.probabilities))),
+            len(starts),
+            near_best >= min(3, len(candidates)),
+        )
 
     def maximize_point(
-        self,
-        outcome: RationalLike,
-        options: SearchOptions | None = None,
-        seed_points: Sequence[Sequence[float]] = (),
+        self, outcome: RationalLike, options: SearchOptions | None = None
     ) -> WorstCaseResult:
         """Worst-case probability of one exact outcome (see ``_polish``)."""
         key = as_fraction(outcome)
@@ -286,7 +334,7 @@ class WorstCaseProblem:
             index = self.grid.index(key)
         except ValueError:
             raise DomainError(f"outcome {key} is not on the grid") from None
-        return self._polish([index], options, seed_points)[0]
+        return self._polish([index], options)[0]
 
     def maximize_all_points(
         self, options: SearchOptions | None = None
@@ -295,81 +343,97 @@ class WorstCaseProblem:
         return dict(zip(self.grid, self._polish(range(len(self.grid)), options)))
 
     def _polish(
-        self,
-        indices: Sequence[int],
-        options: SearchOptions | None,
-        seed_points: Sequence[Sequence[float]] = (),
+        self, indices: Sequence[int], options: SearchOptions | None
     ) -> list[WorstCaseResult]:
         """Worst cases of the outcomes at ``indices``, one result each.
 
-        Every outcome gets one row per start: the analytic worst case where
-        one applies, its two best scan points and ``seed_points``.  All rows
-        climb at once (``_ascend``), in chunks sized by ``_SCAN_FLOATS``, and
-        every row is computed on its own, so an outcome's result does not
-        depend on the others searched with it.  Only
-        ``max_iterations``, ``xatol`` and ``fatol`` of the options apply.
-        An outcome's result is ``converged`` when the row that gave its
-        point met its stopping test within ``max_iterations``.
+        Every outcome is one group of ``_search``, whose starts are the
+        analytic worst case where one applies and its two best scan points,
+        and every row is computed on its own, so an outcome's result does not
+        depend on the others searched with it.  Only ``max_iterations``,
+        ``xatol`` and ``fatol`` of the options apply.  An outcome's result is
+        ``converged`` when the row that gave its point met its stopping test
+        within ``max_iterations``.
         """
         opts = options or SearchOptions()
         mass, where = self._scan
-        try:
-            analytic = [self.witness.analytic_worst_case()]
-        except DomainError:
-            analytic = []
-        counts: list[int] = []
-        starts: list[Sequence[float]] = []
-        for index in indices:
-            scanned = [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
-            points = analytic + scanned + list(seed_points)
-            if not points:
-                raise DomainError("the search has no start: this witness needs seed points")
-            counts.append(len(points))
-            starts += points
-        owner = np.repeat(np.asarray(indices, dtype=np.int64), counts)
-        start = np.array(starts, dtype=np.float64).reshape(len(owner), len(self.copies))
+        analytic = self._analytic_start()
+        groups = [
+            analytic + [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
+            for index in indices
+        ]
+        owners = np.asarray(indices, dtype=np.int64)
         grid = np.arange(len(self.grid))
-        first, first_value, top, top_value, stopped = self._climb(
-            lambda rows: (owner[rows, None] == grid).astype(np.float64), start, opts
+        found = self._search(
+            lambda owner: (owners[owner][:, None] == grid).astype(np.float64), groups, opts
         )
-
         results = []
-        ends = np.cumsum(counts)
-        for index, count, end in zip(indices, counts, ends):
-            rows = range(end - count, end)
-            candidates = [
-                (float(values[r]), tuple(float(x) for x in points[r]), not stopped[r])
-                for values, points in ((first_value, first), (top_value, top))
-                for r in rows
-            ]
-            floor = float(first_value[rows[0]]) if analytic else -np.inf
-            _, chosen, unfinished = _choose(candidates, floor)
-            if self.witness.violation(chosen) > FEASIBILITY_TOLERANCE:
-                raise InfeasibleError("worst-case search returned an infeasible point")
-            dist = self.pmf_at(chosen)
+        for index, starts, candidates in zip(indices, groups, found):
+            _, chosen, unfinished = _choose(candidates, floored=bool(analytic))
             results.append(
-                WorstCaseResult(
-                    correlations=chosen,
-                    objective=float(dist.probabilities[index]),
-                    dist=dist,
-                    restarts_used=count,
-                    converged=not unfinished,
+                self._result(
+                    chosen,
+                    lambda dist: float(dist.probabilities[index]),
+                    len(starts),
+                    not unfinished,
                 )
             )
         return results
 
-    def _climb(self, weights, start: np.ndarray, opts: SearchOptions):
-        """``_ascend`` over the rows of ``start`` (B, M), in chunks of rows
-        sized by ``_SCAN_FLOATS``; ``weights(rows)`` gives the outcome
-        weights of the rows in the slice ``rows``, so that no more than one
-        chunk's weights are held at once.  Returns ``_ascend``'s arrays for
-        all rows."""
+    def _analytic_start(self) -> list[tuple[float, ...]]:
+        """The witness's analytic worst case as the only start of a list,
+        or no start where it has none."""
+        try:
+            return [self.witness.analytic_worst_case()]
+        except DomainError:
+            return []
+
+    def _search(
+        self, weights, groups: Sequence[Sequence], opts: SearchOptions
+    ) -> list[list[tuple]]:
+        """Candidates of every group of starts: each start of ``groups``
+        gets one row of ``_ascend``, all rows in chunks sized by
+        ``_SCAN_FLOATS``.  ``weights(owner)`` gives the outcome weights
+        (len(owner), G) of the rows whose groups are ``owner``, so that no
+        more than one chunk's weights are held at once.
+
+        A group's candidates are (value, point, unfinished): every row's
+        projected start, then every row's best point, in start order, where
+        ``unfinished`` says that the row did not stop within
+        ``max_iterations``.  A group without a start raises DomainError.
+        """
+        counts = [len(starts) for starts in groups]
+        if not all(counts):
+            raise DomainError(
+                "the search has no start: no analytic worst case, scan point, seed point or restart"
+            )
+        owner = np.repeat(np.arange(len(groups)), counts)
+        start = np.array([p for starts in groups for p in starts], dtype=np.float64)
+        start = start.reshape(len(owner), len(self.copies))
         per_call = max(1, _SCAN_FLOATS // (len(self.copies) * self._engine.table_size))
         climbs = []
         for i in range(0, len(start), per_call):
             rows = slice(i, i + per_call)
-            climbs.append(self._ascend(weights(rows), start[rows], opts))
-        return tuple(np.concatenate(c) for c in zip(*climbs))
+            climbs.append(self._ascend(weights(owner[rows]), start[rows], opts))
+        first, first_value, top, top_value, stopped = (np.concatenate(c) for c in zip(*climbs))
+        ends = np.cumsum(counts)
+        return [
+            [
+                (float(values[r]), tuple(float(x) for x in points[r]), not stopped[r])
+                for values, points in ((first_value, first), (top_value, top))
+                for r in range(end - count, end)
+            ]
+            for count, end in zip(counts, ends)
+        ]
+
+    def _result(self, point, objective, restarts_used: int, converged: bool) -> WorstCaseResult:
+        """The result at ``point``, re-evaluated exactly with ``pmf_at``;
+        ``objective(dist)`` gives its value from that outcome distribution.
+        Raises InfeasibleError where the point lies outside the region."""
+        if self.witness.violation(point) > FEASIBILITY_TOLERANCE:
+            raise InfeasibleError("worst-case search returned an infeasible point")
+        dist = self.pmf_at(point)
+        return WorstCaseResult(point, objective(dist), dist, restarts_used, converged)
 
     def _ascend(self, weights: np.ndarray, start: np.ndarray, opts: SearchOptions):
         """Projected-gradient ascent of the expected weight ``weights[i]``
@@ -495,88 +559,6 @@ class WorstCaseProblem:
         scale = _largest(grads) / reach
         probe = self.witness.project_batch(points + grads / scale[:, None])
         return (probe - points) * scale[:, None]
-
-    def _maximize(
-        self,
-        outcome_weights: np.ndarray,
-        options: SearchOptions | None,
-        seed_points: Sequence[Sequence[float]] = (),
-    ) -> WorstCaseResult:
-        """Best of gradient ascents from the analytic point, the seeds and
-        random feasible starts, annealed and climbed once more if they stall.
-        With no start at all (no analytic point, no seeds, no restarts) it
-        raises DomainError.
-
-        Every start gets one row of ``_ascend``, all rows at once, and each
-        row's projected start and best point are candidates.  The search
-        stalls when none of the last max(2, B/2) of the B rows, in start
-        order, ends more than ``_STALL_TOLERANCE`` above every row before
-        it; then a Metropolis walk on the penalized objective (``_anneal``)
-        starts from the best candidate, and one more row climbs from where
-        it ends.  The result is ``converged`` when at least 3 candidates
-        (every candidate, if fewer) lie within 1e-3 of the best.
-        """
-        opts = options or SearchOptions()
-        self.witness.check_separable_region()
-        starts: list[np.ndarray] = []
-        try:
-            starts.append(np.array(self.witness.analytic_worst_case(), dtype=np.float64))
-            analytic = True
-        except DomainError:
-            analytic = False
-        for point in seed_points:
-            starts.append(self.witness.project(point))
-        seeds = np.random.SeedSequence(opts.seed).spawn(opts.restarts + 1)
-        rng_pool = [np.random.default_rng(s) for s in seeds]
-        while len(starts) < opts.restarts:
-            starts.append(self.witness.sample_separable(rng_pool[len(starts) % opts.restarts]))
-        if not starts:
-            raise DomainError("the search has no start: this witness needs restarts >= 1")
-
-        def climb(start) -> list[tuple[float, tuple[float, ...]]]:
-            """Every row's projected start, then every row's best point."""
-            weights = np.broadcast_to(outcome_weights, (len(start), len(self.grid)))
-            first, first_value, top, top_value, _ = self._climb(weights.__getitem__, start, opts)
-            points = np.concatenate([first, top])
-            values = np.concatenate([first_value, top_value])
-            return [(float(v), tuple(float(x) for x in p)) for v, p in zip(values, points)]
-
-        candidates = climb(np.array(starts).reshape(len(starts), len(self.copies)))
-        # Never settle below the analytic start when one applies.
-        floor = candidates[0][0] if analytic else -np.inf
-        best_so_far = -np.inf
-        last_improvement = 0
-        for i, (value, _) in enumerate(candidates[len(starts) :]):
-            if value > best_so_far + _STALL_TOLERANCE:
-                best_so_far = value
-                last_improvement = i
-
-        stalled = (len(starts) - 1 - last_improvement) >= max(2, len(starts) // 2)
-        if stalled and opts.anneal_steps > 0:
-            objective = self._engine.expectation(outcome_weights)
-
-            def penalized_negative(t) -> float:
-                return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
-
-            best_point = np.array(max(candidates)[1])
-            annealed = self._anneal(best_point, penalized_negative, rng_pool[-1], opts)
-            candidates += climb(annealed[None])
-
-        _, chosen = _choose(candidates, floor)
-        if self.witness.violation(chosen) > FEASIBILITY_TOLERANCE:
-            raise InfeasibleError("worst-case search returned an infeasible point")
-        dist = self.pmf_at(chosen)
-        achieved = float(np.dot(outcome_weights, np.array(dist.probabilities)))
-        best_value = max(value for value, _ in candidates)
-        near_best = sum(1 for value, _ in candidates if value >= best_value - 1e-3)
-        converged = near_best >= min(3, len(candidates))
-        return WorstCaseResult(
-            correlations=chosen,
-            objective=achieved,
-            dist=dist,
-            restarts_used=len(starts),
-            converged=converged,
-        )
 
     def _anneal(
         self,

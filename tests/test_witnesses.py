@@ -283,23 +283,6 @@ def off_constraint(witness, boundary):
     return np.abs(boundary @ coeffs + float(witness.constant))
 
 
-def clip_and_shift(witness, point):
-    """The clip-and-shift loop of ``LinearWitness.project`` as it ran when
-    it could not stop early: its point where it reaches the region within
-    100 rounds, else None."""
-    coeffs = np.array([float(c) for c in witness.coefficients])
-    const = float(witness.constant)
-    weight = float(np.dot(coeffs, coeffs))
-    t = np.asarray(point, dtype=np.float64)
-    for _ in range(100):
-        t = np.clip(t, -1.0, 1.0)
-        ideal = float(np.dot(coeffs, t)) + const
-        if ideal >= -1e-15:
-            return t
-        t = t + coeffs * (-ideal / weight) * (1.0 + 1e-12)
-    return None
-
-
 class TestSeparableRegion:
     """Each witness class's region methods, over random witnesses of both classes."""
 
@@ -314,7 +297,7 @@ class TestSeparableRegion:
     def test_methods_stay_in_the_region(self, witness, rows, seed):
         points = np.array(rows)[:, : witness.num_settings]
         for t in points:
-            assert witness.violation(witness.project(t)) <= FEASIBILITY_TOLERANCE
+            assert witness.violation(witness.project_batch([t])[0]) <= FEASIBILITY_TOLERANCE
         box = np.clip(points, witness.low, 1.0)
         feasible, boundary, kept = witness.boundary(box)
         assert feasible.shape == kept.shape == (len(box),)
@@ -348,50 +331,25 @@ class TestSeparableRegion:
 
     def test_quadratic_projection_is_not_a_clip(self):
         # Clipping (2, 1) to the box first would give (1, 1) / sqrt(2).
-        assert QuadraticWitness(2).project([2.0, 1.0]) == pytest.approx(
+        assert QuadraticWitness(2).project_batch([[2.0, 1.0]])[0] == pytest.approx(
             (2 / 5**0.5, 1 / 5**0.5), abs=1e-15
         )
 
-    @hypothesis_settings(max_examples=300, deadline=None)
-    @given(
-        separable_witnesses(quadratic=False),
-        st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    )
-    # Clip-and-shift reaches these in their 100th round.
-    @example(
-        LinearWitness([F(9, 7), 0, 2], F(-13, 5)),
-        [-1.9584932673226287, 1.5740480557797873, -0.5716257479507876, 0.0],
-    )
-    @example(
-        LinearWitness([F(3, 5), F(7, 8), F(-3, 7)], F(-22, 15)),
-        [-1.927337324405101, -0.7296096761089004, -0.16630864286142888, 0.0],
-    )
-    @example(THIN[0], [-1.0, 0.5, 0.0, 0.0])
-    def test_projection_keeps_clip_and_shift_where_it_converges(self, witness, row):
-        t = np.array(row[: witness.num_settings])
-        reference = clip_and_shift(witness, t)
-        projected = witness.project(t)
-        if reference is None:
-            assert witness.violation(projected) <= FEASIBILITY_TOLERANCE
-        else:
-            assert np.array_equal(projected, reference)
-
     def test_projection_reaches_a_thin_region(self):
-        # Clip-and-shift moves about 1e-6 a round here; bisection on the
-        # multiplier lands on the region's corner.
-        assert THIN[0].project([-1.0, 0.5]) == pytest.approx((0.0, 1.0), abs=1e-12)
-        assert THIN[1].project([-1.0, 0.5]) == pytest.approx((1.0, 1.0), abs=1e-12)
+        # Regions of tiny and of zero area: the projection lands on their corner.
+        assert THIN[0].project_batch([[-1.0, 0.5]])[0] == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert THIN[1].project_batch([[-1.0, 0.5]])[0] == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_region_emptiness_is_exact(self):
         empty = LinearWitness([F(1, 100), 1], F(-102, 100))
         with pytest.raises(InfeasibleError):
             empty.check_separable_region()
         with pytest.raises(InfeasibleError):
-            empty.project([0.0, 0.0])
+            empty.project_batch([[0.0, 0.0]])
         # The point (1, 1), although 1/2 + 1/3 - 5/6 is below 0 in floats.
         point = LinearWitness([F(1, 2), F(1, 3)], F(-5, 6))
         point.check_separable_region()
-        assert point.project([0.0, 0.0]) == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert point.project_batch([[0.0, 0.0]])[0] == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 class TestValidation:

@@ -94,7 +94,7 @@ def multistart_nelder_mead(problem, weights, restarts=12, seed=7):
             },
         )
         for point in (start, run.x):
-            best = max(best, objective(witness.project(point)))
+            best = max(best, objective(witness.project_batch([point])[0]))
     return best
 
 
@@ -207,6 +207,37 @@ class TestSetSearch:
             problem.maximize_set(acc, POLISH)
         assert problem.maximize_set(acc, POLISH, seed_points=[(0.0, 0.0)]).objective > 0.0
 
+    @pytest.mark.parametrize(
+        "witness,copies,acc,options,seed",
+        [
+            # 2 t1 - t2 + 1 >= 0 has no analytic start: the seed is the only one.
+            (
+                LinearWitness([2, -1], 1),
+                (4, 4),
+                AcceptanceSet.threshold(0, "accept_low"),
+                POLISH,
+                (-1.5, 0.8),
+            ),
+            (
+                QuadraticWitness(2),
+                (4, 3),
+                AcceptanceSet.explicit([F(13, 36), 2]),
+                SearchOptions(restarts=4, seed=5),
+                (1.5, -0.5),
+            ),
+        ],
+    )
+    def test_seed_outside_the_region(self, witness, copies, acc, options, seed):
+        # The ascent projects every start, so the search seeded outside the
+        # region climbs as if seeded with the seed's projection.
+        problem = WorstCaseProblem(witness, copies)
+        assert witness.violation(seed) > 0.0
+        outside = problem.maximize_set(acc, options, seed_points=[seed])
+        assert witness.violation(outside.correlations) <= 1e-9
+        image = witness.project_batch([seed])[0]
+        inside = problem.maximize_set(acc, options, seed_points=[image])
+        assert outside.objective == pytest.approx(inside.objective, abs=1e-12)
+
     def test_floor_is_the_ascent_value_of_the_analytic_start(self):
         # The 5-setting linear report's set {<= -5/2} from its analytic start
         # alone: a floor summed in another order than the ascent's values
@@ -278,6 +309,15 @@ class TestPointwise:
         assert result.objective == pytest.approx(float(oracle), abs=1e-6)
         assert result.objective == pytest.approx(0.5625**10, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "witness,copies",
+        [(QuadraticWitness(3), (5, 4, 4)), (LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (3, 2, 2))],
+    )
+    def test_objective_is_the_dist_at_the_outcome(self, witness, copies):
+        results = WorstCaseProblem(witness, copies).maximize_all_points(POLISH)
+        for outcome, result in results.items():
+            assert result.objective == result.dist.probability(outcome)
+
     def test_off_grid_outcome_rejected(self):
         with pytest.raises(DomainError):
             WorstCaseProblem(QuadraticWitness(2), (4, 4)).maximize_point(F(7, 13), OPTS)
@@ -324,7 +364,7 @@ class TestPolish:
         monkeypatch.setattr(worst_case, "minimize", refuse)
         problem = WorstCaseProblem(LinearWitness([1, -1], 1), (4, 3))
         problem.maximize_all_points(OPTS)
-        problem.maximize_point(problem.grid[0], OPTS, seed_points=[(0.0, 0.0)])
+        problem.maximize_point(problem.grid[0], OPTS)
         walks = []
         anneal = WorstCaseProblem._anneal
 
@@ -495,7 +535,11 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "witness,copies",
-        [(QuadraticWitness(3), (4, 4, 4)), (LinearWitness([1, -1, -1], 1), (4, 3, 2))],
+        [
+            (QuadraticWitness(3), (4, 4, 4)),
+            (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
+            (LinearWitness([1, -1, -1, -1, -1], 1), (4,) * 5),
+        ],
     )
     def test_independent_of_seed_options_and_chunk_size(self, witness, copies, monkeypatch):
         def run(options):
@@ -504,11 +548,13 @@ class TestScan:
 
         reference = run(SearchOptions(restarts=3, seed=1))
         table_size = WorstCaseProblem(witness, copies)._engine.table_size
-        # Budgets for 7 and for 50 lattice points per pmf_batch call.
+        # Budgets for 7, 50 and 1 lattice points per pmf_batch call.
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 7 * table_size)
         varied = SearchOptions(restarts=20, seed=2, anneal_steps=50)
         assert run(varied) == reference
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 50 * table_size)
+        assert run(SearchOptions(restarts=3, seed=1)) == reference
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 3 * table_size)
         assert run(SearchOptions(restarts=3, seed=1)) == reference
 
     @staticmethod
@@ -592,7 +638,7 @@ class TestInfeasible:
 
 
 class TestThinRegion:
-    """Regions of tiny or zero area, where clip-and-shift projection stalls."""
+    """Regions of tiny or zero area."""
 
     def test_sliver_region_is_searched(self):
         # 1/100 t1 + t2 >= 1: a sliver of 1/800 of the box along t2 = 1.
