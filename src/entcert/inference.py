@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ MAX_EXHAUSTIVE_OUTCOMES = 24
 
 #: Heap-pop budget of the exhaustive search before falling back to greedy.
 MAX_SEARCH_POPS = 200_000
+
+#: Candidates that the set searches screen for the cheap bounds at once.
+_SCREEN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,11 @@ class _FeasibilityChecker:
     whose mass overshoots certifies infeasibility.  Undecided candidates get
     a ``POLISH`` probe seeded from the most threatening pool points; only
     survivors pay for the full search.
+
+    The searches ``screen`` a batch of candidates at once for the cheap
+    bounds and then ``check`` each in turn; ``check`` adds the pool points
+    found since the screen, so each decision is the one that screening the
+    candidate alone would give.
     """
 
     #: Safety margin of the pointwise-sum shortcut (the pointwise values are
@@ -236,8 +244,9 @@ class _FeasibilityChecker:
         self.options = options
         self.pointwise_mass = np.array([pointwise[o].objective for o in problem.grid])
         self._points: list[tuple[float, ...]] = []
-        self._columns: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
+        # Column 0 holds the pointwise masses, then one column per pool point.
+        self._columns: list[np.ndarray] = [self.pointwise_mass]
+        self._table: np.ndarray | None = None
         seen = set()
         for result in pointwise.values():
             if result.correlations not in seen:
@@ -247,24 +256,43 @@ class _FeasibilityChecker:
     def _add_pool(self, point: tuple[float, ...], dist: OutcomePmf) -> None:
         self._points.append(point)
         self._columns.append(np.array(dist.probabilities))
-        self._matrix = None
+        self._table = None
 
     def outcomes(self, indices: np.ndarray) -> frozenset[Fraction]:
         grid = self.problem.grid
         return frozenset(grid[i] for i in indices)
 
-    def pool_masses(self, indices: np.ndarray) -> np.ndarray:
-        """Acceptance mass of the candidate set at every pool point."""
-        if self._matrix is None:
-            self._matrix = np.column_stack(self._columns)
-        return self._matrix[indices].sum(axis=0)
+    def _sums(self, order: np.ndarray, kept: np.ndarray, first: int) -> np.ndarray:
+        """Sums (K, C) of the table columns from ``first`` on over the rows
+        ``order[kept[k]]`` of each candidate k, added one row at a time in
+        ``order``, as ``table[indices].sum(axis=0)`` adds them for two
+        columns or more."""
+        if self._table is None:
+            self._table = np.column_stack(self._columns)
+        rows = self._table[:, first:]
+        sums = np.zeros((len(kept), rows.shape[1]))
+        for position in np.flatnonzero(kept.any(axis=0)):
+            np.add(sums, rows[order[position]], out=sums, where=kept[:, position, None])
+        return sums
 
-    def check(self, indices: np.ndarray) -> tuple[bool, WorstCaseResult | None]:
-        """(feasible, worst-case result if a full search ran)."""
-        if float(self.pointwise_mass[indices].sum()) <= self.budget - self.SUM_MARGIN:
+    def screen(self, order: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pointwise sums (K,) and pool masses (K, P) of the K candidates
+        ``order[kept[k]]``, for a (K, len(order)) boolean ``kept``."""
+        sums = self._sums(order, kept, 0)
+        return sums[:, 0], sums[:, 1:]
+
+    def check(
+        self, indices: np.ndarray, total: float, masses: np.ndarray
+    ) -> tuple[bool, WorstCaseResult | None]:
+        """(feasible, worst-case result if a full search ran) of the
+        candidate ``indices``, given its pointwise sum ``total`` and pool
+        masses ``masses`` from ``screen``."""
+        if total <= self.budget - self.SUM_MARGIN:
             return True, None
-        masses = self.pool_masses(indices)
-        if float(np.max(masses)) > self.budget:
+        if len(masses) < len(self._points):
+            added = self._sums(indices, np.ones((1, len(indices)), dtype=bool), 1 + len(masses))
+            masses = np.concatenate([masses, added[0]])
+        if masses.max() > self.budget:
             return False, None
         order = np.argsort(masses)[::-1][:2]
         acc = AcceptanceSet.explicit(self.outcomes(indices))
@@ -340,6 +368,16 @@ def max_power_acceptance_set(
     return SetSearchOutcome(acc, result, power(acc, ent_pmf), search_path)
 
 
+def _screened(checker: _FeasibilityChecker, order: np.ndarray, batches: Iterator[np.ndarray]):
+    """(indices, pointwise sum, pool masses) of every candidate
+    ``order[row]``, for the boolean rows of each (K, len(order)) batch in
+    turn, with each batch screened at once."""
+    for kept in batches:
+        totals, pool = checker.screen(order, kept)
+        for row, total, masses in zip(kept, totals.tolist(), pool):
+            yield order[row], total, masses
+
+
 def _best_first_search(
     order: np.ndarray,
     masses: Sequence[float],
@@ -355,32 +393,43 @@ def _best_first_search(
     sorted by ascending mass, the two successors of a node (bump the last
     removed position, or additionally remove the next one) both have weakly
     lower power, so a max-heap pops subsets in exact non-increasing power
-    order and every subset appears once.  Returns the winner, an empty-set
-    marker when the whole space is infeasible, or None when the pop budget
-    runs out.
+    order and every subset appears once.  Every pop pushes its successors
+    whatever its check decides, so the order of the pops does not depend on
+    the checks: the search pops ``_SCREEN_BATCH`` subsets ahead, screens
+    them at once and checks them in pop order.  Returns the winner, an
+    empty-set marker when the whole space is infeasible, or None when the
+    pop budget runs out.
     """
     n = len(order)
     heap: list[tuple[float, tuple[int, ...]]] = [(-total_power, ())]
-    pops = 0
-    while heap and pops < max_pops:
-        neg_power, removed = heapq.heappop(heap)
-        pops += 1
-        kept = np.ones(n, dtype=bool)
-        kept[list(removed)] = False
-        candidate = order[kept]
-        if len(candidate):
-            feasible, result = checker.check(candidate)
-            if feasible:
-                return checker.outcomes(candidate), result
-        if not removed:
-            if n:
-                heapq.heappush(heap, (-total_power + masses[0], (0,)))
-            continue
-        last = removed[-1]
-        if last + 1 < n:
-            step = masses[last + 1] - masses[last]
-            heapq.heappush(heap, (-(-neg_power - step), removed[:-1] + (last + 1,)))
-            heapq.heappush(heap, (-(-neg_power - masses[last + 1]), removed + (last + 1,)))
+
+    def frontier() -> Iterator[np.ndarray]:
+        pops = 0
+        while heap and pops < max_pops:
+            batch = []
+            while heap and pops < max_pops and len(batch) < _SCREEN_BATCH:
+                neg_power, removed = heapq.heappop(heap)
+                pops += 1
+                if len(removed) < n:
+                    batch.append(removed)
+                if not removed:
+                    if n:
+                        heapq.heappush(heap, (-total_power + masses[0], (0,)))
+                    continue
+                last = removed[-1]
+                if last + 1 < n:
+                    step = masses[last + 1] - masses[last]
+                    heapq.heappush(heap, (-(-neg_power - step), removed[:-1] + (last + 1,)))
+                    heapq.heappush(heap, (-(-neg_power - masses[last + 1]), removed + (last + 1,)))
+            kept = np.ones((len(batch), n), dtype=bool)
+            rows = np.repeat(np.arange(len(batch)), [len(removed) for removed in batch])
+            kept[rows, [position for removed in batch for position in removed]] = False
+            yield kept
+
+    for candidate, total, pool in _screened(checker, order, frontier()):
+        feasible, result = checker.check(candidate, total, pool)
+        if feasible:
+            return checker.outcomes(candidate), result
     if not heap:
         return frozenset(), None
     return None
@@ -399,12 +448,19 @@ def _greedy_prefix_search(
         return _ratio_key(grid[index], masses[position], checker.pointwise_mass[index])
 
     ranked = order[sorted(range(len(order)), key=ratio_key)]
+
+    def prefixes() -> Iterator[np.ndarray]:
+        positions = np.arange(len(ranked))
+        for start in range(1, len(ranked) + 1, _SCREEN_BATCH):
+            sizes = np.arange(start, min(start + _SCREEN_BATCH, len(ranked) + 1))
+            yield positions < sizes[:, None]
+
     best: tuple[int, WorstCaseResult | None] | None = None
-    for size in range(1, len(ranked) + 1):
-        feasible, result = checker.check(ranked[:size])
+    for candidate, total, pool in _screened(checker, ranked, prefixes()):
+        feasible, result = checker.check(candidate, total, pool)
         if not feasible:
             break
-        best = (size, result)
+        best = (len(candidate), result)
     if best is None:
         return None
     return checker.outcomes(ranked[: best[0]]), best[1]

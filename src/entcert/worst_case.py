@@ -49,12 +49,21 @@ FEASIBILITY_TOLERANCE = 1e-9
 #: Lattice points of the pointwise scan, whatever the number of settings.
 _SCAN_LATTICE_CAP = 32_768
 
+#: Lattice points on each axis of the scan at most: as many as a 3-setting
+#: lattice gets, so that problems of 1 and 2 settings scan 32 and 1,024
+#: points instead of tens of thousands.
+_SCAN_AXIS_CAP = round(_SCAN_LATTICE_CAP ** (1.0 / 3.0))
+
+#: Lattice points that one engine call of the scan takes at most.  Fewer
+#: calls cost less overhead; more points per call only add memory.
+_SCAN_CALL_CAP = 1024
+
 #: Floats that one engine call of the scan or the ascent may hold in its
 #: largest step table, rows x ``WitnessGrid.table_size``.  Each lattice
 #: point adds at most one boundary point (two rows), and a scan call takes
-#: at least 1 and at most 128 lattice points.  An ascent row probes each
-#: setting once when it looks flat (M rows), and an ascent call takes at
-#: least 1 row.
+#: at least 1 and at most ``_SCAN_CALL_CAP`` lattice points.  An ascent row
+#: probes each setting once when it looks flat (M rows), and an ascent call
+#: takes at least 1 row.
 _SCAN_FLOATS = 2**20
 
 #: Scan points closer than this (Euclidean) count as one seed.
@@ -193,11 +202,12 @@ class WorstCaseProblem:
         """Flat indices and axis values of the scan lattice of the feasible box.
 
         Every axis gets the same number of evenly spaced points, as many as
-        the cap allows and at least 2.  Where even 2 per axis exceed the cap,
-        a fixed pseudo-random subset of the box corners stands in.
+        the caps allow (``_SCAN_LATTICE_CAP`` in all, ``_SCAN_AXIS_CAP`` per
+        axis) and at least 2.  Where even 2 per axis exceed the cap, a fixed
+        pseudo-random subset of the box corners stands in.
         """
         m = len(self.copies)
-        per_axis = max(2, round(_SCAN_LATTICE_CAP ** (1.0 / m)))
+        per_axis = max(2, min(_SCAN_AXIS_CAP, round(_SCAN_LATTICE_CAP ** (1.0 / m))))
         while per_axis > 2 and per_axis**m > _SCAN_LATTICE_CAP:
             per_axis -= 1
         if per_axis**m <= _SCAN_LATTICE_CAP:
@@ -223,12 +233,13 @@ class WorstCaseProblem:
 
         Returns their masses (2, G), -inf where an outcome has no second
         distinct point, and the points themselves (2, G, M).  The scan runs
-        in chunks of lattice points sized by ``_SCAN_FLOATS``; ties go to
-        the earlier point in lattice order.
+        in chunks of at most ``_SCAN_CALL_CAP`` lattice points, fewer where
+        ``_SCAN_FLOATS`` asks for it; ties go to the earlier point in
+        lattice order, so the result does not depend on the chunk size.
         """
         self.witness.check_separable_region()
         cells, axis = self._scan_lattice()
-        per_call = max(1, min(128, _SCAN_FLOATS // (2 * self._engine.table_size)))
+        per_call = max(1, min(_SCAN_CALL_CAP, _SCAN_FLOATS // (2 * self._engine.table_size)))
         columns = np.arange(len(self.grid))
         best = np.full((2, len(self.grid)), -np.inf)
         where = np.zeros((2, len(self.grid), len(self.copies)))

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from entcert.acceptance import snap_to_grid
+from entcert.acceptance import AcceptanceSet, snap_to_grid
 from entcert.cli import main, validate_report
-from entcert.config import parse_optimizer
+from entcert.config import parse_acceptance, parse_optimizer, parse_witness
 from entcert.errors import DomainError, SchemaError
 from entcert.pmf import format_fraction, round_fraction
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid
@@ -530,3 +530,138 @@ class TestOutcomeParsing:
                 with open(path, "w", encoding="utf-8") as handle:
                     json.dump({"witness": doc, "copies": copies, "outcome": text}, handle)
                 assert main(["worst-case", "--config", path]) == 2
+
+
+def snapped(text: str, grid, digits: int) -> Fraction:
+    """Reference for a display decimal ``text`` of ``digits`` places: the
+    grid point it names exactly, else the one grid point that rounds to it;
+    DomainError where several do."""
+    value = Fraction(text)
+    if value in grid:
+        return value
+    matches = [g for g in grid if round_fraction(g, digits) == value]
+    if len(matches) != 1:
+        raise DomainError(f"{text} is ambiguous")
+    return matches[0]
+
+
+def outcome_of(build):
+    """What ``build()`` returns, or DomainError where it raises one."""
+    try:
+        return build()
+    except DomainError:
+        return DomainError
+
+
+def exit_code(doc) -> int:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        return main(["worst-case", "--config", path])
+
+
+class TestConfigRoundTrip:
+    """Acceptance sets and witness coefficients round-trip through the config parsers."""
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(witness_grids(), st.integers(1, 4), st.data())
+    def test_acceptance(self, case, digits, data):
+        doc, copies, grid = case
+        bound = data.draw(st.sampled_from(grid))
+        direction = data.draw(st.sampled_from(["accept_low", "accept_high"]))
+        outcomes = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+        rest = [g for g in grid if g not in outcomes]
+        boundary = data.draw(st.sampled_from(rest)) if rest else None
+        gamma = 0.5 if boundary is not None else 0.0
+        sets = [
+            AcceptanceSet.threshold(bound, direction),
+            AcceptanceSet.threshold(bound, direction, gamma=0.25),
+            AcceptanceSet.explicit(outcomes, gamma, boundary),
+        ]
+        # Fractions: the exact strings that ``describe`` writes.
+        for acc in sets:
+            assert parse_acceptance(acc.describe(), grid) == acc
+
+        # Display decimals snap to the grid point they name, or are ambiguous.
+        def shown(value):
+            return display_decimal(value, digits)
+
+        threshold = {"kind": "threshold", "bound": shown(bound), "direction": direction}
+        assert outcome_of(lambda: parse_acceptance(threshold, grid)) == outcome_of(
+            lambda: AcceptanceSet.threshold(snapped(shown(bound), grid, digits), direction)
+        )
+        explicit = {"kind": "explicit", "outcomes": [shown(o) for o in outcomes]}
+        if boundary is not None:
+            explicit.update(boundary=shown(boundary), gamma=gamma)
+        expected = outcome_of(
+            lambda: AcceptanceSet.explicit(
+                [snapped(shown(o), grid, digits) for o in outcomes],
+                gamma,
+                None if boundary is None else snapped(shown(boundary), grid, digits),
+            )
+        )
+        assert outcome_of(lambda: parse_acceptance(explicit, grid)) == expected
+
+        # Off the grid, ambiguous, or a float: the command exits 2 before searching.
+        rejected = [
+            {"kind": "threshold", "bound": format_fraction(grid[-1] + Fraction(1, 3)),
+             "direction": direction},
+            {"kind": "explicit", "outcomes": [shown(grid[-1] + 2)]},
+            {"kind": "explicit", "outcomes": [float(bound)]},
+        ]
+        if expected is DomainError:
+            rejected.append(explicit)
+        for g in grid:
+            if outcome_of(lambda: snapped(shown(g), grid, digits)) is DomainError:
+                rejected.append({"kind": "threshold", "bound": shown(g), "direction": direction})
+                break
+        for acceptance in rejected:
+            assert exit_code({"witness": doc, "copies": copies, "acceptance": acceptance}) == 2
+
+    def test_ambiguous_decimals_exit_2(self):
+        doc = {"kind": "linear", "coefficients": ["1/7"]}
+        grid = witness_grid((5,), LinearWitness([Fraction(1, 7)]))
+        # "0.1" rounds both 3/35 and 1/7, "-0.1" both -3/35 and -1/7.
+        for acceptance in (
+            {"kind": "threshold", "bound": "0.1", "direction": "accept_high"},
+            {"kind": "explicit", "outcomes": ["0.1"]},
+            {"kind": "explicit", "outcomes": ["1/7"], "boundary": "-0.1", "gamma": 0.5},
+        ):
+            with pytest.raises(DomainError):
+                parse_acceptance(acceptance, grid)
+            assert exit_code({"witness": doc, "copies": [5], "acceptance": acceptance}) == 2
+        # One more place tells them apart.
+        two_places = {"kind": "explicit", "outcomes": ["0.09", "0.14"]}
+        assert parse_acceptance(two_places, grid) == AcceptanceSet.explicit(
+            [Fraction(3, 35), Fraction(1, 7)]
+        )
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.fractions(-3, 3, max_denominator=60), min_size=1, max_size=4),
+        st.fractions(-3, 3, max_denominator=60),
+        st.integers(1, 4),
+    )
+    def test_witness_coefficients(self, coefficients, constant, digits):
+        witness = LinearWitness(coefficients, constant)
+        exact = {
+            "kind": "linear",
+            "coefficients": [format_fraction(c) for c in coefficients],
+            "constant": format_fraction(constant),
+        }
+        assert parse_witness(exact) == witness
+        # Display decimals and floats are read at their exact value, never snapped.
+        decimals = [display_decimal(c, digits) for c in coefficients]
+        shown = display_decimal(constant, digits)
+        assert parse_witness(
+            {"kind": "linear", "coefficients": decimals, "constant": shown}
+        ) == LinearWitness([Fraction(t) for t in decimals], Fraction(shown))
+        floats = {"kind": "linear", "coefficients": [float(c) for c in coefficients]}
+        assert parse_witness(floats) == LinearWitness([Fraction(float(c)) for c in coefficients])
+        for bad in ("1/0", "one", True, None, [1]):
+            malformed = {"kind": "linear", "coefficients": [*decimals[:-1], bad]}
+            with pytest.raises(SchemaError):
+                parse_witness(malformed)
+            config = {"witness": malformed, "copies": [2] * len(coefficients), "outcome": "0"}
+            assert exit_code(config) == 2

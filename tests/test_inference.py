@@ -1,7 +1,9 @@
 """Frequentist/Bayesian evaluation: confidence, power, posteriors, NP tests."""
 
+import heapq
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from entcert.finite_stats import CorrelationSetting
 from entcert.inference import (
     PriorPair,
     _best_first_search,
+    _FeasibilityChecker,
+    _greedy_prefix_search,
     bayes_acceptance_set,
     build_test_report,
     confidence,
@@ -299,7 +303,10 @@ class TestMaxPowerSearch:
             def __init__(self, sep, budget):
                 self.sep, self.budget = sep, budget
 
-            def check(self, indices):
+            def screen(self, order, kept):
+                return np.zeros(len(kept)), np.zeros((len(kept), 0))
+
+            def check(self, indices, total, masses):
                 return float(self.sep[indices].sum()) <= self.budget, None
 
             def outcomes(self, indices):
@@ -347,6 +354,191 @@ class TestMaxPowerSearch:
             max_power_acceptance_set(
                 witness, copies, ent, 0.3, OPTS, problem=problem, pointwise=partial
             )
+
+
+def one_at_a_time_search(order, masses, total_power, checker, max_pops):
+    """Oracle of ``_best_first_search``: the same heap, but every candidate
+    is screened alone and checked as soon as it is popped."""
+    n = len(order)
+    heap = [(-total_power, ())]
+    pops = 0
+    while heap and pops < max_pops:
+        neg_power, removed = heapq.heappop(heap)
+        pops += 1
+        kept = np.ones(n, dtype=bool)
+        kept[list(removed)] = False
+        candidate = order[kept]
+        if len(candidate):
+            totals, pool = checker.screen(order, kept[None])
+            feasible, result = checker.check(candidate, totals[0], pool[0])
+            if feasible:
+                return checker.outcomes(candidate), result
+        if not removed:
+            if n:
+                heapq.heappush(heap, (-total_power + masses[0], (0,)))
+            continue
+        last = removed[-1]
+        if last + 1 < n:
+            step = masses[last + 1] - masses[last]
+            heapq.heappush(heap, (-(-neg_power - step), removed[:-1] + (last + 1,)))
+            heapq.heappush(heap, (-(-neg_power - masses[last + 1]), removed + (last + 1,)))
+    if not heap:
+        return frozenset(), None
+    return None
+
+
+class HiddenPoints:
+    """Stand-in for ``WorstCaseProblem`` whose separable region is a finite
+    set of outcome distributions, the columns of ``hidden`` (G, Q): every
+    search finds the column of largest acceptance mass, and logs its set."""
+
+    def __init__(self, hidden):
+        self.hidden = hidden
+        self.grid = tuple(F(i) for i in range(len(hidden)))
+        self.searches = []
+
+    def result(self, column):
+        dist = SimpleNamespace(probabilities=tuple(self.hidden[:, column]))
+        return SimpleNamespace(correlations=(float(column),), dist=dist)
+
+    def maximize_set(self, acc, options=None, seed_points=()):
+        self.searches.append(acc.outcomes)
+        mass = self.hidden[[int(o) for o in acc.outcomes]].sum(axis=0)
+        result = self.result(int(np.argmax(mass)))
+        result.objective = float(mass.max())
+        return result
+
+    def pointwise(self):
+        out = {}
+        for outcome, row in zip(self.grid, self.hidden):
+            out[outcome] = self.result(int(np.argmax(row)))
+            out[outcome].objective = float(row.max())
+        return out
+
+
+class RecordingChecker(_FeasibilityChecker):
+    """Logs every check (the candidate, the number of searches it made, its
+    decision), and counts the checks that only a pool point added since
+    their screen refutes."""
+
+    def __init__(self, problem, budget):
+        super().__init__(problem, budget, problem.pointwise(), OPTS)
+        self.log = []
+        self.late_refutations = 0
+
+    def check(self, indices, total, masses):
+        screened = total <= self.budget - self.SUM_MARGIN or masses.max() > self.budget
+        stale = len(masses) < len(self._points)
+        before = len(self.problem.searches)
+        feasible, result = super().check(indices, total, masses)
+        searches = len(self.problem.searches) - before
+        self.log.append((tuple(int(i) for i in indices), searches, feasible))
+        self.late_refutations += stale and not screened and not searches and not feasible
+        return feasible, result
+
+
+class TestBatchedFrontier:
+    """The batched best-first search decides exactly as the one-at-a-time oracle."""
+
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(7, 11))
+        hidden = rng.dirichlet(np.full(size, 0.3), int(rng.integers(4, 12))).T
+        ent = rng.random(size)
+        order = np.argsort(ent, kind="stable")
+        masses = [float(ent[i]) for i in order]
+        budget = float(rng.uniform(0.2, 0.9))
+        return hidden, order, masses, budget
+
+    @staticmethod
+    def run(search, hidden, order, masses, budget, max_pops, late=None):
+        checker = RecordingChecker(HiddenPoints(hidden), budget)
+        found = search(order, masses, sum(masses), checker, max_pops)
+        if late is not None:
+            late.append(checker.late_refutations)
+        return found, checker.log, checker.problem.searches
+
+    def test_same_checks_and_winner_as_the_oracle(self):
+        batch = inference._SCREEN_BATCH
+        winners = []
+        for seed in range(40):
+            hidden, order, masses, budget = self.problem(seed)
+            expected = self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
+            assert self.run(_best_first_search, hidden, order, masses, budget, 10**6) == expected
+            found, log, _ = expected
+            if found:
+                winners.append(len(log))
+        # Some winners come in the middle of a later batch.
+        assert any(pops > batch and pops % batch > 1 for pops in winners)
+
+    @pytest.mark.parametrize("seed", [39, 75])
+    def test_probe_point_refutes_a_later_candidate_of_its_batch(self, seed):
+        hidden, order, masses, budget = self.problem(seed)
+        late = []
+        batched = self.run(_best_first_search, hidden, order, masses, budget, 10**6, late)
+        assert late[0] > 0
+        assert batched == self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
+
+    def test_pop_budget_runs_out_mid_batch(self):
+        for seed in range(40):
+            hidden, order, masses, budget = self.problem(seed)
+            found, log, _ = self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
+            if found and len(log) > 70:
+                break
+        pops = len(log)
+        assert found and pops > 70
+        for max_pops in (pops - 1, pops - 5, 70, pops):
+            expected = self.run(one_at_a_time_search, hidden, order, masses, budget, max_pops)
+            batched = self.run(_best_first_search, hidden, order, masses, budget, max_pops)
+            assert batched == expected
+            assert (batched[0] is None) == (max_pops < pops)
+
+    def test_fully_infeasible_space(self):
+        hidden, order, masses, _ = self.problem(3)
+        # Below every single outcome's worst case: every subset is refuted.
+        budget = 0.5 * float(hidden.max(axis=1).min())
+        found, log, _ = self.run(_best_first_search, hidden, order, masses, budget, 10**6)
+        assert found == (frozenset(), None)
+        assert len(log) == 2 ** len(order) - 1
+        expected = self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
+        assert (found, log) == expected[:2]
+        # One pop short of the whole space the budget, not the space, ends it.
+        short = self.run(_best_first_search, hidden, order, masses, budget, 2 ** len(order) - 1)
+        assert short[0] is None
+
+    def test_screen_adds_as_the_row_sum(self):
+        hidden, order, _, budget = self.problem(5)
+        problem = HiddenPoints(hidden)
+        checker = _FeasibilityChecker(problem, budget, problem.pointwise(), OPTS)
+        rng = np.random.default_rng(0)
+        kept = rng.random((50, len(order))) < 0.6
+        totals, pool = checker.screen(order, kept)
+        matrix = np.column_stack(checker._columns[1:])
+        assert matrix.shape[1] >= 2
+        for row, total, masses in zip(kept, totals, pool):
+            assert np.array_equal(masses, matrix[order[row]].sum(axis=0))
+            assert total == pytest.approx(checker.pointwise_mass[order[row]].sum(), abs=1e-15)
+
+    def test_greedy_prefixes_match_one_at_a_time_checks(self):
+        rng = np.random.default_rng(8)
+        size = 2 * inference._SCREEN_BATCH + 9
+        hidden = rng.dirichlet(np.ones(size), 6).T
+        order = np.arange(size)
+        masses = [float(m) for m in rng.random(size)]
+        checker = RecordingChecker(HiddenPoints(hidden), 0.9)
+        found = _greedy_prefix_search(order, masses, checker)
+        ranked = np.array(checker.log[-1][0])
+        assert len(ranked) > inference._SCREEN_BATCH
+        # The same prefixes of the ranking, each screened alone.
+        oracle = RecordingChecker(HiddenPoints(hidden), 0.9)
+        for size in range(1, len(ranked) + 1):
+            prefix = np.arange(len(ranked)) < size
+            totals, pool = oracle.screen(ranked, prefix[None])
+            if not oracle.check(ranked[prefix], totals[0], pool[0])[0]:
+                break
+        assert checker.log == oracle.log
+        assert found[0] == frozenset(F(int(i)) for i in ranked[:-1])
 
 
 class TestReportAssembly:

@@ -579,14 +579,22 @@ class TestScan:
         assert list(axis) == [-1.0, 1.0]
         rows = self.scan_rows(problem)
         assert max(rows) * problem._engine.table_size <= worst_case._SCAN_FLOATS
-        assert max(rows) <= 256
+        assert max(rows) <= 2 * 1024
         assert sum(rows) <= 2 * worst_case._SCAN_LATTICE_CAP
         mass, where = problem._scan
         assert np.all(np.isfinite(mass[0]))
         assert max(problem.witness.violation(t) for t in where[0]) <= 1e-9
 
+    @pytest.mark.parametrize("m,per_axis", [(1, 32), (2, 32), (3, 32), (4, 13), (5, 8)])
+    def test_scan_is_capped_per_axis(self, m, per_axis):
+        problem = WorstCaseProblem(QuadraticWitness(m), (2,) * m)
+        cells, axis = problem._scan_lattice()
+        assert worst_case._SCAN_AXIS_CAP == 32
+        assert len(axis) == per_axis
+        assert list(cells) == list(range(per_axis**m))
+
     @pytest.mark.parametrize(
-        "floats,lattice,points", [(1, 64, 1), (2**12, 64, 16), (2**20, 32_768, 128)]
+        "floats,lattice,points", [(1, 64, 1), (2**12, 64, 16), (2**20, 32_768, 1024)]
     )
     def test_scan_chunk_is_sized_by_the_grid(self, floats, lattice, points, monkeypatch):
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", floats)
