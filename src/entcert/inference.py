@@ -9,27 +9,22 @@ bounds.  The entangled hypothesis is an explicit outcome distribution.
 
 from __future__ import annotations
 
-import heapq
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, UndefinedOutcomeError
 from .pmf import OutcomePmf
 from .witnesses import Witness
 from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
-
-#: Largest grid for which the acceptance-set search enumerates all subsets.
-MAX_EXHAUSTIVE_OUTCOMES = 24
-
-#: Heap-pop budget of the exhaustive search before falling back to greedy.
-MAX_SEARCH_POPS = 200_000
-
-#: Candidates that the set searches screen for the cheap bounds at once.
-_SCREEN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -200,32 +195,39 @@ def _ratio_key(outcome: Fraction, ent: float, sep: float) -> tuple:
 
 # -- acceptance-set construction -------------------------------------------
 
+#: Factor on the power in the MILP objective.  HiGHS stops at an absolute
+#: objective gap of 1e-6 (``mip_abs_gap``, which ``milp`` does not expose),
+#: so scaled by 1e12 the gap is 1e-18 in power, below the float spacing of
+#: powers near 1.
+_POWER_SCALE = 1e12
+
 
 @dataclass
 class SetSearchOutcome:
-    """Result of the max-power acceptance-set search."""
+    """Result of the max-power acceptance-set search.
+
+    ``search_path`` is always ``"exhaustive"``: the constraint-generation
+    loop is exact for every universe size.
+    """
 
     acceptance: AcceptanceSet
     worst_case: WorstCaseResult
     power: float
-    search_path: Literal["exhaustive", "greedy"]
+    search_path: Literal["exhaustive"]
 
 
 class _FeasibilityChecker:
-    """Shared machinery to decide feasibility of candidate subsets.
+    """Decides feasibility of candidate subsets and keeps the pool.
 
     Candidates are arrays of grid indices.  Feasibility means the worst-case
-    acceptance mass stays within budget.  Cheap bounds come first: the sum of
+    acceptance mass stays within budget.  The pool holds every separable
+    correlation vector found so far: the pointwise worst cases, then the
+    points that ``check`` finds.  Cheap bounds come first: the sum of
     pointwise worst cases (an upper bound on the interval worst case)
-    certifies feasibility, and any already-found feasible correlation vector
-    whose mass overshoots certifies infeasibility.  Undecided candidates get
-    a ``POLISH`` probe seeded from the most threatening pool points; only
-    survivors pay for the full search.
-
-    The searches ``screen`` a batch of candidates at once for the cheap
-    bounds and then ``check`` each in turn; ``check`` adds the pool points
-    found since the screen, so each decision is the one that screening the
-    candidate alone would give.
+    certifies feasibility, and a pool point whose mass overshoots certifies
+    infeasibility.  Undecided candidates get a ``POLISH`` probe seeded from
+    the most threatening pool points; only survivors pay for the full
+    search.  Every probe and full search adds its point to the pool.
     """
 
     #: Safety margin of the pointwise-sum shortcut (the pointwise values are
@@ -242,10 +244,9 @@ class _FeasibilityChecker:
         self.problem = problem
         self.budget = budget
         self.options = options
-        self.pointwise_mass = np.array([pointwise[o].objective for o in problem.grid])
         self._points: list[tuple[float, ...]] = []
         # Column 0 holds the pointwise masses, then one column per pool point.
-        self._columns: list[np.ndarray] = [self.pointwise_mass]
+        self._columns = [np.array([pointwise[o].objective for o in problem.grid])]
         self._table: np.ndarray | None = None
         seen = set()
         for result in pointwise.values():
@@ -258,40 +259,31 @@ class _FeasibilityChecker:
         self._columns.append(np.array(dist.probabilities))
         self._table = None
 
+    @property
+    def table(self) -> np.ndarray:
+        """(G, 1 + P) pointwise masses, then the outcome masses of each pool point."""
+        if self._table is None:
+            self._table = np.column_stack(self._columns)
+        return self._table
+
     def outcomes(self, indices: np.ndarray) -> frozenset[Fraction]:
         grid = self.problem.grid
         return frozenset(grid[i] for i in indices)
 
-    def _sums(self, order: np.ndarray, kept: np.ndarray, first: int) -> np.ndarray:
-        """Sums (K, C) of the table columns from ``first`` on over the rows
-        ``order[kept[k]]`` of each candidate k, added one row at a time in
-        ``order``, as ``table[indices].sum(axis=0)`` adds them for two
-        columns or more."""
-        if self._table is None:
-            self._table = np.column_stack(self._columns)
-        rows = self._table[:, first:]
-        sums = np.zeros((len(kept), rows.shape[1]))
-        for position in np.flatnonzero(kept.any(axis=0)):
-            np.add(sums, rows[order[position]], out=sums, where=kept[:, position, None])
-        return sums
-
-    def screen(self, order: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise sums (K,) and pool masses (K, P) of the K candidates
-        ``order[kept[k]]``, for a (K, len(order)) boolean ``kept``."""
-        sums = self._sums(order, kept, 0)
-        return sums[:, 0], sums[:, 1:]
-
-    def check(
-        self, indices: np.ndarray, total: float, masses: np.ndarray
-    ) -> tuple[bool, WorstCaseResult | None]:
+    def check(self, indices: np.ndarray) -> tuple[bool, WorstCaseResult | None]:
         """(feasible, worst-case result if a full search ran) of the
-        candidate ``indices``, given its pointwise sum ``total`` and pool
-        masses ``masses`` from ``screen``."""
-        if total <= self.budget - self.SUM_MARGIN:
+        candidate ``indices``.
+
+        The pointwise sum and the pool masses are float sums over
+        ``indices`` in the given order.  The candidate is feasible when the
+        sum is ``SUM_MARGIN`` inside the budget, infeasible when a pool mass
+        exceeds the budget, and otherwise decided by the probe and then the
+        full search, each of which adds its point to the pool.
+        """
+        sums = self.table[indices].sum(axis=0)
+        if sums[0] <= self.budget - self.SUM_MARGIN:
             return True, None
-        if len(masses) < len(self._points):
-            added = self._sums(indices, np.ones((1, len(indices)), dtype=bool), 1 + len(masses))
-            masses = np.concatenate([masses, added[0]])
+        masses = sums[1:]
         if masses.max() > self.budget:
             return False, None
         order = np.argsort(masses)[::-1][:2]
@@ -322,11 +314,12 @@ def max_power_acceptance_set(
     """Power-maximizing explicit acceptance set with worst-case mass in budget.
 
     The universe is the outcomes that add power and fit the budget alone.
-    Universes of at most ``MAX_EXHAUSTIVE_OUTCOMES`` outcomes are searched
-    exactly: all subsets are enumerated best-power-first and the first
-    feasible one wins.  Larger universes (or more than ``MAX_SEARCH_POPS``
-    heap pops) fall back to likelihood-ratio prefixes.  Both limits are read
-    at call time.  Returns None when not even a single outcome is feasible.
+    ``_constraint_generation`` searches all its subsets exactly, for every
+    universe size: a MILP over the pool of separable points proposes the
+    most powerful subset, and ``_FeasibilityChecker.check`` verifies it.
+    Powers that differ by more than float noise are ranked exactly; exact
+    power ties may resolve either way.  Returns None when no non-empty
+    subset is feasible.
     """
     opts = options or SearchOptions()
     problem = problem or WorstCaseProblem(witness, tuple(copies))
@@ -346,124 +339,94 @@ def max_power_acceptance_set(
         for i, o in enumerate(problem.grid)
         if ent_pmf.probabilities[i] > 0.0 and pointwise[o].objective <= max_sep_mass
     ]
-    total_power = sum(ent_pmf.probabilities[i] for i in universe)
-    # Ascending mass makes both heap successors weakly lower-power.
+    # Ascending mass fixes the order in which ``check`` adds the masses.
     universe.sort(key=lambda i: (ent_pmf.probabilities[i], problem.grid[i]))
-    masses = [ent_pmf.probabilities[i] for i in universe]
     order = np.array(universe, dtype=np.intp)
-
-    search_path: Literal["exhaustive", "greedy"] = "exhaustive"
-    found = None
-    if len(universe) <= MAX_EXHAUSTIVE_OUTCOMES:
-        found = _best_first_search(order, masses, total_power, checker, MAX_SEARCH_POPS)
-    if found is None:
-        search_path = "greedy"
-        found = _greedy_prefix_search(order, masses, checker)
-    if found is None or not found[0]:
+    outcomes, result = _constraint_generation(
+        order, np.array(ent_pmf.probabilities)[order], checker
+    )
+    if not outcomes:
         return None
-    outcomes, result = found
     acc = AcceptanceSet.explicit(outcomes)
     if result is None:
         result = checker.resolve(outcomes)
-    return SetSearchOutcome(acc, result, power(acc, ent_pmf), search_path)
+    return SetSearchOutcome(acc, result, power(acc, ent_pmf), "exhaustive")
 
 
-def _screened(checker: _FeasibilityChecker, order: np.ndarray, batches: Iterator[np.ndarray]):
-    """(indices, pointwise sum, pool masses) of every candidate
-    ``order[row]``, for the boolean rows of each (K, len(order)) batch in
-    turn, with each batch screened at once."""
-    for kept in batches:
-        totals, pool = checker.screen(order, kept)
-        for row, total, masses in zip(kept, totals.tolist(), pool):
-            yield order[row], total, masses
+def _constraint_generation(
+    universe: np.ndarray, gains: np.ndarray, checker: _FeasibilityChecker
+) -> tuple[frozenset[Fraction], WorstCaseResult | None]:
+    """Most powerful subset of ``universe`` that ``checker`` accepts.
 
+    Blankenship and Falk's constraint generation for semi-infinite programs
+    (JOTA 19, 1976).  Each round solves the 0/1 knapsack over the pool:
+    maximise the power, the sum of ``gains`` over the subset, subject to
+    every pool point's mass within the budget.  ``check`` then verifies the
+    winner.  A refuted winner is cut off with a no-good cut, and its probe
+    or full search has usually added the pool point that refutes it and
+    its neighbours.  The pool constraints sit at the budget itself, so a
+    winner may fit them only within HiGHS's feasibility tolerance; ``check``
+    then refutes it on its float pool masses, and the cut alone removes it.
+    Each subset is checked at most once, so the loop ends.
 
-def _best_first_search(
-    order: np.ndarray,
-    masses: Sequence[float],
-    total_power: float,
-    checker: _FeasibilityChecker,
-    max_pops: int,
-) -> tuple[frozenset[Fraction], WorstCaseResult | None] | None:
-    """Enumerate subsets in non-increasing power order; first feasible wins.
-
-    ``order`` holds the grid indices of the universe, ``masses`` their
-    entangled probabilities.  Subsets are identified by the strictly
-    increasing tuple of removed universe positions.  With the universe
-    sorted by ascending mass, the two successors of a node (bump the last
-    removed position, or additionally remove the next one) both have weakly
-    lower power, so a max-heap pops subsets in exact non-increasing power
-    order and every subset appears once.  Every pop pushes its successors
-    whatever its check decides, so the order of the pops does not depend on
-    the checks: the search pops ``_SCREEN_BATCH`` subsets ahead, screens
-    them at once and checks them in pop order.  Returns the winner, an
-    empty-set marker when the whole space is infeasible, or None when the
-    pop budget runs out.
+    Tie rule: HiGHS returns a subset within 1e-6 / ``_POWER_SCALE`` of the
+    best power over the pool, so powers that differ by more than float
+    noise are ranked exactly; exact power ties may resolve either way.
+    Returns the empty set when every non-empty subset is refuted.
     """
-    n = len(order)
-    heap: list[tuple[float, tuple[int, ...]]] = [(-total_power, ())]
-
-    def frontier() -> Iterator[np.ndarray]:
-        pops = 0
-        while heap and pops < max_pops:
-            batch = []
-            while heap and pops < max_pops and len(batch) < _SCREEN_BATCH:
-                neg_power, removed = heapq.heappop(heap)
-                pops += 1
-                if len(removed) < n:
-                    batch.append(removed)
-                if not removed:
-                    if n:
-                        heapq.heappush(heap, (-total_power + masses[0], (0,)))
-                    continue
-                last = removed[-1]
-                if last + 1 < n:
-                    step = masses[last + 1] - masses[last]
-                    heapq.heappush(heap, (-(-neg_power - step), removed[:-1] + (last + 1,)))
-                    heapq.heappush(heap, (-(-neg_power - masses[last + 1]), removed + (last + 1,)))
-            kept = np.ones((len(batch), n), dtype=bool)
-            rows = np.repeat(np.arange(len(batch)), [len(removed) for removed in batch])
-            kept[rows, [position for removed in batch for position in removed]] = False
-            yield kept
-
-    for candidate, total, pool in _screened(checker, order, frontier()):
-        feasible, result = checker.check(candidate, total, pool)
-        if feasible:
-            return checker.outcomes(candidate), result
-    if not heap:
-        return frozenset(), None
-    return None
-
-
-def _greedy_prefix_search(
-    order: np.ndarray,
-    masses: Sequence[float],
-    checker: _FeasibilityChecker,
-) -> tuple[frozenset[Fraction], WorstCaseResult | None] | None:
-    """Longest feasible prefix of the likelihood-ratio ordering."""
-    grid = checker.problem.grid
-
-    def ratio_key(position: int):
-        index = order[position]
-        return _ratio_key(grid[index], masses[position], checker.pointwise_mass[index])
-
-    ranked = order[sorted(range(len(order)), key=ratio_key)]
-
-    def prefixes() -> Iterator[np.ndarray]:
-        positions = np.arange(len(ranked))
-        for start in range(1, len(ranked) + 1, _SCREEN_BATCH):
-            sizes = np.arange(start, min(start + _SCREEN_BATCH, len(ranked) + 1))
-            yield positions < sizes[:, None]
-
-    best: tuple[int, WorstCaseResult | None] | None = None
-    for candidate, total, pool in _screened(checker, ranked, prefixes()):
-        feasible, result = checker.check(candidate, total, pool)
-        if not feasible:
+    cuts: list[np.ndarray] = []
+    while universe.size:
+        chosen = _max_power_subset(gains, checker.table[universe, 1:], checker.budget, cuts)
+        if not chosen.any():
             break
-        best = (len(candidate), result)
-    if best is None:
-        return None
-    return checker.outcomes(ranked[: best[0]]), best[1]
+        feasible, result = checker.check(universe[chosen])
+        if feasible:
+            return checker.outcomes(universe[chosen]), result
+        cuts.append(chosen)
+    return frozenset(), None
+
+
+def _max_power_subset(
+    gains: np.ndarray, masses: np.ndarray, budget: float, cuts: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Boolean mask of the subset of largest gain whose (N, P) ``masses``
+    sum within ``budget`` in every column, excluding each subset of
+    ``cuts`` by its no-good cut sum(x in S) - sum(x not in S) <= |S| - 1."""
+    rows = [masses.T, *(np.where(cut, 1.0, -1.0)[None] for cut in cuts)]
+    upper = [np.full(masses.shape[1], budget), *(np.array([cut.sum() - 1.0]) for cut in cuts)]
+    with _stdout_silenced():
+        found = milp(
+            -_POWER_SCALE * gains,
+            integrality=np.ones(len(gains)),
+            bounds=Bounds(0.0, 1.0),
+            constraints=LinearConstraint(np.vstack(rows), -np.inf, np.concatenate(upper)),
+            options={"mip_rel_gap": 0.0},
+        )
+    if found.status != 0:
+        raise RuntimeError(f"acceptance-set MILP failed: {found.message}")
+    return found.x > 0.5
+
+
+#: Serialises the descriptor swaps of threads that solve at once, so that
+#: none saves another's null device as the descriptor to restore.
+_STDOUT_LOCK = threading.Lock()
+
+
+@contextmanager
+def _stdout_silenced():
+    """Point file descriptor 1 at the null device: HiGHS can write solver
+    lines straight to it, past ``sys.stdout``, which would corrupt the
+    CLI's JSON on stdout."""
+    with _STDOUT_LOCK:
+        sys.stdout.flush()
+        saved = os.dup(1)
+        try:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), 1)
+            yield
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
 
 
 def build_test_report(

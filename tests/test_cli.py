@@ -243,6 +243,22 @@ class TestPlan:
         assert report["optimum"]["confidence"] >= 0.7
         assert report["ranked"][0] == report["optimum"]
 
+    def test_optimize_mode_to_stdout_is_pure_json(self, tmp_path, capfd):
+        doc = {
+            "witness_kind": "quadratic",
+            "budget": 6,
+            "max_settings": 2,
+            "min_validity": 0.7,
+            "framework": "frequentist",
+            "entangled": {"purity": 0.8},
+            "priors": {"entangled": 0.6667},
+            "optimizer": {"restarts": 6, "seed": 11},
+        }
+        capfd.readouterr()
+        assert main(["plan", "--config", write_config(tmp_path, doc)]) == 0
+        report = json.loads(capfd.readouterr().out)
+        assert report["optimum"]["search_path"] == "exhaustive"
+
     def test_infeasible_exit_code(self, tmp_path):
         doc = {
             "witness_kind": "linear",

@@ -14,9 +14,8 @@ from entcert.errors import DomainError, UndefinedOutcomeError
 from entcert.finite_stats import CorrelationSetting
 from entcert.inference import (
     PriorPair,
-    _best_first_search,
+    _constraint_generation,
     _FeasibilityChecker,
-    _greedy_prefix_search,
     bayes_acceptance_set,
     build_test_report,
     confidence,
@@ -279,50 +278,37 @@ class TestMaxPowerSearch:
         # Every single outcome has a worst case above this tiny budget.
         assert max_power_acceptance_set(witness, (2,), ent, 1e-6, OPTS) is None
 
-    def test_greedy_fallback_on_large_grids(self, monkeypatch):
-        # Forcing the grid over the exhaustive limit exercises the
-        # likelihood-ratio prefix path: still feasible, possibly weaker.
+    def test_exact_beyond_the_old_exhaustive_limit(self):
+        # 32 outcomes in the universe: the old search fell back to
+        # likelihood-ratio prefixes above 24 and reached power 0.7232 only.
         witness = QuadraticWitness(3)
-        copies = (4, 4, 4)
+        copies = (8, 8, 8)
         model = EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
         ent = model.outcome_pmf(witness, copies, (1, 1, 1))
-        exhaustive = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
-        monkeypatch.setattr(inference, "MAX_EXHAUSTIVE_OUTCOMES", 2)
-        greedy = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
-        assert greedy.search_path == "greedy"
-        assert greedy.worst_case.objective <= 0.30
-        assert greedy.power <= exhaustive.power + 1e-12
-        # The prefix path cannot reach the poor-ratio outcomes 0 and 1, which
-        # is exactly why the exhaustive search exists.
-        assert greedy.acceptance.outcomes == {F(9, 4), F(3)}
+        problem = WorstCaseProblem(witness, copies)
+        pointwise = problem.maximize_all_points(OPTS)
+        universe = [o for o, p in zip(problem.grid, ent.probabilities) if p > 0.0]
+        assert sum(pointwise[o].objective <= 0.30 for o in universe) > 24
+        found = max_power_acceptance_set(
+            witness, copies, ent, 0.30, OPTS, problem=problem, pointwise=pointwise
+        )
+        assert found.search_path == "exhaustive"
+        assert found.power > 0.7232
+        assert found.worst_case.objective <= 0.30
 
     def test_best_first_order_finds_the_most_powerful_feasible_subset(self):
-        class SumChecker:
-            """Feasible when the subset's separable masses sum to within budget."""
-
-            def __init__(self, sep, budget):
-                self.sep, self.budget = sep, budget
-
-            def screen(self, order, kept):
-                return np.zeros(len(kept)), np.zeros((len(kept), 0))
-
-            def check(self, indices, total, masses):
-                return float(self.sep[indices].sum()) <= self.budget, None
-
-            def outcomes(self, indices):
-                return frozenset(F(int(i)) for i in indices)
-
+        # One hidden column: a subset is feasible when its separable masses
+        # sum to within budget, so brute force gives the exact optimum.
         rng = np.random.default_rng(12)
         for _ in range(25):
             size = int(rng.integers(1, 10))
             sep = rng.random(size)
             ent = rng.random(size)
             budget = float(rng.uniform(0.0, sep.sum()))
-            order = np.argsort(ent, kind="stable")
-            masses = [float(ent[i]) for i in order]
-            found, _ = _best_first_search(
-                order, masses, sum(masses), SumChecker(sep, budget), 10**6
-            )
+            problem = HiddenPoints(sep[:, None])
+            checker = _FeasibilityChecker(problem, budget, problem.pointwise(), OPTS)
+            universe = np.flatnonzero(sep <= budget)
+            found, _ = _constraint_generation(universe, ent[universe], checker)
             best = max(
                 (
                     sum(ent[i] for i in subset)
@@ -333,16 +319,6 @@ class TestMaxPowerSearch:
                 default=0.0,
             )
             assert sum(ent[int(o)] for o in found) == pytest.approx(best, abs=1e-12)
-
-    def test_pop_budget_overflow_falls_back_to_greedy(self, monkeypatch):
-        witness = QuadraticWitness(3)
-        copies = (4, 4, 4)
-        model = EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
-        ent = model.outcome_pmf(witness, copies, (1, 1, 1))
-        monkeypatch.setattr(inference, "MAX_SEARCH_POPS", 2)
-        capped = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
-        assert capped.search_path == "greedy"
-        assert capped.worst_case.objective <= 0.30
 
     def test_partial_pointwise_map_rejected(self):
         witness = QuadraticWitness(2)
@@ -356,21 +332,19 @@ class TestMaxPowerSearch:
             )
 
 
-def one_at_a_time_search(order, masses, total_power, checker, max_pops):
-    """Oracle of ``_best_first_search``: the same heap, but every candidate
-    is screened alone and checked as soon as it is popped."""
+def one_at_a_time_search(order, masses, total_power, checker):
+    """Oracle of ``_constraint_generation``: all subsets of ``order`` by a
+    heap in non-increasing power, each checked as soon as it is popped;
+    the first feasible one wins."""
     n = len(order)
     heap = [(-total_power, ())]
-    pops = 0
-    while heap and pops < max_pops:
+    while heap:
         neg_power, removed = heapq.heappop(heap)
-        pops += 1
         kept = np.ones(n, dtype=bool)
         kept[list(removed)] = False
         candidate = order[kept]
         if len(candidate):
-            totals, pool = checker.screen(order, kept[None])
-            feasible, result = checker.check(candidate, totals[0], pool[0])
+            feasible, result = checker.check(candidate)
             if feasible:
                 return checker.outcomes(candidate), result
         if not removed:
@@ -382,9 +356,7 @@ def one_at_a_time_search(order, masses, total_power, checker, max_pops):
             step = masses[last + 1] - masses[last]
             heapq.heappush(heap, (-(-neg_power - step), removed[:-1] + (last + 1,)))
             heapq.heappush(heap, (-(-neg_power - masses[last + 1]), removed + (last + 1,)))
-    if not heap:
-        return frozenset(), None
-    return None
+    return frozenset(), None
 
 
 class HiddenPoints:
@@ -417,28 +389,23 @@ class HiddenPoints:
 
 
 class RecordingChecker(_FeasibilityChecker):
-    """Logs every check (the candidate, the number of searches it made, its
-    decision), and counts the checks that only a pool point added since
-    their screen refutes."""
+    """Logs every check: the candidate, the number of searches it made, and
+    its decision."""
 
     def __init__(self, problem, budget):
         super().__init__(problem, budget, problem.pointwise(), OPTS)
         self.log = []
-        self.late_refutations = 0
 
-    def check(self, indices, total, masses):
-        screened = total <= self.budget - self.SUM_MARGIN or masses.max() > self.budget
-        stale = len(masses) < len(self._points)
+    def check(self, indices):
         before = len(self.problem.searches)
-        feasible, result = super().check(indices, total, masses)
+        feasible, result = super().check(indices)
         searches = len(self.problem.searches) - before
         self.log.append((tuple(int(i) for i in indices), searches, feasible))
-        self.late_refutations += stale and not screened and not searches and not feasible
         return feasible, result
 
 
-class TestBatchedFrontier:
-    """The batched best-first search decides exactly as the one-at-a-time oracle."""
+class TestConstraintGeneration:
+    """The MILP loop finds the winner of the one-at-a-time oracle."""
 
     @staticmethod
     def problem(seed):
@@ -447,98 +414,120 @@ class TestBatchedFrontier:
         hidden = rng.dirichlet(np.full(size, 0.3), int(rng.integers(4, 12))).T
         ent = rng.random(size)
         order = np.argsort(ent, kind="stable")
-        masses = [float(ent[i]) for i in order]
         budget = float(rng.uniform(0.2, 0.9))
-        return hidden, order, masses, budget
+        return hidden, order, ent, budget
 
     @staticmethod
-    def run(search, hidden, order, masses, budget, max_pops, late=None):
+    def run(hidden, order, ent, budget):
         checker = RecordingChecker(HiddenPoints(hidden), budget)
-        found = search(order, masses, sum(masses), checker, max_pops)
-        if late is not None:
-            late.append(checker.late_refutations)
-        return found, checker.log, checker.problem.searches
+        found, _ = _constraint_generation(order, ent[order], checker)
+        return found, checker.log
 
-    def test_same_checks_and_winner_as_the_oracle(self):
-        batch = inference._SCREEN_BATCH
-        winners = []
-        for seed in range(40):
-            hidden, order, masses, budget = self.problem(seed)
-            expected = self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
-            assert self.run(_best_first_search, hidden, order, masses, budget, 10**6) == expected
-            found, log, _ = expected
-            if found:
-                winners.append(len(log))
-        # Some winners come in the middle of a later batch.
-        assert any(pops > batch and pops % batch > 1 for pops in winners)
+    @staticmethod
+    def oracle(hidden, order, ent, budget):
+        checker = RecordingChecker(HiddenPoints(hidden), budget)
+        masses = [float(ent[i]) for i in order]
+        found, _ = one_at_a_time_search(order, masses, sum(masses), checker)
+        return found, checker.log
 
-    @pytest.mark.parametrize("seed", [39, 75])
-    def test_probe_point_refutes_a_later_candidate_of_its_batch(self, seed):
-        hidden, order, masses, budget = self.problem(seed)
-        late = []
-        batched = self.run(_best_first_search, hidden, order, masses, budget, 10**6, late)
-        assert late[0] > 0
-        assert batched == self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
-
-    def test_pop_budget_runs_out_mid_batch(self):
-        for seed in range(40):
-            hidden, order, masses, budget = self.problem(seed)
-            found, log, _ = self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
-            if found and len(log) > 70:
-                break
-        pops = len(log)
-        assert found and pops > 70
-        for max_pops in (pops - 1, pops - 5, 70, pops):
-            expected = self.run(one_at_a_time_search, hidden, order, masses, budget, max_pops)
-            batched = self.run(_best_first_search, hidden, order, masses, budget, max_pops)
-            assert batched == expected
-            assert (batched[0] is None) == (max_pops < pops)
+    def test_same_winner_as_the_oracle(self):
+        winners, rounds, oracle_checks = 0, [], 0
+        for seed in range(60):
+            hidden, order, ent, budget = self.problem(seed)
+            found, log = self.run(hidden, order, ent, budget)
+            expected, oracle_log = self.oracle(hidden, order, ent, budget)
+            assert found == expected
+            winners += bool(found)
+            rounds.append(len(log))
+            oracle_checks += len(oracle_log)
+        assert winners >= 40
+        # Some winners take more than one round, and the loop checks far
+        # fewer subsets than the oracle.
+        assert max(rounds) > 1
+        assert sum(rounds) * 10 < oracle_checks
 
     def test_fully_infeasible_space(self):
-        hidden, order, masses, _ = self.problem(3)
+        hidden, order, ent, _ = self.problem(3)
         # Below every single outcome's worst case: every subset is refuted.
         budget = 0.5 * float(hidden.max(axis=1).min())
-        found, log, _ = self.run(_best_first_search, hidden, order, masses, budget, 10**6)
-        assert found == (frozenset(), None)
-        assert len(log) == 2 ** len(order) - 1
-        expected = self.run(one_at_a_time_search, hidden, order, masses, budget, 10**6)
-        assert (found, log) == expected[:2]
-        # One pop short of the whole space the budget, not the space, ends it.
-        short = self.run(_best_first_search, hidden, order, masses, budget, 2 ** len(order) - 1)
-        assert short[0] is None
-
-    def test_screen_adds_as_the_row_sum(self):
-        hidden, order, _, budget = self.problem(5)
+        assert self.run(hidden, order, ent, budget) == (frozenset(), [])
+        assert self.oracle(hidden, order, ent, budget)[0] == frozenset()
         problem = HiddenPoints(hidden)
-        checker = _FeasibilityChecker(problem, budget, problem.pointwise(), OPTS)
-        rng = np.random.default_rng(0)
-        kept = rng.random((50, len(order))) < 0.6
-        totals, pool = checker.screen(order, kept)
-        matrix = np.column_stack(checker._columns[1:])
-        assert matrix.shape[1] >= 2
-        for row, total, masses in zip(kept, totals, pool):
-            assert np.array_equal(masses, matrix[order[row]].sum(axis=0))
-            assert total == pytest.approx(checker.pointwise_mass[order[row]].sum(), abs=1e-15)
+        witness = SimpleNamespace()
+        pmf = SimpleNamespace(outcomes=problem.grid, probabilities=tuple(ent))
+        assert (
+            max_power_acceptance_set(
+                witness, (), pmf, budget, OPTS, problem=problem, pointwise=problem.pointwise()
+            )
+            is None
+        )
 
-    def test_greedy_prefixes_match_one_at_a_time_checks(self):
-        rng = np.random.default_rng(8)
-        size = 2 * inference._SCREEN_BATCH + 9
-        hidden = rng.dirichlet(np.ones(size), 6).T
-        order = np.arange(size)
-        masses = [float(m) for m in rng.random(size)]
-        checker = RecordingChecker(HiddenPoints(hidden), 0.9)
-        found = _greedy_prefix_search(order, masses, checker)
-        ranked = np.array(checker.log[-1][0])
-        assert len(ranked) > inference._SCREEN_BATCH
-        # The same prefixes of the ranking, each screened alone.
-        oracle = RecordingChecker(HiddenPoints(hidden), 0.9)
-        for size in range(1, len(ranked) + 1):
-            prefix = np.arange(len(ranked)) < size
-            totals, pool = oracle.screen(ranked, prefix[None])
-            if not oracle.check(ranked[prefix], totals[0], pool[0])[0]:
-                break
-        assert checker.log == oracle.log
-        assert found[0] == frozenset(F(int(i)) for i in ranked[:-1])
+    def test_near_tie_in_power_is_ranked(self):
+        # HiGHS's absolute gap of 1e-6 on the unscaled power would accept
+        # {0} here; only {1}, 1e-9 more powerful, is right.
+        hidden = np.array([[6 / 13, 1 / 3], [6 / 13, 1 / 3], [1 / 13, 1 / 3]])
+        ent = np.array([0.3, 0.3 + 1e-9, 0.05])
+        found, _ = self.run(hidden, np.arange(3), ent, 0.6)
+        assert found == {F(1)}
+
+    def test_float_pool_refutation_cuts_the_winner(self, monkeypatch):
+        # {0, 1} overshoots the budget by 1e-9 at column 0, inside HiGHS's
+        # feasibility tolerance, so the MILP proposes it and only the float
+        # pool masses refute it; the cut then lets {1, 2} win.
+        hidden = np.array([[0.3, 0.1], [0.3 + 1e-9, 0.1], [0.05, 0.45]])
+        ent = np.array([0.4, 0.41, 0.1])
+        calls = []
+        solve = inference._max_power_subset
+
+        def recorded(gains, masses, budget, cuts):
+            calls.append([tuple(np.flatnonzero(cut)) for cut in cuts])
+            assert len(calls) < 10
+            return solve(gains, masses, budget, cuts)
+
+        monkeypatch.setattr(inference, "_max_power_subset", recorded)
+        found, log = self.run(hidden, np.arange(3), ent, 0.6)
+        assert log[0] == ((0, 1), 0, False)
+        assert calls[1] == [(0, 1)]
+        assert found == {F(1), F(2)}
+
+    def test_each_decision_class(self):
+        # Columns A, B, C; the pool holds A and B, the pointwise argmaxes,
+        # and only a search finds C.
+        hidden = np.array([[0.40, 0.15, 0.35], [0.10, 0.40, 0.35], [0.25, 0.05, 0.10]])
+        checker = RecordingChecker(HiddenPoints(hidden), 0.6)
+        for indices in ([2], [0, 2], [0, 1], [1, 2]):
+            checker.check(np.array(indices))
+        assert checker.log == [
+            ((2,), 0, True),  # pointwise sum 0.25: certified
+            ((0, 2), 0, False),  # 0.65 at pool point A
+            ((0, 1), 1, False),  # the probe finds 0.70 at C
+            ((1, 2), 2, True),  # 0.45 at most: the full search decides
+        ]
+
+    def test_failed_solve_raises(self, monkeypatch):
+        def unsolved(*args, **kwargs):
+            return SimpleNamespace(status=1, message="Time limit reached.", x=None)
+
+        monkeypatch.setattr(inference, "milp", unsolved)
+        with pytest.raises(RuntimeError, match="Time limit reached"):
+            self.run(*self.problem(0))
+
+    def test_stdout_restored_when_the_solver_raises(self, monkeypatch, capfd):
+        def broken(*args, **kwargs):
+            raise ValueError("broken solver")
+
+        monkeypatch.setattr(inference, "milp", broken)
+        capfd.readouterr()
+        with pytest.raises(ValueError, match="broken solver"):
+            self.run(*self.problem(0))
+        print("still here")
+        assert capfd.readouterr().out == "still here\n"
+
+    def test_nothing_reaches_stdout(self, capfd):
+        # HiGHS writes a line straight to file descriptor 1 on this problem.
+        capfd.readouterr()
+        self.run(*self.problem(61))
+        assert capfd.readouterr().out == ""
 
 
 class TestReportAssembly:
