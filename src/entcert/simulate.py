@@ -1,15 +1,22 @@
 """Monte Carlo oracle: simulate finite-copy experiments trial by trial.
 
-Used to validate the exact distributions independently: products of local
-outcomes are drawn as Bernoulli variables, correlations are formed from the
-counts, and the witness value of every trial is tallied on the exact
-rational grid.  The generator is Philox (counter-based, portable), and
-trials are consumed in fixed-size chunks so results do not depend on how the
-work is partitioned.
+Used to validate the exact distributions independently.  Each trial draws
+every setting's agreeing-product count by inversion: one uniform is looked
+up in that setting's binomial CDF, built once per call from the binomial
+weights of the outcome grid (``WitnessGrid``).  A prior mixture first splits
+each chunk's trials among the prior's purity cells with one multinomial
+draw, then draws every cell's trials from that cell's CDFs; trials are
+i.i.d. and only the histogram is kept, so this is the exact mixture law.
+The witness value of every trial is tallied on the exact rational grid.
+The generator is Philox (counter-based, portable), and trials are consumed
+in fixed-size chunks so results do not depend on how the work is
+partitioned.  Seeded results are bit-reproducible but differ from versions
+that drew the counts with ``Generator.binomial``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +32,22 @@ from .witnesses import Witness, WitnessGrid
 CHUNK_TRIALS = 1 << 16
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _run_size(trials, seed) -> tuple[int, int]:
+    """Validated ``(trials, seed)`` of one simulation."""
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not (0 <= seed < 2**64):
+        raise DomainError("seed must be an unsigned 64-bit integer")
+    return trials, seed
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     correlations: tuple[float, ...]
@@ -35,18 +58,16 @@ class SimulationConfig:
     def __init__(self, correlations: Sequence[float], copies: Sequence[int], trials: int, seed: int):
         if len(correlations) != len(copies):
             raise DomainError("correlations and copies must have equal length")
-        if trials < 1:
-            raise DomainError(f"trials must be >= 1, got {trials}")
-        if not (0 <= seed < 2**64):
-            raise DomainError("seed must be an unsigned 64-bit integer")
+        trials, seed = _run_size(trials, seed)
         if any(not (-1.0 <= t <= 1.0) for t in correlations):
             raise DomainError("correlations must lie in [-1, 1]")
+        copies = tuple(_integer(n, "copies") for n in copies)
         if any(n < 1 for n in copies):
             raise DomainError("copies must all be >= 1")
         object.__setattr__(self, "correlations", tuple(float(t) for t in correlations))
-        object.__setattr__(self, "copies", tuple(int(n) for n in copies))
-        object.__setattr__(self, "trials", int(trials))
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
 
 def _tally(
@@ -54,20 +75,32 @@ def _tally(
     copies: tuple[int, ...],
     trials: int,
     seed: int,
-    success_for_chunk,
+    correlations: np.ndarray,
+    weights: np.ndarray,
 ) -> OutcomePmf:
+    """Empirical pmf of trials at ideal correlations ``correlations`` (P, M),
+    row r drawn with probability ``weights[r]``."""
+    if not np.all(np.abs(correlations) <= 1.0):
+        raise DomainError("correlations must lie in [-1, 1] (success probabilities in [0, 1])")
     grid = WitnessGrid(witness, copies)
+    # Setting j's CDF rows (P, n_j) without their last entry, so that a
+    # uniform at or above the n-th partial sum, which rounding may leave
+    # below 1, maps to n.
+    table = np.cumsum(grid._binomials(correlations), axis=2)
+    cdfs = [table[:, j, :n] for j, n in enumerate(copies)]
     counts = np.zeros(len(grid.outcomes), dtype=np.int64)
     base = np.random.Philox(key=seed)
     chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     for i in range(chunks):
         size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
         rng = np.random.Generator(base.jumped(i))
-        success = success_for_chunk(rng, size)
+        # Row r's trials are the r-th slice of the chunk.
+        edges = [] if len(weights) == 1 else np.cumsum(rng.multinomial(size, weights))[:-1]
         total = np.full(size, grid.shift, dtype=np.int64)
-        for j, n in enumerate(copies):
-            agree = rng.binomial(n, success[j], size)
-            total += grid.values[j][agree]
+        parts = np.split(total, edges)
+        for cdf, value in zip(cdfs, grid.values):
+            for row, uniforms, part in zip(cdf, np.split(rng.random(size), edges), parts):
+                part += value[np.searchsorted(row, uniforms, side="right")]
         values, tallies = np.unique(total, return_counts=True)
         counts[np.searchsorted(grid.integers, values)] += tallies
     return OutcomePmf(grid.outcomes, tuple((counts / trials).tolist()))
@@ -79,12 +112,8 @@ def simulate_witness(config: SimulationConfig, witness: Witness) -> OutcomePmf:
         raise DomainError(
             f"witness expects {witness.num_settings} settings, got {len(config.copies)}"
         )
-    success = [(1.0 + t) / 2.0 for t in config.correlations]
-
-    def chunk_success(rng, size):
-        return [np.full(size, s) for s in success]
-
-    return _tally(witness, config.copies, config.trials, config.seed, chunk_success)
+    correlations = np.array([config.correlations])
+    return _tally(witness, config.copies, config.trials, config.seed, correlations, np.ones(1))
 
 
 def simulate_mixture_witness(
@@ -102,18 +131,14 @@ def simulate_mixture_witness(
     mixture, so this validates the mixture computation rather than the
     discretization itself.
     """
-    copies = tuple(int(n) for n in copies)
+    if len(signs) != len(copies):
+        raise DomainError("signs and copies must have equal length")
+    copies = tuple(_integer(n, "copies") for n in copies)
+    trials, seed = _run_size(trials, seed)
     points, weights = prior.discretize(grid_step)
-    points_arr = np.array(points)
+    correlations = np.outer(points, np.asarray(signs, dtype=np.float64))
     weights_arr = np.array(weights)
-    weights_arr = weights_arr / weights_arr.sum()
-    signs = tuple(int(s) for s in signs)
-
-    def chunk_success(rng, size):
-        purity = points_arr[rng.choice(len(points_arr), size=size, p=weights_arr)]
-        return [(1.0 + s * purity) / 2.0 for s in signs]
-
-    return _tally(witness, copies, trials, seed, chunk_success)
+    return _tally(witness, copies, trials, seed, correlations, weights_arr / weights_arr.sum())
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from entcert.errors import DomainError
 from entcert.finite_stats import (
     CorrelationSetting,
+    _binomial_weights,
     correlation_moments,
     correlation_pmf,
     squared_correlation_moments,
@@ -72,6 +74,18 @@ class TestCorrelationPmf:
         assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
         assert pmf.mean() == pytest.approx(mean, abs=1e-12)
         assert pmf.variance() == pytest.approx(variance, abs=1e-12)
+
+
+class TestBinomialWeights:
+    # The exact pmfs and the simulator's CDFs rest on these weights, so they
+    # need a reference of their own.  The tolerance covers lgamma's rounding
+    # on the log-space path above 1,000 copies (relative error ~1e-11 at
+    # 5,000 copies).
+    @pytest.mark.parametrize("n", [1, 4, 20, 1000, 1001, 5000])
+    @pytest.mark.parametrize("success", [0.0, 0.3, 0.5, 0.97, 1.0])
+    def test_match_scipy(self, n, success):
+        expected = binom.pmf(np.arange(n + 1), n, success)
+        np.testing.assert_allclose(_binomial_weights(n, success), expected, rtol=1e-9, atol=1e-12)
 
 
 class TestMoments:

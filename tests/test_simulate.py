@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from entcert.errors import DomainError
 from entcert.finite_stats import CorrelationSetting
 from entcert.pmf import OutcomePmf
 from entcert.simulate import (
+    CHUNK_TRIALS,
     SimulationConfig,
     chi_square_compare,
     simulate_mixture_witness,
@@ -30,6 +32,42 @@ class TestConfig:
             SimulationConfig([1.5], [4], 100, 0)
         with pytest.raises(DomainError):
             SimulationConfig([0.5], [0], 100, 0)
+
+    @pytest.mark.parametrize(
+        "copies, trials, seed",
+        [
+            ([4], 2.5, 0),
+            ([4], True, 0),
+            ([3.7], 100, 0),
+            ([True], 100, 0),
+            ([4], 100, 1.5),
+            ([4], 100, False),
+            ([4], 100, -1),
+            ([4], 100, 2**64),
+        ],
+    )
+    def test_rejects_non_integral_or_out_of_range_values(self, copies, trials, seed):
+        with pytest.raises(DomainError):
+            SimulationConfig([0.5], copies, trials, seed)
+
+    def test_keeps_numpy_integers_as_ints(self):
+        cfg = SimulationConfig([0.5], [np.int64(4)], np.int64(100), np.uint64(3))
+        assert (cfg.copies, cfg.trials, cfg.seed) == ((4,), 100, 3)
+        assert all(type(v) is int for v in (cfg.copies[0], cfg.trials, cfg.seed))
+
+
+class TestPerSettingLaw:
+    # The simulator inverts the CDF of the outcome grid's own binomial
+    # weights, which also give the exact pmfs, so the law of one setting is
+    # checked against scipy.  One linear setting's grid lists k = 0..n in
+    # order.  Tolerance as for ``finite_stats._binomial_weights``.
+    @pytest.mark.parametrize("n", [1, 4, 20, 1000, 1001, 5000])
+    @pytest.mark.parametrize("success", [0.0, 0.3, 0.5, 0.97, 1.0])
+    def test_grid_weights_match_scipy(self, n, success):
+        setting = CorrelationSetting(2.0 * success - 1.0, n)
+        pmf = witness_pmf([setting], LinearWitness([1], 0))
+        expected = binom.pmf(np.arange(n + 1), n, (1.0 + setting.correlation) / 2.0)
+        np.testing.assert_allclose(pmf.probabilities, expected, rtol=1e-9, atol=1e-12)
 
 
 class TestSimulation:
@@ -68,6 +106,32 @@ class TestSimulation:
             pmf = simulate_witness(cfg, LinearWitness([1], 0))
             stderr = np.sqrt((1 - t * t) / (n * trials))
             assert abs(pmf.mean() - t) < 4 * max(stderr, 1e-12)
+
+    @pytest.mark.parametrize("t, end", [(1.0, 1), (-1.0, -1)])
+    def test_log_space_copy_count_at_perfect_correlation(self, t, end):
+        # 1,500 copies take the log-space binomial weights.
+        cfg = SimulationConfig([t], [1500], 10_000, seed=8)
+        pmf = simulate_witness(cfg, LinearWitness([1], 0))
+        assert pmf.probability(end) == 1.0
+
+    def test_log_space_copy_count_matches_exact(self):
+        cfg = SimulationConfig([0.3], [1500], 10**6, seed=9)
+        w = LinearWitness([1], 0)
+        empirical = simulate_witness(cfg, w)
+        exact = witness_pmf([CorrelationSetting(0.3, 1500)], w)
+        assert chi_square_compare(empirical, exact, cfg.trials).p_value > 1e-3
+
+    def test_chunk_stable(self):
+        # One trial past a chunk adds exactly one trial to the first chunk's
+        # histogram: a chunk's draws depend only on the seed and its index.
+        w = LinearWitness([1, 1], 0)
+
+        def counts(trials):
+            cfg = SimulationConfig([0.2, -0.6], [6, 3], trials, seed=12)
+            return np.rint(np.array(simulate_witness(cfg, w).probabilities) * trials)
+
+        added = counts(CHUNK_TRIALS + 1) - counts(CHUNK_TRIALS)
+        assert added.min() == 0 and added.sum() == 1
 
 
 class TestChiSquare:
@@ -120,3 +184,34 @@ class TestMixtureSimulation:
         exact = mixture_witness_pmf(prior, (1, 1, 1), (4, 4, 4), witness)
         result = chi_square_compare(empirical, exact, 10**6)
         assert result.p_value > 1e-3
+
+    def test_bit_identical_reruns_and_seeds_differ(self):
+        prior = TruncatedGaussianPrior(0.8, 0.1, 0.2)
+        witness = QuadraticWitness(3)
+
+        def run(seed):
+            return simulate_mixture_witness(
+                prior, (1, -1, 1), (4, 3, 2), witness, 200_000, seed
+            ).probabilities
+
+        first = run(21)
+        assert run(21) == first
+        assert run(22) != first
+
+    @pytest.mark.parametrize(
+        "signs, copies, trials, seed",
+        [
+            ((1, 1, 1, 1), (4, 4, 4), 1000, 0),
+            ((1, 1), (4, 4, 4), 1000, 0),
+            ((1, 2, 1), (4, 4, 4), 1000, 0),  # success probability above 1
+            ((1, 1, 1), (4, 3.5, 4), 1000, 0),
+            ((1, 1, 1), (4, 4, 4), 0, 0),
+            ((1, 1, 1), (4, 4, 4), 2.5, 0),
+            ((1, 1, 1), (4, 4, 4), 1000, -1),
+            ((1, 1, 1), (4, 4, 4), 1000, 1.5),
+        ],
+    )
+    def test_rejects_bad_inputs(self, signs, copies, trials, seed):
+        prior = TruncatedGaussianPrior(0.8, 0.1, 0.2)
+        with pytest.raises(DomainError):
+            simulate_mixture_witness(prior, signs, copies, QuadraticWitness(3), trials, seed)
