@@ -165,8 +165,10 @@ def parse_optimizer(doc: Any, seed_override: int | None, where: str = "optimizer
 
     A field with an integer default takes an integer, the others a number;
     ``SearchOptions`` itself rejects out-of-range values with DomainError.
+    Only an absent section (``None``) means the defaults.
     """
-    doc = doc or {}
+    if doc is None:
+        doc = {}
     parsers = {
         f.name: integer if isinstance(f.default, int) else number for f in fields(SearchOptions)
     }

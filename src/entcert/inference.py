@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, UndefinedOutcomeError
@@ -386,12 +385,23 @@ def _constraint_generation(
     return frozenset(), None
 
 
+def milp(*args, **kwargs):
+    """``scipy.optimize.milp``, imported on the first call: loading
+    ``scipy.optimize`` costs more than all of ``import entcert``, and only
+    the acceptance-set search needs it."""
+    from scipy.optimize import milp as solve
+
+    return solve(*args, **kwargs)
+
+
 def _max_power_subset(
     gains: np.ndarray, masses: np.ndarray, budget: float, cuts: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Boolean mask of the subset of largest gain whose (N, P) ``masses``
     sum within ``budget`` in every column, excluding each subset of
     ``cuts`` by its no-good cut sum(x in S) - sum(x not in S) <= |S| - 1."""
+    from scipy.optimize import Bounds, LinearConstraint
+
     rows = [masses.T, *(np.where(cut, 1.0, -1.0)[None] for cut in cuts)]
     upper = [np.full(masses.shape[1], budget), *(np.array([cut.sum() - 1.0]) for cut in cuts)]
     with _stdout_silenced():

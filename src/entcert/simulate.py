@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import DomainError
 from .pmf import OutcomePmf
@@ -183,4 +182,8 @@ def chi_square_compare(
         (obs - exp) ** 2 / exp for obs, exp in zip(observed_groups, expected_groups)
     )
     dof = len(expected_groups) - 1
-    return ChiSquareResult(statistic, float(chi2.sf(statistic, dof)), len(expected_groups), False)
+    # The chi-square survival function itself (what ``scipy.stats.chi2.sf``
+    # evaluates), without loading ``scipy.stats``.
+    from scipy.special import chdtrc
+
+    return ChiSquareResult(statistic, float(chdtrc(dof, statistic)), len(expected_groups), False)

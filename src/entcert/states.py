@@ -90,11 +90,13 @@ class TruncatedGaussianPrior:
         """Cell-midpoint grid on [p_min, 1] with renormalized weights."""
         if not (math.isfinite(grid_step) and grid_step > 0.0):
             raise DomainError(f"grid_step must be positive and finite, got {grid_step}")
-        cells = max(1, round((1.0 - self.p_min) / grid_step))
-        if cells > MAX_PRIOR_CELLS:
+        span = (1.0 - self.p_min) / grid_step
+        # Checked before rounding: a tiny step makes the span inf, which round() rejects.
+        if span > MAX_PRIOR_CELLS + 0.5:
             raise DomainError(
-                f"grid_step {grid_step} gives {cells} prior cells, more than {MAX_PRIOR_CELLS}"
+                f"grid_step {grid_step} gives {span:.6g} prior cells, more than {MAX_PRIOR_CELLS}"
             )
+        cells = max(1, round(span))
         width = (1.0 - self.p_min) / cells
         points = [self.p_min + (i + 0.5) * width for i in range(cells)]
         weights = [self.density(p) for p in points]
@@ -167,8 +169,10 @@ class EntangledStateModel:
             raise DomainError("give exactly one of purity and prior")
         if self.purity is not None and not (0.0 <= self.purity <= 1.0):
             raise DomainError(f"purity must lie in [0, 1], got {self.purity}")
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
+            raise DomainError(f"grid_step must be positive and finite, got {self.grid_step}")
         if self.prior is not None:
-            self.prior.discretize(self.grid_step)  # reject a bad grid_step up front
+            self.prior.discretize(self.grid_step)  # reject an oversized prior grid up front
 
     def outcome_pmf(
         self,

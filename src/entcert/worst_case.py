@@ -34,14 +34,21 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-# No search calls it; perfbench's tracer counts Nelder-Mead runs through this name.
-from scipy.optimize import minimize  # noqa: F401
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
 from .finite_stats import _DIRECT_BINOMIAL_LIMIT
 from .pmf import OutcomePmf, RationalLike, as_fraction
 from .witnesses import Witness, WitnessGrid
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on call.  No search calls it;
+    perfbench's tracer counts Nelder-Mead runs through this name."""
+    from scipy.optimize import minimize as solve
+
+    return solve(*args, **kwargs)
+
 
 #: Tolerated constraint violation of a returned point.
 FEASIBILITY_TOLERANCE = 1e-9

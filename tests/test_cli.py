@@ -13,9 +13,17 @@ from hypothesis import strategies as st
 
 from entcert.acceptance import AcceptanceSet, snap_to_grid
 from entcert.cli import main, validate_report
-from entcert.config import parse_acceptance, parse_optimizer, parse_witness
+from entcert.config import (
+    parse_acceptance,
+    parse_entangled,
+    parse_optimizer,
+    parse_priors,
+    parse_witness,
+)
 from entcert.errors import DomainError, SchemaError
+from entcert.inference import PriorPair
 from entcert.pmf import format_fraction, round_fraction
+from entcert.states import MAX_PRIOR_CELLS, EntangledStateModel, TruncatedGaussianPrior
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid
 from entcert.worst_case import SearchOptions, WorstCaseProblem
 
@@ -391,6 +399,18 @@ class TestPriorGridLimits:
         config = write_config(tmp_path, self.plan_doc(1e-7))
         assert main(["plan", "--config", config]) == 2
 
+    def test_subnormal_grid_step_rejected(self, tmp_path):
+        # The cell count overflows to inf, which must not reach round().
+        config = write_config(tmp_path, self.plan_doc(1e-320))
+        assert main(["plan", "--config", config]) == 2
+
+    @pytest.mark.parametrize("grid_step", [-1.0, 0.0])
+    def test_bad_grid_step_next_to_fixed_purity_rejected(self, tmp_path, grid_step):
+        doc = self.plan_doc(grid_step)
+        doc["entangled"] = {"purity": 0.8, "grid_step": grid_step}
+        config = write_config(tmp_path, doc)
+        assert main(["plan", "--config", config]) == 2
+
 
 class TestPlanBooleans:
     @pytest.mark.parametrize("key", ["allow_unused_copies", "equal_allocation_only"])
@@ -486,6 +506,19 @@ class TestOptimizerSchema:
         config = write_config(tmp_path, self.worst_case_doc({"restarts": 2}))
         assert main(["worst-case", "--config", config, "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize("section", [0, [], "", False])
+    def test_falsy_non_object_exits_2(self, tmp_path, section):
+        config = write_config(tmp_path, self.worst_case_doc(section))
+        assert main(["worst-case", "--config", config]) == 2
+
+    def test_omitted_section_gives_the_defaults(self, tmp_path):
+        omitted = self.worst_case_doc(None)
+        del omitted["optimizer"]
+        defaults = self.worst_case_doc(dataclasses.asdict(SearchOptions()))
+        code, text = run(tmp_path, "worst-case", omitted)
+        assert code == 0
+        assert (code, text) == run(tmp_path, "worst-case", defaults)
+
 
 @st.composite
 def witness_grids(draw):
@@ -569,12 +602,12 @@ def outcome_of(build):
         return DomainError
 
 
-def exit_code(doc) -> int:
+def exit_code(doc, command="worst-case") -> int:
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "config.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        return main(["worst-case", "--config", path])
+        return main([command, "--config", path])
 
 
 class TestConfigRoundTrip:
@@ -681,3 +714,145 @@ class TestConfigRoundTrip:
                 parse_witness(malformed)
             config = {"witness": malformed, "copies": [2] * len(coefficients), "outcome": "0"}
             assert exit_code(config) == 2
+
+
+#: What a section that must be a JSON object may wrongly be; ``null`` means
+#: the defaults for ``optimizer`` only.
+NOT_OBJECTS = st.sampled_from([0, 1.5, [], [{"purity": 0.5}], "", "purity", False, True])
+NOT_NUMBERS = st.sampled_from(["0.5", "1/2", True, False, None, [0.5], {"value": 0.5}])
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+OUTSIDE_UNIT = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False) | st.floats(
+    min_value=1.0, exclude_min=True, allow_infinity=False
+)
+NONPOSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+PRIOR = {"mean": 0.8, "std": 0.1, "p_min": 0.2}
+
+
+def json_copy(doc):
+    return json.loads(json.dumps(doc))
+
+
+def unknown_key(*known):
+    return st.text(min_size=1, max_size=8).filter(lambda key: key not in known)
+
+
+@st.composite
+def entangled_sections(draw):
+    """A valid ``entangled`` section and the model it describes."""
+    doc, step = {}, 0.01
+    if draw(st.booleans()):
+        step = doc["grid_step"] = draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()):
+        doc["purity"] = draw(UNIT)
+        return doc, EntangledStateModel(purity=doc["purity"], grid_step=step)
+    prior = {"mean": draw(UNIT), "std": draw(st.floats(0.05, 10.0)), "p_min": draw(UNIT)}
+    doc["prior"] = prior
+    return doc, EntangledStateModel(prior=TruncatedGaussianPrior(**prior), grid_step=step)
+
+
+#: A cell step too fine for ``PRIOR`` (more than MAX_PRIOR_CELLS cells on
+#: [0.2, 1]), subnormal steps included.
+TOO_FINE = st.floats(min_value=0.0, max_value=0.8 / (MAX_PRIOR_CELLS + 1), exclude_min=True)
+
+MALFORMED_PRIORS = st.one_of(
+    NOT_OBJECTS,
+    st.just(None),
+    st.sampled_from(sorted(PRIOR)).map(lambda key: {k: v for k, v in PRIOR.items() if k != key}),
+    unknown_key(*PRIOR).map(lambda key: {**PRIOR, key: 0.5}),
+    st.builds(lambda key, value: {**PRIOR, key: value}, st.sampled_from(sorted(PRIOR)),
+              NOT_NUMBERS | NON_FINITE),
+    NONPOSITIVE.map(lambda std: {**PRIOR, "std": std}),
+    OUTSIDE_UNIT.map(lambda p_min: {**PRIOR, "p_min": p_min}),
+)
+
+MALFORMED_ENTANGLED = st.one_of(
+    NOT_OBJECTS,
+    st.just(None),
+    st.just({}),
+    st.just({"grid_step": 0.01}),
+    st.just({"purity": 0.8, "prior": PRIOR}),
+    unknown_key("purity", "prior", "grid_step").map(lambda key: {"purity": 0.8, key: 0.01}),
+    (OUTSIDE_UNIT | NOT_NUMBERS | NON_FINITE).map(lambda purity: {"purity": purity}),
+    st.builds(lambda source, step: {**source, "grid_step": step},
+              st.sampled_from([{"purity": 0.8}, {"prior": PRIOR}]),
+              NONPOSITIVE | NOT_NUMBERS | NON_FINITE),
+    TOO_FINE.map(lambda step: {"prior": PRIOR, "grid_step": step}),
+    MALFORMED_PRIORS.map(lambda prior: {"prior": prior}),
+)
+
+MALFORMED_PRIOR_PAIRS = st.one_of(
+    NOT_OBJECTS,
+    st.just(None),
+    st.just({}),
+    unknown_key("entangled").map(lambda key: {"entangled": 0.5, key: 0.5}),
+    (OUTSIDE_UNIT | NOT_NUMBERS | NON_FINITE).map(lambda p: {"entangled": p}),
+)
+
+INTEGER_OPTIONS = ("restarts", "seed", "max_iterations", "anneal_steps")
+NUMBER_OPTIONS = ("xatol", "fatol")
+
+
+@st.composite
+def optimizer_sections(draw):
+    """A valid ``optimizer`` section: some of the ``SearchOptions`` fields."""
+    values = {
+        **{key: st.integers(0, 2**32) for key in INTEGER_OPTIONS},
+        **{key: st.floats(1e-15, 1.0) | st.integers(1, 3) for key in NUMBER_OPTIONS},
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    return {key: draw(values[key]) for key in keys}
+
+
+MALFORMED_OPTIMIZERS = st.one_of(
+    NOT_OBJECTS,
+    unknown_key(*INTEGER_OPTIONS, *NUMBER_OPTIONS).map(lambda key: {key: 1}),
+    st.builds(lambda key, value: {key: value}, st.sampled_from(INTEGER_OPTIONS),
+              st.integers(max_value=-1) | st.floats(allow_nan=False) | NOT_NUMBERS),
+    st.builds(lambda key, value: {key: value}, st.sampled_from(NUMBER_OPTIONS),
+              NONPOSITIVE | NOT_NUMBERS | NON_FINITE),
+)
+
+#: A small ``entcert test`` run that reads all three sections.
+TEST_DOC = {
+    "witness": {"kind": "quadratic", "settings": 1},
+    "copies": [2],
+    "acceptance": {"kind": "threshold", "bound": "1", "direction": "accept_high"},
+    "entangled": {"purity": 0.75},
+    "priors": {"entangled": 0.5},
+    "q_bayes": 0.5,
+}
+
+
+class TestSectionRoundTrip:
+    """The ``entangled``, ``priors`` and ``optimizer`` sections: valid ones parse
+    to the objects they describe, malformed ones exit 2 through the CLI."""
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(entangled_sections())
+    def test_entangled(self, case):
+        doc, model = case
+        assert parse_entangled(json_copy(doc)) == model
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(UNIT)
+    def test_priors(self, p_ent):
+        assert parse_priors(json_copy({"entangled": p_ent})) == PriorPair(p_ent)
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(optimizer_sections(), st.none() | st.integers(0, 2**32))
+    def test_optimizer(self, doc, seed):
+        expected = doc if seed is None else {**doc, "seed": seed}
+        assert parse_optimizer(json_copy(doc), seed) == SearchOptions(**expected)
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            MALFORMED_ENTANGLED.map(lambda section: ("entangled", section)),
+            MALFORMED_PRIOR_PAIRS.map(lambda section: ("priors", section)),
+            MALFORMED_OPTIMIZERS.map(lambda section: ("optimizer", section)),
+        )
+    )
+    def test_malformed_exits_2(self, case):
+        key, section = case
+        assert exit_code({**TEST_DOC, key: section}, "test") == 2

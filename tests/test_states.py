@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from entcert.errors import DomainError
+from entcert.config import parse_entangled
+from entcert.errors import DomainError, SchemaError
 from entcert.finite_stats import CorrelationSetting
 from entcert.states import (
     MAX_PRIOR_CELLS,
@@ -78,6 +79,12 @@ class TestTruncatedPrior:
             prior.discretize(1e-7)
         with pytest.raises(DomainError):
             EntangledStateModel(prior=prior, grid_step=1e-7)
+
+    @pytest.mark.parametrize("step", [1e-320, 5e-324])
+    def test_subnormal_step_is_too_many_cells(self, step):
+        # (1 - p_min) / step overflows to inf; it must not reach round().
+        with pytest.raises(DomainError):
+            TruncatedGaussianPrior(0.8, 0.1, 0.2).discretize(step)
 
 
 class TestMixturePmf:
@@ -167,6 +174,16 @@ class TestEntangledModel:
             EntangledStateModel()
         with pytest.raises(DomainError):
             EntangledStateModel(purity=0.5, prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
+
+    @pytest.mark.parametrize("step", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_grid_step_on_both_branches(self, step):
+        with pytest.raises(DomainError):
+            EntangledStateModel(purity=0.8, grid_step=step)
+        with pytest.raises(DomainError):
+            EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2), grid_step=step)
+        # The config reader turns away non-finite numbers itself, as SchemaError.
+        with pytest.raises((DomainError, SchemaError)):
+            parse_entangled({"purity": 0.8, "grid_step": step})
 
     def test_fixed_purity_pmf(self):
         model = EntangledStateModel(purity=0.75)
