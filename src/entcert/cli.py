@@ -38,6 +38,10 @@ EXIT_SCHEMA = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
+#: Most points a noise curve may hold: round(1 / step) + 1 of them, so the
+#: finest accepted step is a little over 1e-4.
+MAX_CURVE_POINTS = 10_000
+
 
 def _pmf_rows(pmf: OutcomePmf) -> list[dict[str, Any]]:
     return [
@@ -306,7 +310,11 @@ def cmd_noise_curve(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[lis
     step = cfg.number(doc, "step", "config") if "step" in doc else 0.01
     if step <= 0 or step > 1:
         raise SchemaError("step: expected a value in (0, 1]")
-    count = round(1.0 / step)
+    intervals = 1.0 / step
+    # Checked before rounding: a tiny step makes 1 / step inf, which round() rejects.
+    if intervals >= MAX_CURVE_POINTS - 0.5:
+        raise SchemaError(f"step: {step} gives more than {MAX_CURVE_POINTS} curve points")
+    count = round(intervals)
     points = [min(1.0, i * step) for i in range(count + 1)]
     values = [
         {"purity": p, "success_probability": white_noise_success_probability(p, copies, settings)}

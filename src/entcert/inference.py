@@ -98,9 +98,9 @@ def posterior_map(
 ) -> dict[Fraction, float]:
     """Posterior lower bounds for every grid outcome where one is defined."""
     out: dict[Fraction, float] = {}
-    for outcome in ent_pmf.outcomes:
+    for outcome, p_ent in ent_pmf.items():
         mass = pointwise.get(outcome, 0.0)
-        if ent_pmf.probability(outcome) <= 0.0 and mass <= 0.0:
+        if p_ent <= 0.0 and mass <= 0.0:
             continue
         out[outcome] = posterior_lower_bound(outcome, ent_pmf, mass, priors)
     return out
@@ -161,12 +161,12 @@ def neyman_pearson_test(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) 
         raise DomainError("both hypotheses must share one outcome grid")
 
     ranked = []
-    for outcome in sep_pmf.outcomes:
-        ps = sep_pmf.probability(outcome)
-        pe = ent_pmf.probability(outcome)
+    for i, (outcome, ps, pe) in enumerate(
+        zip(sep_pmf.outcomes, sep_pmf.probabilities, ent_pmf.probabilities)
+    ):
         if ps <= 0.0 and pe <= 0.0:
             continue
-        ranked.append((_ratio_key(outcome, pe, ps), outcome, ps))
+        ranked.append((_ratio_key(i, pe, ps), outcome, ps))
     ranked.sort(key=lambda item: item[0])
 
     accepted: list[Fraction] = []
@@ -184,12 +184,13 @@ def neyman_pearson_test(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) 
     return AcceptanceSet.explicit(accepted)
 
 
-def _ratio_key(outcome: Fraction, ent: float, sep: float) -> tuple:
-    """Sort key of the likelihood ratio ent/sep, largest first: infinite
-    ratios lead, and ties go toward larger outcomes."""
+def _ratio_key(index: int, ent: float, sep: float) -> tuple:
+    """Sort key of the likelihood ratio ent/sep at grid position ``index``,
+    largest first: infinite ratios lead, and ties go toward larger grid
+    positions, which are the larger outcomes."""
     if sep <= 0.0:
-        return (0, 0.0, -outcome)
-    return (1, -ent / sep, -outcome)
+        return (0, 0.0, -index)
+    return (1, -ent / sep, -index)
 
 
 # -- acceptance-set construction -------------------------------------------
@@ -221,17 +222,13 @@ class _FeasibilityChecker:
     Candidates are arrays of grid indices.  Feasibility means the worst-case
     acceptance mass stays within budget.  The pool holds every separable
     correlation vector found so far: the pointwise worst cases, then the
-    points that ``check`` finds.  Cheap bounds come first: the sum of
-    pointwise worst cases (an upper bound on the interval worst case)
-    certifies feasibility, and a pool point whose mass overshoots certifies
-    infeasibility.  Undecided candidates get a ``POLISH`` probe seeded from
-    the most threatening pool points; only survivors pay for the full
-    search.  Every probe and full search adds its point to the pool.
+    points that ``check`` finds.  A pool point whose mass overshoots the
+    budget refutes a candidate at once.  Any other candidate gets a
+    ``POLISH`` probe seeded from the most threatening pool points, and only
+    survivors pay for the full search, seeded from the probe's point, which
+    alone can accept.  Every probe and full search adds its point to the
+    pool.
     """
-
-    #: Safety margin of the pointwise-sum shortcut (the pointwise values are
-    #: themselves numeric optima, so a thin slack could be optimizer noise).
-    SUM_MARGIN = 0.01
 
     def __init__(
         self,
@@ -244,8 +241,7 @@ class _FeasibilityChecker:
         self.budget = budget
         self.options = options
         self._points: list[tuple[float, ...]] = []
-        # Column 0 holds the pointwise masses, then one column per pool point.
-        self._columns = [np.array([pointwise[o].objective for o in problem.grid])]
+        self._columns: list[np.ndarray] = []
         self._table: np.ndarray | None = None
         seen = set()
         for result in pointwise.values():
@@ -260,7 +256,7 @@ class _FeasibilityChecker:
 
     @property
     def table(self) -> np.ndarray:
-        """(G, 1 + P) pointwise masses, then the outcome masses of each pool point."""
+        """(G, P) outcome masses of each pool point."""
         if self._table is None:
             self._table = np.column_stack(self._columns)
         return self._table
@@ -270,19 +266,15 @@ class _FeasibilityChecker:
         return frozenset(grid[i] for i in indices)
 
     def check(self, indices: np.ndarray) -> tuple[bool, WorstCaseResult | None]:
-        """(feasible, worst-case result if a full search ran) of the
-        candidate ``indices``.
+        """(feasible, worst-case result of the full search if one ran) of
+        the candidate ``indices``; a feasible candidate always has one.
 
-        The pointwise sum and the pool masses are float sums over
-        ``indices`` in the given order.  The candidate is feasible when the
-        sum is ``SUM_MARGIN`` inside the budget, infeasible when a pool mass
-        exceeds the budget, and otherwise decided by the probe and then the
-        full search, each of which adds its point to the pool.
+        The pool masses are float sums over ``indices`` in the given order.
+        The candidate is infeasible when a pool mass exceeds the budget, and
+        otherwise decided by the probe and then the full search, each of
+        which adds its point to the pool.
         """
-        sums = self.table[indices].sum(axis=0)
-        if sums[0] <= self.budget - self.SUM_MARGIN:
-            return True, None
-        masses = sums[1:]
+        masses = self.table[indices].sum(axis=0)
         if masses.max() > self.budget:
             return False, None
         order = np.argsort(masses)[::-1][:2]
@@ -296,9 +288,6 @@ class _FeasibilityChecker:
         )
         self._add_pool(result.correlations, result.dist)
         return result.objective <= self.budget, result
-
-    def resolve(self, outcomes: frozenset[Fraction]) -> WorstCaseResult:
-        return self.problem.maximize_set(AcceptanceSet.explicit(outcomes), self.options)
 
 
 def max_power_acceptance_set(
@@ -316,9 +305,10 @@ def max_power_acceptance_set(
     ``_constraint_generation`` searches all its subsets exactly, for every
     universe size: a MILP over the pool of separable points proposes the
     most powerful subset, and ``_FeasibilityChecker.check`` verifies it.
-    Powers that differ by more than float noise are ranked exactly; exact
-    power ties may resolve either way.  Returns None when no non-empty
-    subset is feasible.
+    The reported worst case is the full search of the check that accepted
+    the winner.  Powers that differ by more than float noise are ranked
+    exactly; exact power ties may resolve either way.  Returns None when no
+    non-empty subset is feasible.
     """
     opts = options or SearchOptions()
     problem = problem or WorstCaseProblem(witness, tuple(copies))
@@ -347,8 +337,6 @@ def max_power_acceptance_set(
     if not outcomes:
         return None
     acc = AcceptanceSet.explicit(outcomes)
-    if result is None:
-        result = checker.resolve(outcomes)
     return SetSearchOutcome(acc, result, power(acc, ent_pmf), "exhaustive")
 
 
@@ -371,11 +359,12 @@ def _constraint_generation(
     Tie rule: HiGHS returns a subset within 1e-6 / ``_POWER_SCALE`` of the
     best power over the pool, so powers that differ by more than float
     noise are ranked exactly; exact power ties may resolve either way.
-    Returns the empty set when every non-empty subset is refuted.
+    Returns the winner with its accepting check's result, or the empty set
+    and None when every non-empty subset is refuted.
     """
     cuts: list[np.ndarray] = []
     while universe.size:
-        chosen = _max_power_subset(gains, checker.table[universe, 1:], checker.budget, cuts)
+        chosen = _max_power_subset(gains, checker.table[universe], checker.budget, cuts)
         if not chosen.any():
             break
         feasible, result = checker.check(universe[chosen])

@@ -9,6 +9,7 @@ points are retained: acceptance sets are defined over the full grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -81,15 +82,9 @@ class OutcomePmf:
     def probability(self, outcome: RationalLike) -> float:
         """Mass at an exact grid point (0.0 if the point is off the grid)."""
         key = as_fraction(outcome)
-        lo, hi = 0, len(self.outcomes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.outcomes[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.outcomes) and self.outcomes[lo] == key:
-            return self.probabilities[lo]
+        i = bisect_left(self.outcomes, key)
+        if i < len(self.outcomes) and self.outcomes[i] == key:
+            return self.probabilities[i]
         return 0.0
 
     def total_mass(self) -> float:
@@ -103,16 +98,14 @@ class OutcomePmf:
         return math.fsum((float(o) - mu) ** 2 * p for o, p in self.items())
 
     def mass_below(self, bound: RationalLike, inclusive: bool = True) -> float:
-        key = as_fraction(bound)
-        if inclusive:
-            return math.fsum(p for o, p in self.items() if o <= key)
-        return math.fsum(p for o, p in self.items() if o < key)
+        """Mass at outcomes ``<= bound`` (``< bound`` if not ``inclusive``)."""
+        split = bisect_right if inclusive else bisect_left
+        return math.fsum(self.probabilities[: split(self.outcomes, as_fraction(bound))])
 
     def mass_above(self, bound: RationalLike, inclusive: bool = True) -> float:
-        key = as_fraction(bound)
-        if inclusive:
-            return math.fsum(p for o, p in self.items() if o >= key)
-        return math.fsum(p for o, p in self.items() if o > key)
+        """Mass at outcomes ``>= bound`` (``> bound`` if not ``inclusive``)."""
+        split = bisect_left if inclusive else bisect_right
+        return math.fsum(self.probabilities[split(self.outcomes, as_fraction(bound)) :])
 
     def affine(self, scale: RationalLike = 1, shift: RationalLike = 0) -> "OutcomePmf":
         """Pmf of ``scale * X + shift`` with exact rational arithmetic.

@@ -74,6 +74,8 @@ class TruncatedGaussianPrior:
     p_min: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise DomainError(f"mean and std must be finite, got {self.mean} and {self.std}")
         if self.std <= 0.0:
             raise DomainError(f"std must be positive, got {self.std}")
         if not (0.0 <= self.p_min <= 1.0):

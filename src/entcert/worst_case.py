@@ -169,7 +169,7 @@ def _choose(candidates: Sequence[tuple], floored: bool) -> tuple:
 
 def _largest(rows: np.ndarray) -> np.ndarray:
     """Largest absolute entry of every row, 1 for a row of zeros."""
-    largest = np.max(np.abs(rows), axis=1)
+    largest = np.abs(rows).max(axis=1)
     return np.where(largest > 0.0, largest, 1.0)
 
 
@@ -268,9 +268,9 @@ class WorstCaseProblem:
             leader = pick(first, where, points)
             distance_sq = np.vstack(
                 [
-                    np.sum((where - leader) ** 2, axis=2),
-                    np.sum(points * points, axis=1)[:, None]
-                    + np.sum(leader * leader, axis=1)
+                    ((where - leader) ** 2).sum(axis=2),
+                    (points * points).sum(axis=1)[:, None]
+                    + (leader * leader).sum(axis=1)
                     - 2.0 * points @ leader.T,
                 ]
             )
@@ -488,30 +488,30 @@ class WorstCaseProblem:
             if not len(active):
                 break
             # A proposed move gets one trial as it stands.
-            proposed = np.any(proposal[active] != 0.0, axis=1)
+            proposed = (proposal[active] != 0.0).any(axis=1)
             heading = np.where(proposed[:, None], proposal[active], direction[active])
             length = np.where(proposed, 1.0, np.minimum(step[active], _MAX_STEP / _largest(heading)))
             here, slope = point[active], grad[active]
             trial = self.witness.project_batch(here + length[:, None] * heading)
             trial_value, trial_grad = self._engine.value_and_grad(weights[active], trial)
             move = trial - here
-            promise = np.sum(slope * move, axis=1)
-            accept = trial_value >= np.min(recent[active], axis=1) + _ARMIJO * promise
+            promise = (slope * move).sum(axis=1)
+            accept = trial_value >= recent[active].min(axis=1) + _ARMIJO * promise
             # Short enough, the step stays on the segment to the probe and
             # promises a gain of at least 0; below fatol it has collapsed.
-            small = (np.max(np.abs(move), axis=1) <= opts.xatol) & (promise <= opts.fatol)
+            small = (np.abs(move).max(axis=1) <= opts.xatol) & (promise <= opts.fatol)
             done = ~accept & ~proposed & small & (promise >= 0.0)
             step[active] = np.where(proposed, step[active], 0.5 * length)
             proposal[active] = 0.0
 
             taken, moved = active[accept], move[accept]
-            size = np.max(np.abs(moved), axis=1)
+            size = np.abs(moved).max(axis=1)
             reach[taken] = np.clip(size, opts.xatol, _FIRST_STEP)
             turned = self._ascent_directions(trial[accept], trial_grad[accept], reach[taken])
             # Barzilai-Borwein length where the projected gradient turned
             # against the move, a move twice as long where it did not.
-            curvature = -np.sum(moved * (turned - direction[taken]), axis=1)
-            spectral = np.sum(moved * moved, axis=1) / np.where(curvature > 0.0, curvature, 1.0)
+            curvature = -(moved * (turned - direction[taken])).sum(axis=1)
+            spectral = (moved * moved).sum(axis=1) / np.where(curvature > 0.0, curvature, 1.0)
             step[taken] = np.where(curvature > 0.0, spectral, 2.0 * size / _largest(turned))
             settled, proposal[taken] = self._settled(
                 weights[taken], trial[accept], trial_grad[accept], opts
@@ -541,7 +541,7 @@ class WorstCaseProblem:
         proposed move is the sum of every setting's model step.
         """
         reduced = self._ascent_directions(points, grads, np.full(len(points), opts.xatol))
-        settled = opts.xatol * np.sum(np.abs(reduced), axis=1) <= opts.fatol
+        settled = opts.xatol * np.abs(reduced).sum(axis=1) <= opts.fatol
         proposal = np.zeros_like(points)
         near = np.flatnonzero(settled)
         if not len(near):
@@ -553,17 +553,17 @@ class WorstCaseProblem:
         offset = probes.reshape(rows, m, m) - base
         _, probe_grad = self._engine.value_and_grad(np.repeat(weights[near], m, axis=0), probes)
         slope = grads[near][:, None, :]
-        rise = np.sum(slope * offset, axis=2)
-        bend = -np.sum((probe_grad.reshape(rows, m, m) - slope) * offset, axis=2)
+        rise = (slope * offset).sum(axis=2)
+        bend = -((probe_grad.reshape(rows, m, m) - slope) * offset).sum(axis=2)
         # Along each offset that rises, the model peaks rise / bend offsets
         # away and gains rise**2 / (2 bend) there; one that rises without
         # bending down has no peak.
         climbs = (rise > 0.0) & (bend > 0.0)
         peak = np.divide(rise, bend, out=np.zeros_like(rise), where=climbs)
         gain = np.where(climbs, 0.5 * rise * peak, np.where(rise > 0.0, np.inf, 0.0))
-        flat = np.sum(gain, axis=1) <= opts.fatol
+        flat = gain.sum(axis=1) <= opts.fatol
         settled[near] = flat
-        proposal[near[~flat]] = np.sum(peak[:, :, None] * offset, axis=1)[~flat]
+        proposal[near[~flat]] = (peak[:, :, None] * offset).sum(axis=1)[~flat]
         return settled, proposal
 
     def _ascent_directions(

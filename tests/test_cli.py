@@ -12,7 +12,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from entcert.acceptance import AcceptanceSet, snap_to_grid
-from entcert.cli import main, validate_report
+from entcert.cli import MAX_CURVE_POINTS, main, validate_report
 from entcert.config import (
     parse_acceptance,
     parse_entangled,
@@ -290,6 +290,20 @@ class TestNoiseCurve:
         lines = text.strip().splitlines()
         assert lines[0] == "purity,success_probability"
         assert lines[-1] == "1.0,1.0"
+
+    @pytest.mark.parametrize("step", [1e-320, 1e-9, 1e-4])
+    def test_too_fine_step_exits_2(self, tmp_path, step):
+        # 1e-320 overflows 1 / step, 1e-9 would build 10^9 points, and
+        # 1e-4 gives 10,001, one over the cap.
+        doc = {"copies_per_setting": 4, "settings": 2, "step": step}
+        config = write_config(tmp_path, doc)
+        assert main(["noise-curve", "--config", config]) == 2
+
+    def test_finest_step_within_the_cap(self, tmp_path):
+        doc = {"copies_per_setting": 4, "settings": 2, "step": 1 / (MAX_CURVE_POINTS - 1)}
+        code, text = run(tmp_path, "noise-curve", doc, "--format", "csv")
+        assert code == 0
+        assert len(text.strip().splitlines()) == 1 + MAX_CURVE_POINTS
 
 
 class TestSimulate:

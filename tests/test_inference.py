@@ -495,14 +495,47 @@ class TestConstraintGeneration:
         # and only a search finds C.
         hidden = np.array([[0.40, 0.15, 0.35], [0.10, 0.40, 0.35], [0.25, 0.05, 0.10]])
         checker = RecordingChecker(HiddenPoints(hidden), 0.6)
-        for indices in ([2], [0, 2], [0, 1], [1, 2]):
-            checker.check(np.array(indices))
+        for indices in ([0, 2], [0, 1], [1, 2], [2]):
+            feasible, result = checker.check(np.array(indices))
+            assert (result is not None) == (checker.log[-1][1] == 2)
+            if feasible:
+                assert result.objective <= 0.6
         assert checker.log == [
-            ((2,), 0, True),  # pointwise sum 0.25: certified
             ((0, 2), 0, False),  # 0.65 at pool point A
             ((0, 1), 1, False),  # the probe finds 0.70 at C
             ((1, 2), 2, True),  # 0.45 at most: the full search decides
+            # A pointwise sum of 0.25 certifies nothing: only a full
+            # search accepts.
+            ((2,), 2, True),
         ]
+
+    def test_winner_reports_the_search_that_accepted_it(self, monkeypatch):
+        # Pointwise worst cases sum to 0.3, well inside the budget, so a
+        # pointwise-sum bound would accept the winner {0, 1, 2} without a
+        # search; its reported worst case must still come from the check.
+        hidden = np.array([[0.10, 0.05], [0.10, 0.05], [0.10, 0.05]])
+        problem = HiddenPoints(hidden)
+        pointwise = problem.pointwise()
+        assert sum(r.objective for r in pointwise.values()) <= 0.6 - 0.01
+        checks = []
+        check = _FeasibilityChecker.check
+
+        def recorded(self, indices):
+            feasible, result = check(self, indices)
+            checks.append((feasible, result, len(problem.searches)))
+            return feasible, result
+
+        monkeypatch.setattr(_FeasibilityChecker, "check", recorded)
+        ent = OutcomePmf(problem.grid, (0.2, 0.3, 0.5))
+        found = max_power_acceptance_set(
+            SimpleNamespace(), (), ent, 0.6, OPTS, problem=problem, pointwise=pointwise
+        )
+        assert found.acceptance.outcomes == set(problem.grid)
+        feasible, result, searches = checks[-1]
+        assert feasible
+        assert found.worst_case is result
+        assert found.worst_case.objective == pytest.approx(0.3)
+        assert len(problem.searches) == searches
 
     def test_failed_solve_raises(self, monkeypatch):
         def unsolved(*args, **kwargs):

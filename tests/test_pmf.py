@@ -2,10 +2,15 @@
 
 import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from entcert.errors import DomainError
 from entcert.pmf import (
@@ -81,6 +86,39 @@ class TestQueries:
         assert pmf.mass_below(0, inclusive=False) == pytest.approx(0.25)
         assert pmf.mass_above(0) == pytest.approx(0.75)
         assert pmf.mass_above(0, inclusive=False) == pytest.approx(0.25)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        numerators=st.sets(st.integers(-40, 40), min_size=1, max_size=15),
+        denominator=st.integers(1, 12),
+        weights=st.data(),
+        bounds=st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=24), max_size=6
+        ),
+    )
+    def test_reads_match_brute_force_scans(self, numerators, denominator, weights, bounds):
+        outcomes = tuple(sorted(F(v, denominator) for v in numerators))
+        raw = weights.draw(
+            st.lists(st.integers(0, 1000), min_size=len(outcomes), max_size=len(outcomes))
+            .filter(any)
+        )
+        total = sum(raw)
+        pmf = OutcomePmf(outcomes, tuple(w / total for w in raw))
+        # Every grid point, its neighbours off the grid, and random bounds.
+        keys = [*outcomes, *bounds, outcomes[0] - 1, outcomes[-1] + 1]
+        keys += [(a + b) / 2 for a, b in zip(outcomes, outcomes[1:])]
+        for key in keys:
+            scan = dict(pmf.items()).get(key, 0.0)
+            assert pmf.probability(key) == scan
+            for inclusive in (True, False):
+                below = operator.le if inclusive else operator.lt
+                above = operator.ge if inclusive else operator.gt
+                assert pmf.mass_below(key, inclusive) == math.fsum(
+                    p for o, p in pmf.items() if below(o, key)
+                )
+                assert pmf.mass_above(key, inclusive) == math.fsum(
+                    p for o, p in pmf.items() if above(o, key)
+                )
 
     def test_moments(self):
         pmf = OutcomePmf((F(-1), F(1)), (0.5, 0.5))

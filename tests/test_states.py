@@ -66,6 +66,21 @@ class TestTruncatedPrior:
         with pytest.raises(DomainError):
             TruncatedGaussianPrior(0.8, 0.1, 0.2).discretize(0.0)
 
+    @pytest.mark.parametrize(
+        "mean, std",
+        [
+            (float("nan"), 0.1),
+            (float("inf"), 0.1),
+            (-float("inf"), 0.1),
+            (0.8, float("nan")),
+            (0.8, float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_mean_and_std(self, mean, std):
+        # A NaN mean used to give all-NaN cell weights.
+        with pytest.raises(DomainError):
+            TruncatedGaussianPrior(mean, std, 0.2)
+
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_step(self, step):
         with pytest.raises(DomainError):

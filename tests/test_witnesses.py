@@ -1,6 +1,7 @@
 """Witness outcome distributions: paper examples, moments, brute force."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,13 @@ class TestGridEngine:
             one_sided = [(objective(row + e) - objective(row)) / e.sum() for e in inward]
             assert np.all(np.isfinite(grad))
             assert np.max(np.abs(grad - one_sided)) <= 1e-4
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 1000])
+    def test_comb_table_matches_math_comb(self, n):
+        grid = WitnessGrid(LinearWitness([1, 1]), (n, 3))
+        expected = [float(math.comb(n, k)) for k in range(n + 1)] + [0.0] * max(0, 3 - n)
+        assert grid.comb_table[0].tolist() == expected
+        assert grid.comb_table[1, :4].tolist() == [1.0, 3.0, 3.0, 1.0]
 
     def test_gradients_need_direct_binomials(self):
         grid = WitnessGrid(LinearWitness([1]), (1001,))
