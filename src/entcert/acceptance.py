@@ -94,10 +94,6 @@ class AcceptanceSet:
         """Acceptance probability under ``pmf``, gamma-weighted on the boundary."""
         return sum(self.weight(o) * p for o, p in pmf.items())
 
-    def resolve(self, grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Fully accepted grid outcomes, in increasing order."""
-        return tuple(o for o in grid if self.accepts(o))
-
     def validate_on_grid(self, grid: Sequence[Fraction]) -> None:
         """Explicit outcomes (and any boundary) must be actual grid points."""
         points = set(grid)

@@ -11,6 +11,7 @@ frameworks reuse work.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
@@ -34,6 +35,11 @@ from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
 WitnessKind = Literal["linear", "quadratic"]
 Framework = Literal["frequentist", "bayesian"]
+
+#: Allocations that one plan may enumerate at most; each costs a pointwise
+#: search, so a budget past this could not finish.  The 13-copy, 3-setting
+#: plan has 122 and 30 copies over at most 5 settings have 5,325.
+MAX_ALLOCATIONS = 10_000
 
 
 def witness_for(kind: WitnessKind, num_settings: int) -> Witness:
@@ -100,7 +106,11 @@ class Plan:
 
 
 def enumerate_allocations(spec: PlanSpec) -> list[tuple[int, tuple[int, ...]]]:
-    """All candidate (M, copies) pairs in canonical descending multiset form."""
+    """All candidate (M, copies) pairs in canonical descending multiset form.
+
+    Raises DomainError as soon as there would be more than
+    ``MAX_ALLOCATIONS`` of them.
+    """
 
     def partitions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
         if parts == 1:
@@ -111,22 +121,29 @@ def enumerate_allocations(spec: PlanSpec) -> list[tuple[int, tuple[int, ...]]]:
             for tail in partitions(total - head, parts - 1, head):
                 yield (head,) + tail
 
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for m in range(1, spec.max_settings + 1):
-        if spec.equal_allocation_only:
-            if spec.allow_unused_copies:
-                sizes: list[int] = list(range(spec.budget // m, 0, -1))
-            else:
-                sizes = [spec.budget // m] if spec.budget % m == 0 else []
-            for n in sizes:
-                out.append((m, (n,) * m))
-            continue
-        totals = (
-            range(spec.budget, m - 1, -1) if spec.allow_unused_copies else [spec.budget]
+    def candidates() -> Iterator[tuple[int, tuple[int, ...]]]:
+        for m in range(1, spec.max_settings + 1):
+            if spec.equal_allocation_only:
+                if spec.allow_unused_copies:
+                    sizes: list[int] = list(range(spec.budget // m, 0, -1))
+                else:
+                    sizes = [spec.budget // m] if spec.budget % m == 0 else []
+                for n in sizes:
+                    yield m, (n,) * m
+                continue
+            totals = (
+                range(spec.budget, m - 1, -1) if spec.allow_unused_copies else [spec.budget]
+            )
+            for total in totals:
+                for allocation in partitions(total, m, total):
+                    yield m, allocation
+
+    out = list(itertools.islice(candidates(), MAX_ALLOCATIONS + 1))
+    if len(out) > MAX_ALLOCATIONS:
+        raise DomainError(
+            f"budget {spec.budget} over at most {spec.max_settings} settings gives more "
+            f"than {MAX_ALLOCATIONS} allocations"
         )
-        for total in totals:
-            for allocation in partitions(total, m, total):
-                out.append((m, allocation))
     return out
 
 

@@ -107,10 +107,6 @@ def _tally(
 
 def simulate_witness(config: SimulationConfig, witness: Witness) -> OutcomePmf:
     """Empirical witness distribution over the exact outcome grid."""
-    if len(config.copies) != witness.num_settings:
-        raise DomainError(
-            f"witness expects {witness.num_settings} settings, got {len(config.copies)}"
-        )
     correlations = np.array([config.correlations])
     return _tally(witness, config.copies, config.trials, config.seed, correlations, np.ones(1))
 

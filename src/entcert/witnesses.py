@@ -137,18 +137,6 @@ class LinearWitness:
                 return t
         return self.project_batch(rng.uniform(-1.0, 1.0, self.num_settings)[None])[0]
 
-    def boundary(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feasible mask, boundary points and kept mask of box points (B, M):
-        the shift along the coefficients onto the plane, kept inside the box.
-        The witness value is summed one setting at a time, so that each row's
-        rounding does not depend on the number of rows."""
-        coeffs = np.array([float(c) for c in self.coefficients])
-        ideal = sum(points[:, j] * c for j, c in enumerate(coeffs)) + float(self.constant)
-        # Without coefficients there is no plane and no boundary point.
-        weight = float(coeffs @ coeffs) or math.inf
-        boundary = points - (ideal / weight)[:, None] * coeffs
-        return ideal >= 0.0, boundary, (np.abs(boundary) <= 1.0).all(axis=1) & coeffs.any()
-
     def check_separable_region(self) -> None:
         """Raise InfeasibleError when the witness is negative on the whole box."""
         if self.constant + sum(abs(c) for c in self.coefficients) < 0:
@@ -233,16 +221,6 @@ class QuadraticWitness:
                 return t
         t = rng.uniform(0.0, 1.0, m)
         return t / math.sqrt(float(np.sum(t * t))) * rng.uniform(0.0, 1.0) ** (1.0 / m)
-
-    def boundary(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feasible mask, boundary points and kept mask of box points (B, M):
-        the radial scaling onto the unit sphere, which the origin lacks."""
-        square = (points * points).sum(axis=1)
-        # Below the smallest normal float the squared norm has lost its
-        # precision, and so would the scaled point.
-        on_boundary = square >= np.finfo(np.float64).tiny
-        norm = np.sqrt(square)
-        return norm <= 1.0, points / np.where(on_boundary, norm, 1.0)[:, None], on_boundary
 
     def check_separable_region(self) -> None:
         """The region always holds the origin."""

@@ -6,7 +6,7 @@ staying inside the separability region: a nonnegative ideal value for linear
 witnesses, a sum of squares at most 1 for the quadratic witness, and every
 correlation inside [-1, 1].  Such correlations bound what any separable
 state can do even when they correspond to no physical state.  The witness
-class supplies its region's violation, exact projection and boundary points.
+class supplies its region's violation and exact projection.
 
 Every search takes one path: ``_search`` climbs groups of starts by one
 batched projected-gradient ascent on the grid engine's exact gradients
@@ -17,12 +17,11 @@ searches climb the set's weighted mass from the analytic point, any seed
 points and random feasible starts, and a short simulated-annealing walk on a
 penalized objective adds one more start when the restarts stall.
 Single-outcome searches share one deterministic scan of the feasible region
-per problem: a capped lattice of the box plus each lattice point's
-projection onto the separability boundary, evaluated in chunks with the
-batched grid engine, keeps the two best distinct points of every outcome,
-and every outcome climbs from those seeds at once.  Symmetric threshold
-problems additionally have known analytic solutions that seed every search
-and floor the result.
+per problem: a capped lattice of the box, each point projected onto the
+region and evaluated in chunks with the batched grid engine, keeps the best
+point of every outcome, and every outcome climbs from that seed at once.
+Symmetric threshold problems additionally have known analytic solutions
+that seed every search and floor the result.
 """
 
 from __future__ import annotations
@@ -67,14 +66,10 @@ _SCAN_CALL_CAP = 1024
 
 #: Floats that one engine call of the scan or the ascent may hold in its
 #: largest step table, rows x ``WitnessGrid.table_size``.  Each lattice
-#: point adds at most one boundary point (two rows), and a scan call takes
-#: at least 1 and at most ``_SCAN_CALL_CAP`` lattice points.  An ascent row
-#: probes each setting once when it looks flat (M rows), and an ascent call
-#: takes at least 1 row.
+#: point is one row, and a scan call takes at least 1 and at most
+#: ``_SCAN_CALL_CAP`` lattice points.  An ascent row probes each setting
+#: once when it looks flat (M rows), and an ascent call takes at least 1 row.
 _SCAN_FLOATS = 2**20
-
-#: Scan points closer than this (Euclidean) count as one seed.
-_SCAN_SEED_SEPARATION = 1e-6
 
 #: Weight of the exterior quadratic penalty on constraint violations in the
 #: objective of the annealing walk.
@@ -119,8 +114,8 @@ class SearchOptions:
     from ``seed``, to the analytic point and any seed points until there are
     ``restarts`` starts, and a stalled search gets an annealing walk of
     ``anneal_steps`` steps.  Pointwise searches start from the analytic
-    point and the scan, and use only ``max_iterations``, ``xatol`` and
-    ``fatol``.
+    point and the best scan point, and use only ``max_iterations``,
+    ``xatol`` and ``fatol``.
     """
 
     restarts: int = 32
@@ -224,60 +219,33 @@ class WorstCaseProblem:
             cells = np.sort(corners)
         return cells, np.linspace(self.witness.low, 1.0, per_axis)
 
-    def _scan_points(self, cells: range | np.ndarray, axis: np.ndarray) -> np.ndarray:
-        """Feasible lattice points, each followed by its boundary point (see
-        the witness's ``boundary``); a boundary point it does not keep is
-        dropped."""
-        digits = np.unravel_index(cells, (len(axis),) * len(self.copies))
-        points = axis[np.stack(digits, axis=1)]
-        feasible, boundary, on_boundary = self.witness.boundary(points)
-        keep = np.stack([feasible, on_boundary], axis=1).ravel()
-        return np.stack([points, boundary], axis=1).reshape(-1, points.shape[1])[keep]
-
     @cached_property
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Best two distinct scan points of every outcome.
+        """Best scan point of every outcome: its mass (G,) and the point
+        itself (G, M).
 
-        Returns their masses (2, G), -inf where an outcome has no second
-        distinct point, and the points themselves (2, G, M).  The scan runs
-        in chunks of at most ``_SCAN_CALL_CAP`` lattice points, fewer where
-        ``_SCAN_FLOATS`` asks for it; ties go to the earlier point in
-        lattice order, so the result does not depend on the chunk size.
+        The scan points are the lattice points projected onto the region
+        (``project_batch``): a feasible point stays, an infeasible one moves
+        to its nearest feasible point.  The scan runs in chunks of at most
+        ``_SCAN_CALL_CAP`` lattice points, fewer where ``_SCAN_FLOATS`` asks
+        for it; ties go to the earlier point in lattice order (the first
+        within a chunk, the held one across chunks), so the result does not
+        depend on the chunk size.
         """
         self.witness.check_separable_region()
         cells, axis = self._scan_lattice()
-        per_call = max(1, min(_SCAN_CALL_CAP, _SCAN_FLOATS // (2 * self._engine.table_size)))
-        columns = np.arange(len(self.grid))
-        best = np.full((2, len(self.grid)), -np.inf)
-        where = np.zeros((2, len(self.grid), len(self.copies)))
-
-        def pick(rows, held, chunk):
-            chosen = held[np.minimum(rows, 1), columns]
-            new = rows >= 2
-            chosen[new] = chunk[rows[new] - 2]
-            return chosen
-
+        per_call = max(1, min(_SCAN_CALL_CAP, _SCAN_FLOATS // self._engine.table_size))
+        best = np.full(len(self.grid), -np.inf)
+        where = np.zeros((len(self.grid), len(self.copies)))
+        shape = (len(axis),) * len(self.copies)
         for start in range(0, len(cells), per_call):
-            points = self._scan_points(cells[start : start + per_call], axis)
-            if not len(points):
-                continue
-            # Rows 0-1 of each column are the outcome's current two best,
-            # the rest are this chunk's points.
-            mass = np.vstack([best, self._engine.pmf_batch(points)])
-            first = np.argmax(mass, axis=0)
-            leader = pick(first, where, points)
-            distance_sq = np.vstack(
-                [
-                    ((where - leader) ** 2).sum(axis=2),
-                    (points * points).sum(axis=1)[:, None]
-                    + (leader * leader).sum(axis=1)
-                    - 2.0 * points @ leader.T,
-                ]
-            )
-            apart = np.where(distance_sq > _SCAN_SEED_SEPARATION**2, mass, -np.inf)
-            second = np.argmax(apart, axis=0)
-            best = np.stack([mass[first, columns], apart[second, columns]])
-            where = np.stack([leader, pick(second, where, points)])
+            digits = np.unravel_index(cells[start : start + per_call], shape)
+            points = self.witness.project_batch(axis[np.stack(digits, axis=1)])
+            mass = self._engine.pmf_batch(points)
+            first, top = np.argmax(mass, axis=0), mass.max(axis=0)
+            better = top > best
+            best[better] = top[better]
+            where[better] = points[first[better]]
         return best, where
 
     # -- search ------------------------------------------------------------
@@ -366,20 +334,17 @@ class WorstCaseProblem:
         """Worst cases of the outcomes at ``indices``, one result each.
 
         Every outcome is one group of ``_search``, whose starts are the
-        analytic worst case where one applies and its two best scan points,
-        and every row is computed on its own, so an outcome's result does not
+        analytic worst case where one applies and its best scan point, and
+        every row is computed on its own, so an outcome's result does not
         depend on the others searched with it.  Only ``max_iterations``,
         ``xatol`` and ``fatol`` of the options apply.  An outcome's result is
         ``converged`` when the row that gave its point met its stopping test
         within ``max_iterations``.
         """
         opts = options or SearchOptions()
-        mass, where = self._scan
+        _, where = self._scan
         analytic = self._analytic_start()
-        groups = [
-            analytic + [where[r, index] for r in range(2) if mass[r, index] > -np.inf]
-            for index in indices
-        ]
+        groups = [analytic + [where[index]] for index in indices]
         owners = np.asarray(indices, dtype=np.int64)
         grid = np.arange(len(self.grid))
         found = self._search(

@@ -281,6 +281,19 @@ class TestPlan:
         config = write_config(tmp_path, doc)
         assert main(["plan", "--config", config]) == 3
 
+    def test_budget_with_too_many_allocations_exits_2(self, tmp_path, capsys):
+        doc = {
+            "witness_kind": "quadratic",
+            "budget": 100_000,
+            "max_settings": 4,
+            "min_validity": 0.7,
+            "framework": "frequentist",
+            "entangled": {"purity": 0.8},
+            "priors": {"entangled": 0.6667},
+        }
+        assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
+        assert "allocations" in capsys.readouterr().err
+
 
 class TestNoiseCurve:
     def test_edges_and_format(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from entcert.errors import DomainError, InfeasibleError
 from entcert.inference import PriorPair
 from entcert.planner import (
+    MAX_ALLOCATIONS,
     PlanEvaluator,
     PlanSpec,
     best_equal_split,
@@ -53,6 +54,15 @@ class TestEnumeration:
             assert len(alloc) == m
             assert sum(alloc) <= 13
             assert tuple(sorted(alloc, reverse=True)) == alloc
+
+    def test_thirty_copies_over_five_settings_still_enumerate(self):
+        allocations = enumerate_allocations(PlanSpec(30, 5, 0.7, "frequentist"))
+        assert len(allocations) == 5325 <= MAX_ALLOCATIONS
+
+    def test_too_many_allocations_rejected(self):
+        # 4 settings of up to 100,000 copies would give billions.
+        with pytest.raises(DomainError, match="allocations"):
+            enumerate_allocations(PlanSpec(100_000, 4, 0.7, "frequentist"))
 
     def test_single_copy_budget(self):
         spec = PlanSpec(1, 3, 0.7, "frequentist")

@@ -83,6 +83,10 @@ class TestSimulation:
         second = simulate_witness(cfg, w)
         assert first.probabilities == second.probabilities
 
+    def test_settings_count_must_match_the_witness(self):
+        with pytest.raises(DomainError, match="witness expects 3 settings, got 2"):
+            simulate_witness(SimulationConfig([0.5, 0.5], [4, 4], 100, seed=1), QuadraticWitness(3))
+
     def test_different_seeds_differ(self):
         w = LinearWitness([1, -1], 1)
         a = simulate_witness(SimulationConfig([-0.5, 0.5], [10, 10], 100_000, 1), w)

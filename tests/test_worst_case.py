@@ -558,18 +558,30 @@ class TestScan:
         assert run(SearchOptions(restarts=3, seed=1)) == reference
 
     @staticmethod
-    def scan_rows(problem):
-        """Rows of every pmf_batch call that the problem's scan makes."""
-        rows = []
+    def scan_calls(problem):
+        """Points of every pmf_batch call that the problem's scan makes."""
+        calls = []
         batch = problem._engine.pmf_batch
 
         def counted(points):
-            rows.append(len(points))
+            calls.append(np.array(points))
             return batch(points)
 
         problem._engine.pmf_batch = counted
         problem._scan
-        return rows
+        return calls
+
+    @pytest.mark.parametrize("witness,copies", SMALL)
+    def test_scan_is_the_first_argmax_over_the_projected_lattice(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        cells, axis = problem._scan_lattice()
+        digits = np.unravel_index(cells, (len(axis),) * len(copies))
+        points = witness.project_batch(axis[np.stack(digits, axis=1)])
+        mass = problem._engine.pmf_batch(points)
+        first = np.argmax(mass, axis=0)
+        best, where = problem._scan
+        assert np.array_equal(best, mass[first, np.arange(len(problem.grid))])
+        assert np.array_equal(where, points[first])
 
     @pytest.mark.parametrize("m", [16, 21])
     def test_scan_is_capped(self, m):
@@ -577,13 +589,16 @@ class TestScan:
         cells, axis = problem._scan_lattice()
         assert len(cells) == worst_case._SCAN_LATTICE_CAP == len(set(cells.tolist()))
         assert list(axis) == [-1.0, 1.0]
-        rows = self.scan_rows(problem)
+        calls = self.scan_calls(problem)
+        rows = [len(points) for points in calls]
         assert max(rows) * problem._engine.table_size <= worst_case._SCAN_FLOATS
-        assert max(rows) <= 2 * 1024
-        assert sum(rows) <= 2 * worst_case._SCAN_LATTICE_CAP
+        assert max(rows) <= 1024
+        assert sum(rows) == worst_case._SCAN_LATTICE_CAP
+        # Every scan point, and so every seed, lies in the region.
+        assert max(problem.witness.violation(t) for points in calls for t in points) <= 1e-9
         mass, where = problem._scan
-        assert np.all(np.isfinite(mass[0]))
-        assert max(problem.witness.violation(t) for t in where[0]) <= 1e-9
+        assert np.all(np.isfinite(mass))
+        assert max(problem.witness.violation(t) for t in where) <= 1e-9
 
     @pytest.mark.parametrize("m,per_axis", [(1, 32), (2, 32), (3, 32), (4, 13), (5, 8)])
     def test_scan_is_capped_per_axis(self, m, per_axis):
@@ -594,7 +609,7 @@ class TestScan:
         assert list(cells) == list(range(per_axis**m))
 
     @pytest.mark.parametrize(
-        "floats,lattice,points", [(1, 64, 1), (2**12, 64, 16), (2**20, 32_768, 1024)]
+        "floats,lattice,points", [(1, 64, 1), (2**12, 64, 32), (2**20, 32_768, 1024)]
     )
     def test_scan_chunk_is_sized_by_the_grid(self, floats, lattice, points, monkeypatch):
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", floats)
@@ -602,18 +617,10 @@ class TestScan:
         problem = WorstCaseProblem(LinearWitness([1, F(1, 5), F(1, 25)], 1), (4, 4, 4))
         # 25 partial sums x 5 counts in the last step.
         assert problem._engine.table_size == 125
-        cells = []
-        scan_points = problem._scan_points
-
-        def counted(chunk, axis):
-            cells.append(len(chunk))
-            return scan_points(chunk, axis)
-
-        problem._scan_points = counted
-        rows = self.scan_rows(problem)
-        assert max(cells) == points
-        assert max(rows) <= 2 * points
-        assert max(rows) * 125 <= max(floats, 2 * 125)
+        # One row per lattice point.
+        rows = [len(points) for points in self.scan_calls(problem)]
+        assert max(rows) == points
+        assert max(rows) * 125 <= max(floats, 125)
 
 
 class TestLimits:
