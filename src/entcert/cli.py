@@ -28,7 +28,7 @@ from .planner import (
     optimize_plan,
     rank_allocations,
 )
-from .simulate import SimulationConfig, chi_square_compare, simulate_witness
+from .simulate import chi_square_compare, simulate_witness
 from .states import white_noise_success_probability
 from .witnesses import witness_pmf
 from .worst_case import WorstCaseProblem, WorstCaseResult
@@ -328,24 +328,14 @@ def cmd_noise_curve(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[lis
 
 
 def cmd_simulate(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]], int]:
-    cfg.check_keys(
-        doc, "config", {"witness", "correlations", "copies", "trials"}, {"seed"}
-    )
-    witness = cfg.parse_witness(doc["witness"])
-    correlations = cfg.number_list(doc["correlations"], "correlations")
-    copies = cfg.integer_list(doc["copies"], "copies")
-    trials = cfg.integer(doc, "trials", "config")
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError("seed: expected an integer")
-    sim = SimulationConfig(correlations, copies, trials, seed)
+    witness, sim = cfg.parse_simulation(doc, args.seed)
     empirical = simulate_witness(sim, witness)
-    exact = witness_pmf(_settings(correlations, copies), witness)
-    comparison = chi_square_compare(empirical, exact, trials)
+    exact = witness_pmf(_settings(sim.correlations, sim.copies), witness)
+    comparison = chi_square_compare(empirical, exact, sim.trials)
     report = {
         "command": "simulate",
-        "trials": trials,
-        "seed": seed,
+        "trials": sim.trials,
+        "seed": sim.seed,
         "empirical": _pmf_rows(empirical),
         "exact": _pmf_rows(exact),
         "chi_square": {

@@ -16,6 +16,7 @@ from .acceptance import AcceptanceSet, snap_to_grid
 from .errors import SchemaError
 from .inference import PriorPair
 from .pmf import as_fraction
+from .simulate import SimulationConfig
 from .states import EntangledStateModel, TruncatedGaussianPrior
 from .witnesses import LinearWitness, QuadraticWitness, Witness
 from .worst_case import SearchOptions
@@ -177,6 +178,22 @@ def parse_optimizer(doc: Any, seed_override: int | None, where: str = "optimizer
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return SearchOptions(**kwargs)
+
+
+def parse_simulation(doc: Any, seed_override: int | None) -> tuple[Witness, SimulationConfig]:
+    """The witness and the run of a ``simulate`` config.  The seed comes
+    from ``seed_override``, else the config, else 0; ``SimulationConfig``
+    rejects out-of-range values, ``trials`` above ``MAX_TRIALS`` among
+    them, with DomainError before any draw."""
+    check_keys(doc, "config", {"witness", "correlations", "copies", "trials"}, {"seed"})
+    witness = parse_witness(doc["witness"])
+    correlations = number_list(doc["correlations"], "correlations")
+    copies = integer_list(doc["copies"], "copies")
+    trials = integer(doc, "trials", "config")
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaError("seed: expected an integer")
+    return witness, SimulationConfig(correlations, copies, trials, seed)
 
 
 def parse_signs(doc: Mapping[str, Any], count: int, default: tuple[int, ...], where: str = "signs") -> tuple[int, ...]:

@@ -25,6 +25,13 @@ from .pmf import OutcomePmf
 from .witnesses import Witness
 from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
+#: Tie rule of every budget comparison: a separable mass at most this far
+#: above a budget meets the budget.  It absorbs float noise only: the worst
+#: case of {1/9, 3} at copies (3, 2, 2) is exactly 3/10, and searches from
+#: different seeds land within 1e-13 of it on either side, so a set whose
+#: mass equals its budget is feasible whatever the seed.
+TIE_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class PriorPair:
@@ -172,7 +179,7 @@ def neyman_pearson_test(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) 
     accepted: list[Fraction] = []
     used = 0.0
     for _, outcome, ps in ranked:
-        if used + ps <= alpha + 1e-12 or ps <= 0.0:
+        if used + ps <= alpha + TIE_TOLERANCE or ps <= 0.0:
             accepted.append(outcome)
             used += ps
             continue
@@ -270,24 +277,26 @@ class _FeasibilityChecker:
         the candidate ``indices``; a feasible candidate always has one.
 
         The pool masses are float sums over ``indices`` in the given order.
-        The candidate is infeasible when a pool mass exceeds the budget, and
-        otherwise decided by the probe and then the full search, each of
-        which adds its point to the pool.
+        Every test allows ``TIE_TOLERANCE`` above the budget: the candidate
+        is infeasible when a pool mass exceeds that, and otherwise the probe
+        may refute it in the same way and the full search decides it, each
+        of them adding its point to the pool.
         """
+        cap = self.budget + TIE_TOLERANCE
         masses = self.table[indices].sum(axis=0)
-        if masses.max() > self.budget:
+        if masses.max() > cap:
             return False, None
         order = np.argsort(masses)[::-1][:2]
         acc = AcceptanceSet.explicit(self.outcomes(indices))
         probe = self.problem.maximize_set(acc, POLISH, seed_points=[self._points[i] for i in order])
         self._add_pool(probe.correlations, probe.dist)
-        if probe.objective > self.budget:
+        if probe.objective > cap:
             return False, None
         result = self.problem.maximize_set(
             acc, self.options, seed_points=[probe.correlations]
         )
         self._add_pool(result.correlations, result.dist)
-        return result.objective <= self.budget, result
+        return result.objective <= cap, result
 
 
 def max_power_acceptance_set(
@@ -301,7 +310,8 @@ def max_power_acceptance_set(
 ) -> SetSearchOutcome | None:
     """Power-maximizing explicit acceptance set with worst-case mass in budget.
 
-    The universe is the outcomes that add power and fit the budget alone.
+    The universe is the outcomes that add power and fit the budget alone,
+    and every budget comparison allows ``TIE_TOLERANCE``.
     ``_constraint_generation`` searches all its subsets exactly, for every
     universe size: a MILP over the pool of separable points proposes the
     most powerful subset, and ``_FeasibilityChecker.check`` verifies it.
@@ -326,7 +336,8 @@ def max_power_acceptance_set(
     universe = [
         i
         for i, o in enumerate(problem.grid)
-        if ent_pmf.probabilities[i] > 0.0 and pointwise[o].objective <= max_sep_mass
+        if ent_pmf.probabilities[i] > 0.0
+        and pointwise[o].objective <= max_sep_mass + TIE_TOLERANCE
     ]
     # Ascending mass fixes the order in which ``check`` adds the masses.
     universe.sort(key=lambda i: (ent_pmf.probabilities[i], problem.grid[i]))
@@ -351,10 +362,11 @@ def _constraint_generation(
     every pool point's mass within the budget.  ``check`` then verifies the
     winner.  A refuted winner is cut off with a no-good cut, and its probe
     or full search has usually added the pool point that refutes it and
-    its neighbours.  The pool constraints sit at the budget itself, so a
-    winner may fit them only within HiGHS's feasibility tolerance; ``check``
-    then refutes it on its float pool masses, and the cut alone removes it.
-    Each subset is checked at most once, so the loop ends.
+    its neighbours.  The pool constraints sit at the budget plus
+    ``TIE_TOLERANCE``, the bound that ``check`` applies, so a winner may fit
+    them only within HiGHS's feasibility tolerance; ``check`` then refutes
+    it on its float pool masses, and the cut alone removes it.  Each subset
+    is checked at most once, so the loop ends.
 
     Tie rule: HiGHS returns a subset within 1e-6 / ``_POWER_SCALE`` of the
     best power over the pool, so powers that differ by more than float
@@ -387,12 +399,14 @@ def _max_power_subset(
     gains: np.ndarray, masses: np.ndarray, budget: float, cuts: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Boolean mask of the subset of largest gain whose (N, P) ``masses``
-    sum within ``budget`` in every column, excluding each subset of
-    ``cuts`` by its no-good cut sum(x in S) - sum(x not in S) <= |S| - 1."""
+    sum to at most ``budget + TIE_TOLERANCE`` in every column, excluding
+    each subset of ``cuts`` by its no-good cut
+    sum(x in S) - sum(x not in S) <= |S| - 1."""
     from scipy.optimize import Bounds, LinearConstraint
 
     rows = [masses.T, *(np.where(cut, 1.0, -1.0)[None] for cut in cuts)]
-    upper = [np.full(masses.shape[1], budget), *(np.array([cut.sum() - 1.0]) for cut in cuts)]
+    cap = budget + TIE_TOLERANCE
+    upper = [np.full(masses.shape[1], cap), *(np.array([cut.sum() - 1.0]) for cut in cuts)]
     with _stdout_silenced():
         found = milp(
             -_POWER_SCALE * gains,

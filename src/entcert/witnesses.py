@@ -129,14 +129,6 @@ class LinearWitness:
         projected[short] = np.clip(start + lam[:, None] * coeffs, -1.0, 1.0)
         return projected
 
-    def sample_separable(self, rng: np.random.Generator) -> np.ndarray:
-        """A random point of the separable region."""
-        for _ in range(64):
-            t = rng.uniform(-1.0, 1.0, self.num_settings)
-            if self.violation(t) == 0.0:
-                return t
-        return self.project_batch(rng.uniform(-1.0, 1.0, self.num_settings)[None])[0]
-
     def check_separable_region(self) -> None:
         """Raise InfeasibleError when the witness is negative on the whole box."""
         if self.constant + sum(abs(c) for c in self.coefficients) < 0:
@@ -211,16 +203,6 @@ class QuadraticWitness:
         t = np.maximum(np.asarray(points, dtype=np.float64), 0.0)
         norm = np.sqrt((t * t).sum(axis=1))
         return t / np.maximum(norm, 1.0)[:, None]
-
-    def sample_separable(self, rng: np.random.Generator) -> np.ndarray:
-        """A random point of the separable region."""
-        m = self.num_settings
-        for _ in range(64):
-            t = rng.uniform(0.0, 1.0, m)
-            if float(np.sum(t * t)) <= 1.0:
-                return t
-        t = rng.uniform(0.0, 1.0, m)
-        return t / math.sqrt(float(np.sum(t * t))) * rng.uniform(0.0, 1.0) ** (1.0 / m)
 
     def check_separable_region(self) -> None:
         """The region always holds the origin."""

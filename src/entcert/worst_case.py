@@ -11,17 +11,18 @@ class supplies its region's violation and exact projection.
 Every search takes one path: ``_search`` climbs groups of starts by one
 batched projected-gradient ascent on the grid engine's exact gradients
 (``WitnessGrid.value_and_grad``), one row per start, and ``_result`` checks
-the chosen point and re-evaluates it exactly.  The ascent projects every
-start onto the region, so starts may lie outside it.  Acceptance-set
-searches climb the set's weighted mass from the analytic point, any seed
-points and random feasible starts, and a short simulated-annealing walk on a
-penalized objective adds one more start when the restarts stall.
-Single-outcome searches share one deterministic scan of the feasible region
-per problem: a capped lattice of the box, each point projected onto the
-region and evaluated in chunks with the batched grid engine, keeps the best
-point of every outcome, and every outcome climbs from that seed at once.
-Symmetric threshold problems additionally have known analytic solutions
-that seed every search and floor the result.
+the point of the best candidate and re-evaluates it exactly.  The ascent
+projects every start onto the region, so starts may lie outside it.
+Acceptance-set searches climb the set's weighted mass from the analytic
+point, any seed points and random points of the box, all drawn from one
+generator, and a short simulated-annealing walk on a penalized objective
+adds one more start when the restarts stall.  Single-outcome searches share
+one deterministic scan of the feasible region per problem: a capped lattice
+of the box, each point projected onto the region and evaluated in chunks
+with the batched grid engine, keeps the best point of every outcome, and
+every outcome climbs from that seed at once.  Symmetric threshold problems
+additionally have known analytic solutions; as the first start of every
+search, they floor its result.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ _ANNEAL_FACTOR = 0.95
 #: An ascent row improves on the best value so far only by more than this.
 _STALL_TOLERANCE = 1e-6
 
-#: Candidates within this of the best value tie, which only absorbs float
-#: noise between points that reach the same value; the smallest point wins.
-_TIE_TOLERANCE = 1e-12
-
 #: Largest entry of the first step of the ascent, and of the
 #: probe that projects its gradients (see ``_ascent_directions``).
 _FIRST_STEP = 0.1
@@ -110,11 +107,12 @@ class SearchOptions:
     Every start gets one row of the gradient ascent (see
     ``WorstCaseProblem._ascend``), of at most ``max_iterations`` trial
     steps, stopping where no move of largest entry ``xatol`` gains more than
-    ``fatol``.  Acceptance-set searches add random feasible starts, drawn
-    from ``seed``, to the analytic point and any seed points until there are
-    ``restarts`` starts, and a stalled search gets an annealing walk of
-    ``anneal_steps`` steps.  Pointwise searches start from the analytic
-    point and the best scan point, and use only ``max_iterations``,
+    ``fatol``.  Acceptance-set searches add random points of the box, drawn
+    from one generator seeded with ``seed`` and projected by the ascent, to
+    the analytic point and any seed points until there are ``restarts``
+    starts, and a stalled search gets an annealing walk of ``anneal_steps``
+    steps from the same generator.  Pointwise searches start from the
+    analytic point and the best scan point, and use only ``max_iterations``,
     ``xatol`` and ``fatol``.
     """
 
@@ -152,14 +150,10 @@ class WorstCaseResult:
     converged: bool
 
 
-def _choose(candidates: Sequence[tuple], floored: bool) -> tuple:
-    """The candidate (value, point, unfinished) with the smallest (point,
-    unfinished) among those within ``_TIE_TOLERANCE`` of the best value and,
-    when ``floored``, at least the first candidate's value: the analytic
-    start's, which a search never settles below."""
-    best = max(candidate[0] for candidate in candidates)
-    cut = max(best - _TIE_TOLERANCE, candidates[0][0] if floored else -np.inf)
-    return min((c for c in candidates if c[0] >= cut), key=lambda c: c[1:])
+def _best(candidates: Sequence[tuple]) -> tuple:
+    """The candidate (value, point, unfinished) of largest value; an exact
+    tie goes to the first in start order."""
+    return max(candidates, key=lambda candidate: candidate[0])
 
 
 def _largest(rows: np.ndarray) -> np.ndarray:
@@ -259,25 +253,26 @@ class WorstCaseProblem:
         """Worst-case probability of landing in the acceptance set.
 
         One group of starts climbs the set's weighted mass (``_search``):
-        the analytic point, the seed points as given, and random feasible
-        starts until there are ``restarts`` starts.  The search stalls when
-        none of the last max(2, B/2) of the B rows, in start order, ends more
-        than ``_STALL_TOLERANCE`` above every row before it; then a
-        Metropolis walk on the penalized objective (``_anneal``) starts from
+        the analytic point, the seed points as given, and random points of
+        the box until there are ``restarts`` starts, all drawn from one
+        generator seeded with ``seed``; the ascent projects them onto the
+        region.  The search stalls when none of the last max(2, B/2) of the
+        B rows, in start order, ends more than ``_STALL_TOLERANCE`` above
+        every row before it; then a Metropolis walk on the penalized
+        objective (``_anneal``), drawing from the same generator, starts from
         the best candidate, and one more row climbs from where it ends.  The
-        result is ``converged`` when at least 3 candidates (every candidate,
-        if fewer) lie within 1e-3 of the best.  With no start at all it
-        raises DomainError.
+        result is the best candidate (``_best``), so never below the
+        analytic start's, and it is ``converged`` when at least 3 candidates
+        (every candidate, if fewer) lie within 1e-3 of the best.  With no
+        start at all it raises DomainError.
         """
         weights = self.outcome_weights(acc)
         opts = options or SearchOptions()
         self.witness.check_separable_region()
-        analytic = self._analytic_start()
-        starts = analytic + list(seed_points)
-        seeds = np.random.SeedSequence(opts.seed).spawn(opts.restarts + 1)
-        rng_pool = [np.random.default_rng(s) for s in seeds]
-        while len(starts) < opts.restarts:
-            starts.append(self.witness.sample_separable(rng_pool[len(starts) % opts.restarts]))
+        starts = self._analytic_start() + list(seed_points)
+        rng = np.random.default_rng(opts.seed)
+        shape = (max(0, opts.restarts - len(starts)), len(self.copies))
+        starts += list(rng.uniform(self.witness.low, 1.0, shape))
 
         def rows(owner):
             return np.broadcast_to(weights, (len(owner), len(self.grid)))
@@ -297,12 +292,11 @@ class WorstCaseProblem:
             def penalized_negative(t) -> float:
                 return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
 
-            best_point = np.array(max(candidates)[1])
-            annealed = self._anneal(best_point, penalized_negative, rng_pool[-1], opts)
+            best_point = np.array(_best(candidates)[1])
+            annealed = self._anneal(best_point, penalized_negative, rng, opts)
             candidates += self._search(rows, [[annealed]], opts)[0]
 
-        _, chosen, _ = _choose(candidates, floored=bool(analytic))
-        best_value = max(value for value, _, _ in candidates)
+        best_value, chosen, _ = _best(candidates)
         near_best = sum(1 for value, _, _ in candidates if value >= best_value - 1e-3)
         return self._result(
             chosen,
@@ -338,8 +332,8 @@ class WorstCaseProblem:
         every row is computed on its own, so an outcome's result does not
         depend on the others searched with it.  Only ``max_iterations``,
         ``xatol`` and ``fatol`` of the options apply.  An outcome's result is
-        ``converged`` when the row that gave its point met its stopping test
-        within ``max_iterations``.
+        its best candidate (``_best``), and it is ``converged`` when the row
+        that gave its point met its stopping test within ``max_iterations``.
         """
         opts = options or SearchOptions()
         _, where = self._scan
@@ -352,7 +346,7 @@ class WorstCaseProblem:
         )
         results = []
         for index, starts, candidates in zip(indices, groups, found):
-            _, chosen, unfinished = _choose(candidates, floored=bool(analytic))
+            _, chosen, unfinished = _best(candidates)
             results.append(
                 self._result(
                     chosen,

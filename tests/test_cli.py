@@ -4,10 +4,11 @@ import dataclasses
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,13 @@ from entcert.config import (
     parse_entangled,
     parse_optimizer,
     parse_priors,
+    parse_simulation,
     parse_witness,
 )
 from entcert.errors import DomainError, SchemaError
 from entcert.inference import PriorPair
 from entcert.pmf import format_fraction, round_fraction
+from entcert.simulate import MAX_TRIALS
 from entcert.states import MAX_PRIOR_CELLS, EntangledStateModel, TruncatedGaussianPrior
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid
 from entcert.worst_case import SearchOptions, WorstCaseProblem
@@ -359,6 +362,18 @@ class TestSimulate:
         assert code == 0
         for line in text.strip().splitlines()[1:]:
             float(line.split(",")[2])
+
+    def test_trials_beyond_the_cap_exit_2_at_once(self, tmp_path):
+        # 10^12 trials would draw some 15 million chunks.
+        doc = {
+            "witness": {"kind": "quadratic", "settings": 5},
+            "correlations": [0.75] * 5,
+            "copies": [4] * 5,
+            "trials": 1_000_000_000_000,
+        }
+        start = time.perf_counter()
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+        assert time.perf_counter() - start < 5.0
 
 
 class TestSchemaErrors:
@@ -840,6 +855,57 @@ MALFORMED_OPTIMIZERS = st.one_of(
               NONPOSITIVE | NOT_NUMBERS | NON_FINITE),
 )
 
+
+@st.composite
+def simulate_configs(draw):
+    """A valid ``simulate`` config: a witness of 1 to 3 settings, its
+    correlations and copies, the trials and perhaps a seed."""
+    m = draw(st.integers(1, 3))
+    witness = draw(
+        st.sampled_from(
+            [
+                {"kind": "quadratic", "settings": m},
+                {"kind": "linear", "coefficients": ["1/2"] * m, "constant": "-1/4"},
+            ]
+        )
+    )
+    doc = {
+        "witness": witness,
+        "correlations": draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)),
+        "copies": draw(st.lists(st.integers(1, 1000), min_size=m, max_size=m)),
+        "trials": draw(st.integers(1, MAX_TRIALS)),
+    }
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(0, 2**64 - 1))
+    return doc
+
+
+SIMULATE_DOC = {
+    "witness": {"kind": "quadratic", "settings": 2},
+    "correlations": [0.75, -0.75],
+    "copies": [10, 10],
+    "trials": 1000,
+}
+
+MALFORMED_SIMULATIONS = st.one_of(
+    NOT_OBJECTS,
+    st.sampled_from(sorted(SIMULATE_DOC)).map(
+        lambda key: {k: v for k, v in SIMULATE_DOC.items() if k != key}
+    ),
+    unknown_key(*SIMULATE_DOC, "seed").map(lambda key: {**SIMULATE_DOC, key: 1}),
+    (st.integers(max_value=0) | st.integers(min_value=MAX_TRIALS + 1) | NOT_NUMBERS
+     | st.floats(allow_nan=False)).map(lambda trials: {**SIMULATE_DOC, "trials": trials}),
+    (st.integers(max_value=-1) | st.integers(min_value=2**64) | NOT_NUMBERS).map(
+        lambda seed: {**SIMULATE_DOC, "seed": seed}
+    ),
+    st.sampled_from([[], [0.75], [0.75, 1.5], ["0.75", 0.75]]).map(
+        lambda correlations: {**SIMULATE_DOC, "correlations": correlations}
+    ),
+    st.sampled_from([[], [10], [10, 0], [10, 2.5]]).map(
+        lambda copies: {**SIMULATE_DOC, "copies": copies}
+    ),
+)
+
 #: A small ``entcert test`` run that reads all three sections.
 TEST_DOC = {
     "witness": {"kind": "quadratic", "settings": 1},
@@ -883,3 +949,29 @@ class TestSectionRoundTrip:
     def test_malformed_exits_2(self, case):
         key, section = case
         assert exit_code({**TEST_DOC, key: section}, "test") == 2
+
+
+class TestSimulateRoundTrip:
+    """The top-level keys of a ``simulate`` config: a valid config parses to
+    the run it describes, up to ``MAX_TRIALS`` trials; a malformed one, one
+    trial more included, exits 2 before any draw."""
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(simulate_configs(), st.none() | st.integers(0, 2**64 - 1))
+    @example({**SIMULATE_DOC, "trials": MAX_TRIALS}, None)
+    def test_valid(self, doc, seed_flag):
+        witness, sim = parse_simulation(json_copy(doc), seed_flag)
+        assert witness == parse_witness(doc["witness"])
+        seed = seed_flag if seed_flag is not None else doc.get("seed", 0)
+        assert (sim.correlations, sim.copies, sim.trials, sim.seed) == (
+            tuple(doc["correlations"]),
+            tuple(doc["copies"]),
+            doc["trials"],
+            seed,
+        )
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(MALFORMED_SIMULATIONS)
+    @example({**SIMULATE_DOC, "trials": MAX_TRIALS + 1})
+    def test_malformed_exits_2(self, doc):
+        assert exit_code(doc, "simulate") == 2

@@ -30,7 +30,8 @@ from entcert.inference import (
 from entcert.pmf import OutcomePmf
 from entcert.states import EntangledStateModel, TruncatedGaussianPrior
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
-from entcert.worst_case import SearchOptions, WorstCaseProblem
+from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem
+from sampling import sample_separable
 
 F = Fraction
 OPTS = SearchOptions(restarts=10, seed=31)
@@ -125,7 +126,7 @@ class TestPosterior:
         bound = posterior_lower_bound(outcome, ent, gq, priors)
         rng = np.random.default_rng(17)
         for _ in range(100):
-            point = problem.witness.sample_separable(rng)
+            point = sample_separable(problem.witness, rng)
             sep_mass = problem.pmf_at(point).probability(outcome)
             truth = (
                 ent.probability(outcome)
@@ -561,6 +562,79 @@ class TestConstraintGeneration:
         capfd.readouterr()
         self.run(*self.problem(61))
         assert capfd.readouterr().out == ""
+
+
+class TestTieTolerance:
+    """Every budget test allows ``TIE_TOLERANCE`` above the budget: a mass
+    5e-13 above it meets the budget, one 2e-12 above it does not."""
+
+    BUDGET = 0.6
+
+    @staticmethod
+    def checker(hidden, probe, full):
+        """A checker of ``HiddenPoints(hidden)`` whose probe and full search
+        report the masses ``probe`` and ``full``."""
+        problem = HiddenPoints(hidden)
+        search = problem.maximize_set
+
+        def reported(acc, options=None, seed_points=()):
+            result = search(acc, options, seed_points)
+            result.objective = probe if options is POLISH else full
+            return result
+
+        problem.maximize_set = reported
+        return RecordingChecker(problem, TestTieTolerance.BUDGET)
+
+    @pytest.mark.parametrize("excess,feasible", [(5e-13, True), (2e-12, False)])
+    def test_full_search(self, excess, feasible):
+        hidden = np.array([[0.2, 0.1], [0.1, 0.2]])
+        checker = self.checker(hidden, 0.5, self.BUDGET + excess)
+        decided, result = checker.check(np.array([0, 1]))
+        assert decided is feasible
+        assert result.objective == self.BUDGET + excess
+        assert checker.log == [((0, 1), 2, feasible)]
+
+    @pytest.mark.parametrize("excess,searches", [(5e-13, 2), (2e-12, 1)])
+    def test_probe(self, excess, searches):
+        hidden = np.array([[0.2, 0.1], [0.1, 0.2]])
+        checker = self.checker(hidden, self.BUDGET + excess, 0.5)
+        assert checker.check(np.array([0, 1]))[0] is (searches == 2)
+        assert checker.log[-1][1] == searches
+
+    @pytest.mark.parametrize("excess,searches", [(5e-13, 2), (2e-12, 0)])
+    def test_pool(self, excess, searches):
+        # Pool point 0 carries the set's mass at the budget plus excess; the
+        # searches report less, so only the pool can refute.
+        hidden = np.array([[0.5, 0.1], [0.1 + excess, 0.1]])
+        assert hidden[:, 0].sum() - self.BUDGET == pytest.approx(excess, rel=0.01)
+        checker = self.checker(hidden, 0.5, 0.5)
+        assert checker.check(np.array([0, 1]))[0] is (searches == 2)
+        assert checker.log[-1][1] == searches
+
+    @pytest.mark.parametrize("excess,winner", [(5e-13, 0), (2e-12, 1)])
+    def test_outcome_at_the_budget_stays_in_the_search(self, excess, winner):
+        # Outcome 0's own worst case is the budget plus excess: within the
+        # tie, {0} is the most powerful feasible set; beyond it the universe
+        # loses outcome 0 and {1} wins.
+        hidden = np.array([[self.BUDGET + excess, 0.3], [0.3, 0.5]])
+        problem = HiddenPoints(hidden)
+        ent = OutcomePmf(problem.grid, (0.7, 0.3))
+        found = max_power_acceptance_set(
+            SimpleNamespace(), (), ent, self.BUDGET, OPTS, problem=problem,
+            pointwise=problem.pointwise(),
+        )
+        assert found.acceptance.outcomes == {F(winner)}
+
+    @pytest.mark.parametrize("excess,randomized", [(5e-13, False), (2e-12, True)])
+    def test_neyman_pearson(self, excess, randomized):
+        # The two outcomes of largest likelihood ratio have separable mass
+        # the budget plus excess.
+        grid = (F(0), F(1), F(2))
+        sep = OutcomePmf(grid, (0.25, 0.35 + excess, 0.4 - excess))
+        ent = OutcomePmf(grid, (0.5, 0.5, 0.0))
+        acc = neyman_pearson_test(self.BUDGET, sep, ent)
+        assert (acc.boundary == F(1)) is randomized
+        assert acc.weight(F(1)) == (acc.gamma if randomized else 1.0)
 
 
 class TestReportAssembly:

@@ -19,7 +19,7 @@ from entcert.planner import (
     rank_allocations,
     witness_for,
 )
-from entcert.states import EntangledStateModel
+from entcert.states import EntangledStateModel, TruncatedGaussianPrior
 from entcert.worst_case import SearchOptions
 
 F = Fraction
@@ -190,6 +190,25 @@ class TestOptimization:
         assert serial.copies == parallel.copies
         assert serial.report.power == parallel.report.power
         assert serial.worst_case.correlations == parallel.worst_case.correlations
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_set_at_the_budget_is_kept_at_every_seed(self, seed):
+        # The worst case of {1/9, 3} at (3, 2, 2) is exactly the budget 3/10,
+        # at t = (sqrt(3/5), 1/sqrt(5), 1/sqrt(5)); searches from different
+        # seeds land a few 1e-14 on either side of it, and the tie rule keeps
+        # the set at every seed.
+        evaluator = PlanEvaluator(
+            "quadratic",
+            EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2)),
+            PriorPair(2 / 3),
+            0.70,
+            options=SearchOptions(restarts=12, seed=seed),
+        )
+        spec = PlanSpec(7, 3, 0.70, "frequentist", allow_unused_copies=False)
+        best = rank_allocations(spec, evaluator, prune=True)[0]
+        assert best.copies == (3, 2, 2)
+        assert best.acceptance.outcomes == {F(1, 9), F(3)}
+        assert best.worst_case.objective == pytest.approx(0.3, abs=1e-12)
 
     def test_shrinking_budget_never_helps(self, generalised_evaluator):
         # Allocations of a smaller budget are a subset of the larger one's,

@@ -11,6 +11,7 @@ from entcert.finite_stats import CorrelationSetting
 from entcert.pmf import OutcomePmf
 from entcert.simulate import (
     CHUNK_TRIALS,
+    MAX_TRIALS,
     SimulationConfig,
     chi_square_compare,
     simulate_mixture_witness,
@@ -44,6 +45,7 @@ class TestConfig:
             ([4], 100, False),
             ([4], 100, -1),
             ([4], 100, 2**64),
+            ([4], MAX_TRIALS + 1, 0),
         ],
     )
     def test_rejects_non_integral_or_out_of_range_values(self, copies, trials, seed):
@@ -213,6 +215,7 @@ class TestMixtureSimulation:
             ((1, 1, 1), (4, 4, 4), 2.5, 0),
             ((1, 1, 1), (4, 4, 4), 1000, -1),
             ((1, 1, 1), (4, 4, 4), 1000, 1.5),
+            ((1, 1, 1), (4, 4, 4), MAX_TRIALS + 1, 0),
         ],
     )
     def test_rejects_bad_inputs(self, signs, copies, trials, seed):

@@ -14,6 +14,7 @@ from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_co
 from entcert.pmf import OutcomePmf
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
 from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem
+from sampling import sample_separable
 
 F = Fraction
 OPTS = SearchOptions(restarts=12, seed=101)
@@ -68,7 +69,7 @@ def multistart_nelder_mead(problem, weights, restarts=12, seed=7):
         return -objective(t) + 1e4 * witness.violation(t) ** 2
 
     rng = np.random.default_rng(seed)
-    starts = [witness.sample_separable(rng) for _ in range(restarts)]
+    starts = [sample_separable(witness, rng) for _ in range(restarts)]
     try:
         starts.insert(0, np.array(witness.analytic_worst_case()))
     except DomainError:
@@ -264,6 +265,34 @@ class TestSetSearch:
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 1)
         assert run() == reference
 
+    @pytest.mark.parametrize(
+        "witness,copies,acc,options",
+        [
+            (QuadraticWitness(3), (3, 2, 2), AcceptanceSet.explicit([F(1, 9), 3]), OPTS),
+            (
+                LinearWitness([1, -1], 1),
+                (4, 3),
+                AcceptanceSet.threshold(0, "accept_low"),
+                SearchOptions(restarts=8),
+            ),
+        ],
+    )
+    def test_reports_the_best_candidate(self, witness, copies, acc, options, monkeypatch):
+        # The second case stalls, so its annealed row is a candidate too.
+        found = []
+        search = WorstCaseProblem._search
+
+        def spied(self, weights, groups, opts):
+            (candidates,) = search(self, weights, groups, opts)
+            found.extend(candidates)
+            return [candidates]
+
+        monkeypatch.setattr(WorstCaseProblem, "_search", spied)
+        result = WorstCaseProblem(witness, copies).maximize_set(acc, options)
+        best = max(value for value, _, _ in found)
+        assert result.correlations == next(p for v, p, _ in found if v == best)
+        assert result.objective == pytest.approx(best, abs=1e-14)
+
     def test_acceptance_must_live_on_grid(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
         with pytest.raises(DomainError):
@@ -409,7 +438,7 @@ class TestInvariants:
         assert pointwise_sum >= interval.objective - 1e-9
         rng = np.random.default_rng(77)
         for _ in range(100):
-            point = problem.witness.sample_separable(rng)
+            point = sample_separable(problem.witness, rng)
             mass = acc.weighted_mass(problem.pmf_at(point))
             assert interval.objective >= mass - 1e-9
 
@@ -449,7 +478,7 @@ class TestInvariants:
         ]:
             problem = WorstCaseProblem(witness, copies)
             for _ in range(5):
-                point = problem.witness.sample_separable(rng)
+                point = sample_separable(problem.witness, rng)
                 fast = problem.pmf_at(point)
                 slow = convolution_pmf(
                     [CorrelationSetting(float(t), n) for t, n in zip(point, copies)], witness
