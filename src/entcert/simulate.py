@@ -3,15 +3,24 @@
 Used to validate the exact distributions independently.  Each trial draws
 every setting's agreeing-product count by inversion: one uniform is looked
 up in that setting's binomial CDF, built once per call from the binomial
-weights of the outcome grid (``WitnessGrid``).  A prior mixture first splits
-each chunk's trials among the prior's purity cells with one multinomial
-draw, then draws every cell's trials from that cell's CDFs; trials are
-i.i.d. and only the histogram is kept, so this is the exact mixture law.
-The witness value of every trial is tallied on the exact rational grid.
-The generator is Philox (counter-based, portable), and trials are consumed
-in fixed-size chunks so results do not depend on how the work is
-partitioned.  Seeded results are bit-reproducible but differ from versions
-that drew the counts with ``Generator.binomial``.
+weights of the outcome grid (``WitnessGrid``).  The lookup is exact integer
+arithmetic.  Philox's uniform is u = m 2^-53 with m the raw 64-bit draw
+shifted right by 11, so u reaches a partial sum c exactly when m reaches
+the integer threshold ceil(c 2^53).  A guide table over the top bits of m
+(indexed search: Chen and Asau 1974; Devroye 1986, section III.2.4) gives
+the count directly for every bin that holds no threshold; a draw in a bin
+that holds one falls back to a binary search of the integer thresholds, so
+the result is the same for any number of copies, log-space weights
+included.  A prior mixture first splits each chunk's trials among the
+prior's purity cells with one multinomial draw, then draws every cell's
+trials from that cell's CDFs; trials are i.i.d. and only the histogram is
+kept, so this is the exact mixture law.  The witness value of every trial
+is tallied on the exact rational grid.  The generator is Philox
+(counter-based, portable), and trials are consumed in fixed-size chunks so
+results do not depend on how the work is partitioned.  Seeded results are
+bit-reproducible.  They are the same as those of the floating-point CDF
+search that the integer lookup replaced, but differ from versions that
+drew the counts with ``Generator.binomial``.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .witnesses import Witness, WitnessGrid
 CHUNK_TRIALS = 1 << 16
 
 #: Most trials of one simulation.  10^7 trials of 5 settings of 4 copies
-#: take 1.3-1.7 s on a 2-vCPU machine, so the cap is a few minutes of
+#: take 0.8-1.0 s on a 2-vCPU machine, so the cap is under two minutes of
 #: drawing; more is refused before any draw instead of running for hours.
 MAX_TRIALS = 10**9
 
@@ -40,6 +49,12 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _run_size(trials, seed) -> tuple[int, int]:
@@ -64,15 +79,44 @@ class SimulationConfig:
         if len(correlations) != len(copies):
             raise DomainError("correlations and copies must have equal length")
         trials, seed = _run_size(trials, seed)
+        correlations = tuple(_real(t, "correlations") for t in correlations)
         if any(not (-1.0 <= t <= 1.0) for t in correlations):
             raise DomainError("correlations must lie in [-1, 1]")
         copies = tuple(_integer(n, "copies") for n in copies)
         if any(n < 1 for n in copies):
             raise DomainError("copies must all be >= 1")
-        object.__setattr__(self, "correlations", tuple(float(t) for t in correlations))
+        object.__setattr__(self, "correlations", correlations)
         object.__setattr__(self, "copies", copies)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
+
+
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """Partial sums c as the integers ceil(c 2^53).  Philox's uniform is
+    u = m 2^-53 for a 53-bit m, so u >= c exactly when m >= ceil(c 2^53);
+    the scaling by 2^53 is exact, subnormals included."""
+    return np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
+
+
+def _guide(thresholds: np.ndarray, bits: int) -> np.ndarray:
+    """Guide table of one sorted threshold row: for each of the 2^bits bins
+    of a 53-bit draw m by its top ``bits`` bits, the count of thresholds at
+    or below m when it is the same for every m in the bin, else -1."""
+    width = 1 << (53 - bits)
+    lows = np.arange(1 << bits, dtype=np.int64) * width
+    first = np.searchsorted(thresholds, lows, side="right")
+    last = np.searchsorted(thresholds, lows + (width - 1), side="right")
+    return np.where(first == last, first, -1)
+
+
+def _counts(thresholds: np.ndarray, guide: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The count of ``thresholds`` at or below each 53-bit draw: its bin's
+    entry in ``guide`` (2^bits entries), else a binary search."""
+    bits = len(guide).bit_length() - 1
+    k = guide[draws >> (53 - bits)]
+    slow = k < 0
+    k[slow] = np.searchsorted(thresholds, draws[slow], side="right")
+    return k
 
 
 def _tally(
@@ -88,11 +132,17 @@ def _tally(
     if not np.all(np.abs(correlations) <= 1.0):
         raise DomainError("correlations must lie in [-1, 1] (success probabilities in [0, 1])")
     grid = WitnessGrid(witness, copies)
-    # Setting j's CDF rows (P, n_j) without their last entry, so that a
-    # uniform at or above the n-th partial sum, which rounding may leave
-    # below 1, maps to n.
-    table = np.cumsum(grid._binomials(correlations), axis=2)
-    cdfs = [table[:, j, :n] for j, n in enumerate(copies)]
+    # Setting j's CDF rows (P, n_j) as thresholds, without their last entry,
+    # so that a draw at or above the n-th partial sum, which rounding may
+    # leave below 1, maps to n.  Each row's guide has 128 n_j to 256 n_j
+    # bins, so that few draws fall back to the binary search, but the P
+    # guides of a setting hold at most max(2^16, P) entries in all.
+    table = _thresholds(np.cumsum(grid._binomials(correlations), axis=2))
+    settings = []
+    for j, n in enumerate(copies):
+        bits = max(min(n.bit_length() + 7, 16 - (len(weights) - 1).bit_length()), 0)
+        rows = table[:, j, :n]
+        settings.append((rows, [_guide(row, bits) for row in rows]))
     counts = np.zeros(len(grid.outcomes), dtype=np.int64)
     base = np.random.Philox(key=seed)
     chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -103,9 +153,13 @@ def _tally(
         edges = [] if len(weights) == 1 else np.cumsum(rng.multinomial(size, weights))[:-1]
         total = np.full(size, grid.shift, dtype=np.int64)
         parts = np.split(total, edges)
-        for cdf, value in zip(cdfs, grid.values):
-            for row, uniforms, part in zip(cdf, np.split(rng.random(size), edges), parts):
-                part += value[np.searchsorted(row, uniforms, side="right")]
+        for (rows, guides), value in zip(settings, grid.values):
+            # The 53-bit integers behind ``rng.random(size)``, from the same state.
+            draws = rng.bit_generator.random_raw(size)
+            draws >>= 11
+            draws = draws.view(np.int64)
+            for row, guide, row_draws, part in zip(rows, guides, np.split(draws, edges), parts):
+                part += value[_counts(row, guide, row_draws)]
         values, tallies = np.unique(total, return_counts=True)
         counts[np.searchsorted(grid.integers, values)] += tallies
     return OutcomePmf(grid.outcomes, tuple((counts / trials).tolist()))

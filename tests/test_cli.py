@@ -6,6 +6,7 @@ import os
 import tempfile
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -24,9 +25,15 @@ from entcert.config import (
 )
 from entcert.errors import DomainError, SchemaError
 from entcert.inference import PriorPair
+from entcert.planner import PlanSpec
 from entcert.pmf import format_fraction, round_fraction
 from entcert.simulate import MAX_TRIALS
-from entcert.states import MAX_PRIOR_CELLS, EntangledStateModel, TruncatedGaussianPrior
+from entcert.states import (
+    MAX_PRIOR_CELLS,
+    EntangledStateModel,
+    TruncatedGaussianPrior,
+    white_noise_success_probability,
+)
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_grid
 from entcert.worst_case import SearchOptions, WorstCaseProblem
 
@@ -644,12 +651,16 @@ def outcome_of(build):
         return DomainError
 
 
+def config_file(folder, doc) -> str:
+    path = os.path.join(folder, "config.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return path
+
+
 def exit_code(doc, command="worst-case") -> int:
     with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "config.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        return main([command, "--config", path])
+        return main([command, "--config", config_file(folder, doc)])
 
 
 class TestConfigRoundTrip:
@@ -975,3 +986,185 @@ class TestSimulateRoundTrip:
     @example({**SIMULATE_DOC, "trials": MAX_TRIALS + 1})
     def test_malformed_exits_2(self, doc):
         assert exit_code(doc, "simulate") == 2
+
+
+class Parsed(Exception):
+    """Raised by a stand-in for the planner with the arguments it was given,
+    so that a round trip parses a config without running the plan."""
+
+
+def parsed_call(target, doc, command, *flags):
+    """The arguments with which ``command`` calls ``target`` for config ``doc``."""
+
+    def stand_in(*args, **kwargs):
+        raise Parsed(args, kwargs)
+
+    with tempfile.TemporaryDirectory() as folder, mock.patch(target, stand_in):
+        with pytest.raises(Parsed) as caught:
+            main([command, "--config", config_file(folder, doc), *flags])
+    return caught.value.args
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@st.composite
+def plan_configs(draw):
+    """A valid optimize-mode ``plan`` config, with the entangled model, the
+    priors and the ``optimizer`` section it holds."""
+    entangled, model = draw(entangled_sections())
+    p_ent = draw(UNIT)
+    doc = {
+        "witness_kind": draw(st.sampled_from(["linear", "quadratic"])),
+        "budget": draw(st.integers(1, 10**6)),
+        "max_settings": draw(st.integers(1, 10**6)),
+        "min_validity": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "framework": draw(st.sampled_from(["frequentist", "bayesian"])),
+        "entangled": entangled,
+        "priors": {"entangled": p_ent},
+    }
+    for key in ("allow_unused_copies", "equal_allocation_only"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.booleans())
+    if draw(st.booleans()):
+        doc["mode"] = "optimize"
+    optimizer = {}
+    if draw(st.booleans()):
+        optimizer = doc["optimizer"] = draw(optimizer_sections())
+    return doc, model, PriorPair(p_ent), optimizer
+
+
+PLAN_DOC = {
+    "witness_kind": "quadratic",
+    "budget": 6,
+    "max_settings": 2,
+    "min_validity": 0.7,
+    "framework": "frequentist",
+    "entangled": {"purity": 0.8},
+    "priors": {"entangled": 0.6667},
+}
+SWEEP_DOC = {"witness_kind": "quadratic", "budget": 20, "mode": "sweep", "entangled": {"purity": 0.75}}
+PLAN_KEYS = (*PLAN_DOC, "allow_unused_copies", "equal_allocation_only", "optimizer", "mode")
+#: Anything but a positive integer.
+NOT_INTEGERS = st.integers(max_value=0) | st.floats() | NOT_NUMBERS
+
+
+def not_one_of(*allowed):
+    return st.text(max_size=12).filter(lambda value: value not in allowed) | NOT_NUMBERS
+
+
+MALFORMED_PLANS = st.one_of(
+    NOT_OBJECTS,
+    st.sampled_from(sorted(PLAN_DOC)).map(lambda key: without(PLAN_DOC, key)),
+    st.sampled_from(["witness_kind", "budget", "entangled"]).map(lambda key: without(SWEEP_DOC, key)),
+    unknown_key(*PLAN_KEYS).map(lambda key: {**PLAN_DOC, key: 1}),
+    not_one_of("linear", "quadratic").map(lambda kind: {**PLAN_DOC, "witness_kind": kind}),
+    st.builds(lambda key, value: {**PLAN_DOC, key: value},
+              st.sampled_from(["budget", "max_settings"]), NOT_INTEGERS),
+    st.integers(max_value=0).map(lambda budget: {**SWEEP_DOC, "budget": budget}),
+    (OUTSIDE_UNIT | st.sampled_from([0.0, 1.0]) | NOT_NUMBERS | NON_FINITE).map(
+        lambda level: {**PLAN_DOC, "min_validity": level}
+    ),
+    not_one_of("frequentist", "bayesian").map(lambda framework: {**PLAN_DOC, "framework": framework}),
+    st.builds(lambda key, value: {**PLAN_DOC, key: value},
+              st.sampled_from(["allow_unused_copies", "equal_allocation_only"]),
+              st.sampled_from([0, 1, "true", None, [], 0.5])),
+    not_one_of("optimize", "sweep").map(lambda mode: {**PLAN_DOC, "mode": mode}),
+    st.just({**SWEEP_DOC, "entangled": {"prior": PRIOR}}),
+    MALFORMED_ENTANGLED.map(lambda section: {**PLAN_DOC, "entangled": section}),
+    MALFORMED_ENTANGLED.map(lambda section: {**SWEEP_DOC, "entangled": section}),
+    MALFORMED_PRIOR_PAIRS.map(lambda section: {**PLAN_DOC, "priors": section}),
+    MALFORMED_OPTIMIZERS.map(lambda section: {**PLAN_DOC, "optimizer": section}),
+)
+
+NOISE_DOC = {"copies_per_setting": 4, "settings": 5}
+#: Positive steps that give more than MAX_CURVE_POINTS purities, subnormals included.
+TOO_FINE_STEPS = st.floats(min_value=0.0, max_value=1.0 / MAX_CURVE_POINTS, exclude_min=True)
+
+MALFORMED_NOISE_CURVES = st.one_of(
+    NOT_OBJECTS,
+    st.sampled_from(sorted(NOISE_DOC)).map(lambda key: without(NOISE_DOC, key)),
+    unknown_key(*NOISE_DOC, "step").map(lambda key: {**NOISE_DOC, key: 1}),
+    st.builds(lambda key, value: {**NOISE_DOC, key: value}, st.sampled_from(sorted(NOISE_DOC)), NOT_INTEGERS),
+    (NONPOSITIVE | st.floats(min_value=1.0, exclude_min=True) | NOT_NUMBERS | NON_FINITE
+     | TOO_FINE_STEPS).map(lambda step: {**NOISE_DOC, "step": step}),
+)
+
+
+class TestPlanRoundTrip:
+    """The top-level keys of a ``plan`` config: a valid config reaches the
+    planner as the spec, evaluator or sweep it describes; a malformed one
+    exits 2 before any search."""
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(plan_configs(), st.none() | st.integers(0, 2**32))
+    def test_valid_optimize(self, case, seed):
+        doc, model, priors, optimizer = case
+        (spec, evaluator), kwargs = parsed_call(
+            "entcert.cli.rank_allocations", doc, "plan", *([] if seed is None else ["--seed", str(seed)])
+        )
+        assert spec == PlanSpec(
+            doc["budget"],
+            doc["max_settings"],
+            doc["min_validity"],
+            doc["framework"],
+            doc.get("allow_unused_copies", True),
+            doc.get("equal_allocation_only", False),
+        )
+        options = optimizer if seed is None else {**optimizer, "seed": seed}
+        assert (evaluator.witness_kind, evaluator.ent_model, evaluator.priors) == (
+            doc["witness_kind"],
+            model,
+            priors,
+        )
+        assert (evaluator.min_validity, evaluator.options) == (doc["min_validity"], SearchOptions(**options))
+        assert kwargs == {"prune": True, "workers": 1}
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["linear", "quadratic"]), st.integers(1, 10**6), UNIT,
+           st.none() | st.floats(1e-3, 1.0))
+    def test_valid_sweep(self, kind, budget, purity, step):
+        entangled = {"purity": purity} if step is None else {"purity": purity, "grid_step": step}
+        doc = {"witness_kind": kind, "budget": budget, "mode": "sweep", "entangled": entangled}
+        args, _ = parsed_call("entcert.cli.equal_split_sweep", doc, "plan")
+        assert args == (budget, kind, purity)
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(MALFORMED_PLANS)
+    def test_malformed_exits_2(self, doc):
+        def no_search(*args, **kwargs):
+            raise AssertionError(f"a malformed config reached the planner: {doc!r}")
+
+        with mock.patch("entcert.cli.rank_allocations", no_search):
+            assert exit_code(doc, "plan") == 2
+
+
+class TestNoiseCurveRoundTrip:
+    """The top-level keys of a ``noise-curve`` config: a valid config gives
+    the curve of its copies, settings and step; a malformed one exits 2."""
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 100),
+           st.none() | st.floats(1.0 / (MAX_CURVE_POINTS - 1), 1.0))
+    def test_valid(self, copies, settings, step):
+        doc = {"copies_per_setting": copies, "settings": settings}
+        if step is not None:
+            doc["step"] = step
+        with tempfile.TemporaryDirectory() as folder:
+            out = os.path.join(folder, "out.json")
+            assert main(["noise-curve", "--config", config_file(folder, doc), "--out", out]) == 0
+            with open(out, encoding="utf-8") as handle:
+                report = json.load(handle)
+        step = 0.01 if step is None else step
+        purities = [min(1.0, i * step) for i in range(round(1.0 / step) + 1)]
+        assert (report["copies_per_setting"], report["settings"]) == (copies, settings)
+        assert [point["purity"] for point in report["curve"]] == purities
+        assert [point["success_probability"] for point in report["curve"]] == [
+            white_noise_success_probability(p, copies, settings) for p in purities
+        ]
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(MALFORMED_NOISE_CURVES)
+    def test_malformed_exits_2(self, doc):
+        assert exit_code(doc, "noise-curve") == 2

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from entcert.errors import DomainError
@@ -13,6 +16,9 @@ from entcert.simulate import (
     CHUNK_TRIALS,
     MAX_TRIALS,
     SimulationConfig,
+    _counts,
+    _guide,
+    _thresholds,
     chi_square_compare,
     simulate_mixture_witness,
     simulate_witness,
@@ -52,6 +58,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             SimulationConfig([0.5], copies, trials, seed)
 
+    @pytest.mark.parametrize("correlation", ["a", "0.5", None, 0.5j, True, False, np.True_])
+    def test_rejects_non_real_correlations(self, correlation):
+        with pytest.raises(DomainError):
+            SimulationConfig([correlation], [4], 100, 0)
+
+    def test_keeps_real_correlations_as_floats(self):
+        cfg = SimulationConfig([F(1, 2), np.float32(-0.25), 1], [4, 4, 4], 100, 0)
+        assert cfg.correlations == (0.5, -0.25, 1.0)
+        assert all(type(t) is float for t in cfg.correlations)
+
     def test_keeps_numpy_integers_as_ints(self):
         cfg = SimulationConfig([0.5], [np.int64(4)], np.int64(100), np.uint64(3))
         assert (cfg.copies, cfg.trials, cfg.seed) == ((4,), 100, 3)
@@ -70,6 +86,146 @@ class TestPerSettingLaw:
         pmf = witness_pmf([setting], LinearWitness([1], 0))
         expected = binom.pmf(np.arange(n + 1), n, (1.0 + setting.correlation) / 2.0)
         np.testing.assert_allclose(pmf.probabilities, expected, rtol=1e-9, atol=1e-12)
+
+
+@st.composite
+def threshold_rows(draw):
+    """A sorted row of 1 to 1,500 partial sums, a guide size and the draws
+    to look up.  Entries are zeros, subnormals, exact guide bin edges,
+    repeats and values within a few ulps of 1, and the last one lies below,
+    at or above 1.  The draws include 0, 2^53 - 1, every bin edge and every
+    threshold with their neighbours."""
+    n = draw(st.integers(1, 1500))
+    bits = draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mix = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))) + 1e-3
+    kinds = rng.choice(5, size=n, p=mix / mix.sum())
+    special = [
+        rng.random(n),
+        np.zeros(n),
+        rng.integers(1, 2**20, n) * 2.0**-1074,
+        rng.integers(0, 2**bits + 1, n) * 2.0**-bits,
+        1.0 + rng.integers(-4, 5, n) * 2.0**-52,
+    ]
+    row = np.choose(kinds, special)
+    repeats = rng.integers(0, n, (2, draw(st.integers(0, n))))
+    row[repeats[0]] = row[repeats[1]]
+    row = np.sort(row)
+    last = draw(st.sampled_from([None, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-50]))
+    if last is not None:
+        row = np.minimum(row, last)
+        row[-1] = last
+    edges = np.arange(1 << bits, dtype=np.int64) << (53 - bits)
+    thresholds = _thresholds(row)
+    draws = np.concatenate(
+        [
+            [0, 2**53 - 1],
+            edges,
+            edges - 1,
+            thresholds - 1,
+            thresholds,
+            thresholds + 1,
+            rng.integers(0, 2**53, 4096),
+        ]
+    )
+    return row, bits, np.clip(draws, 0, 2**53 - 1)
+
+
+class TestIntegerLookup:
+    """The counts come from integer thresholds and a guide table, on the raw
+    draws behind ``Generator.random``; both must give the same count as a
+    binary search of the floating-point CDF row on the uniforms."""
+
+    @pytest.mark.parametrize("chunk", [0, 3])
+    def test_raw_draws_are_the_uniform_stream(self, chunk):
+        # The premise of the integer lookup: after a multinomial on the same
+        # generator, Philox's uniforms are its raw draws shifted right by 11,
+        # times 2^-53, draw for draw, across odd sizes.
+        base = np.random.Philox(key=20240818)
+        uniform = np.random.Generator(base.jumped(chunk))
+        raw = np.random.Generator(base.jumped(chunk))
+        for rng in (uniform, raw):
+            rng.multinomial(1001, [0.2, 0.3, 0.5])
+        for size in (1001, 7, CHUNK_TRIALS):
+            expected = uniform.random(size)
+            draws = raw.bit_generator.random_raw(size) >> 11
+            np.testing.assert_array_equal(draws * 2.0**-53, expected)
+
+    @hypothesis_settings(max_examples=150, deadline=None)
+    @given(threshold_rows())
+    def test_guide_lookup_equals_the_float_search(self, case):
+        row, bits, draws = case
+        thresholds = _thresholds(row)
+        guide = _guide(thresholds, bits)
+        assert len(guide) == 2**bits
+        expected = np.searchsorted(row, draws * 2.0**-53, side="right")
+        np.testing.assert_array_equal(_counts(thresholds, guide, draws), expected)
+
+
+def histogram(pmf, trials) -> list[int]:
+    counts = np.rint(np.array(pmf.probabilities) * trials).astype(np.int64)
+    assert counts.sum() == trials
+    return counts.tolist()
+
+
+class TestPinnedHistograms:
+    """Exact counts of seeded runs, drawn by the floating-point CDF search
+    that the integer guide lookup replaced.  A change to the sampler that
+    changes any draw fails here, where reruns of one version cannot see it."""
+
+    @pytest.mark.parametrize(
+        "witness, correlations, seed, expected",
+        [
+            # Criterion 11's two 5 x 4-copy runs, also the dist benchmark's.
+            (
+                LinearWitness([1, -1, -1, -1, -1], 1),
+                [-0.75] + [0.75] * 4,
+                105,
+                [69375, 198281, 267600, 230187, 139508, 63973, 22749, 6497, 1508,
+                 273, 40, 7, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                QuadraticWitness(5),
+                [0.75] * 5,
+                107,
+                [2, 44, 424, 2121, 5033, 6176, 10604, 33599, 41372, 18082, 86181,
+                 137175, 10313, 99315, 235704, 42447, 201968, 69440],
+            ),
+        ],
+    )
+    def test_criterion_11_runs(self, witness, correlations, seed, expected):
+        cfg = SimulationConfig(correlations, [4] * 5, 10**6, seed)
+        assert histogram(simulate_witness(cfg, witness), 10**6) == expected
+
+    def test_log_space_run(self):
+        # Outcomes 886 to 1069 of 1,501 (k agreeing products of 1,500); all
+        # other counts are zero.
+        expected = [
+            1, 0, 0, 0, 0, 0, 1, 1, 1, 4, 1, 5, 3, 7, 6, 7, 11, 18, 11, 28, 26, 35, 20,
+            37, 43, 71, 77, 88, 98, 138, 128, 142, 223, 242, 286, 289, 357, 426, 527,
+            616, 622, 783, 840, 995, 1117, 1282, 1450, 1697, 1827, 2065, 2373, 2677,
+            2985, 3324, 3689, 3976, 4304, 4657, 5221, 5814, 6194, 6770, 7334, 7874,
+            8533, 9163, 10037, 10536, 11139, 11896, 12677, 13474, 14077, 14693, 15547,
+            16096, 16645, 17343, 18072, 18689, 19231, 19520, 20002, 20194, 20888,
+            21172, 21388, 21507, 21517, 21546, 21594, 21602, 21293, 21157, 20715,
+            20684, 20136, 19703, 19287, 18847, 18018, 17774, 17068, 16191, 15697,
+            14851, 14219, 13554, 12827, 12057, 11468, 10841, 10022, 9349, 8662, 7988,
+            7430, 6916, 6248, 5780, 5270, 4664, 4359, 3999, 3641, 3190, 2882, 2488,
+            2270, 2026, 1888, 1610, 1403, 1232, 1124, 921, 808, 721, 605, 529, 449,
+            396, 367, 309, 254, 213, 155, 123, 123, 107, 80, 64, 62, 44, 39, 43, 29,
+            23, 21, 14, 13, 11, 6, 4, 2, 5, 2, 3, 2, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 1,
+        ]
+        cfg = SimulationConfig([0.3], [1500], 10**6, seed=9)
+        counts = histogram(simulate_witness(cfg, LinearWitness([1], 0)), 10**6)
+        assert counts == [0] * 886 + expected + [0] * (1501 - 886 - len(expected))
+
+    def test_mixture_run(self):
+        prior = TruncatedGaussianPrior(0.8, 0.1, 0.2)
+        pmf = simulate_mixture_witness(prior, (1, -1, 1), (4, 3, 2), QuadraticWitness(3), 200_000, 21)
+        assert histogram(pmf, 200_000) == [
+            970, 3902, 1711, 9458, 7625, 13476, 21342, 25947, 31903, 83666,
+        ]
 
 
 class TestSimulation:
