@@ -13,13 +13,7 @@ from .errors import (
     SchemaError,
     UndefinedOutcomeError,
 )
-from .finite_stats import (
-    CorrelationSetting,
-    correlation_moments,
-    correlation_pmf,
-    squared_correlation_moments,
-    squared_correlation_pmf,
-)
+from .finite_stats import CorrelationSetting, correlation_moments, squared_correlation_moments
 from .inference import (
     PriorPair,
     TestReport,
@@ -70,6 +64,8 @@ from .witnesses import (
     QuadraticWitness,
     Witness,
     WitnessGrid,
+    correlation_pmf,
+    squared_correlation_pmf,
     witness_grid,
     witness_moments,
     witness_pmf,

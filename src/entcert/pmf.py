@@ -107,22 +107,6 @@ class OutcomePmf:
         split = bisect_left if inclusive else bisect_right
         return math.fsum(self.probabilities[split(self.outcomes, as_fraction(bound)) :])
 
-    def affine(self, scale: RationalLike = 1, shift: RationalLike = 0) -> "OutcomePmf":
-        """Pmf of ``scale * X + shift`` with exact rational arithmetic.
-
-        A zero scale collapses the grid to the single point ``shift``.
-        """
-        a = as_fraction(scale)
-        b = as_fraction(shift)
-        if a == 0:
-            return OutcomePmf((b,), (self.total_mass(),))
-        outcomes = tuple(a * o + b for o in self.outcomes)
-        probs = self.probabilities
-        if a < 0:
-            outcomes = outcomes[::-1]
-            probs = probs[::-1]
-        return OutcomePmf(outcomes, probs)
-
     def convolve(self, other: "OutcomePmf") -> "OutcomePmf":
         """Pmf of the sum of two independent variables (exact key merging)."""
         acc: dict[Fraction, float] = {}
@@ -130,14 +114,6 @@ class OutcomePmf:
             for y, py in other.items():
                 key = x + y
                 acc[key] = acc.get(key, 0.0) + px * py
-        return OutcomePmf.from_entries(acc)
-
-    def fold_square(self) -> "OutcomePmf":
-        """Pmf of ``X**2``: masses at ``v`` and ``-v`` merge onto ``v**2``."""
-        acc: dict[Fraction, float] = {}
-        for x, px in self.items():
-            key = x * x
-            acc[key] = acc.get(key, 0.0) + px
         return OutcomePmf.from_entries(acc)
 
 

@@ -32,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .finite_stats import check_copies, check_correlation
 from .pmf import OutcomePmf
-from .states import TruncatedGaussianPrior
+from .states import TruncatedGaussianPrior, check_signs
 from .witnesses import Witness, WitnessGrid
 
 #: Trials are drawn in fixed chunks; changing worker counts must not change results.
@@ -49,12 +50,6 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def _run_size(trials, seed) -> tuple[int, int]:
@@ -76,15 +71,14 @@ class SimulationConfig:
     seed: int
 
     def __init__(self, correlations: Sequence[float], copies: Sequence[int], trials: int, seed: int):
+        try:
+            correlations = tuple(check_correlation(t) for t in correlations)
+            copies = tuple(check_copies(n) for n in copies)
+        except TypeError:
+            raise DomainError("correlations and copies must be sequences") from None
         if len(correlations) != len(copies):
             raise DomainError("correlations and copies must have equal length")
         trials, seed = _run_size(trials, seed)
-        correlations = tuple(_real(t, "correlations") for t in correlations)
-        if any(not (-1.0 <= t <= 1.0) for t in correlations):
-            raise DomainError("correlations must lie in [-1, 1]")
-        copies = tuple(_integer(n, "copies") for n in copies)
-        if any(n < 1 for n in copies):
-            raise DomainError("copies must all be >= 1")
         object.__setattr__(self, "correlations", correlations)
         object.__setattr__(self, "copies", copies)
         object.__setattr__(self, "trials", trials)
@@ -186,9 +180,8 @@ def simulate_mixture_witness(
     mixture, so this validates the mixture computation rather than the
     discretization itself.
     """
-    if len(signs) != len(copies):
-        raise DomainError("signs and copies must have equal length")
-    copies = tuple(_integer(n, "copies") for n in copies)
+    copies = tuple(check_copies(n) for n in copies)
+    signs = check_signs(signs, len(copies))
     trials, seed = _run_size(trials, seed)
     points, weights = prior.discretize(grid_step)
     correlations = np.outer(points, np.asarray(signs, dtype=np.float64))

@@ -9,6 +9,7 @@ or an average over a truncated Gaussian prior on p.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,21 @@ from .witnesses import Witness, WitnessGrid, witness_pmf
 #: Most cells a purity prior may be discretized into: a mixture evaluates
 #: every cell's pmf at once, as a cells x grid-points array of floats.
 MAX_PRIOR_CELLS = 10_000
+
+
+def check_signs(signs: Sequence[int], settings: int | None = None) -> tuple[int, ...]:
+    """Ideal correlation signs as ints: each +1 or -1 (bools refused), one
+    per setting when ``settings`` is given."""
+    try:
+        signs = tuple(signs)
+    except TypeError:
+        raise DomainError(f"signs must be a sequence, got {signs!r}") from None
+    if settings is not None and len(signs) != settings:
+        raise DomainError(f"expected {settings} signs, one per setting, got {len(signs)}")
+    for s in signs:
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or s not in (-1, 1):
+            raise DomainError(f"signs must be +1 or -1, got {s!r}")
+    return tuple(int(s) for s in signs)
 
 
 def entanglement_threshold(num_qubits: int) -> float:
@@ -47,13 +63,12 @@ class NoisyPureFamily:
     def __init__(self, purity: float, num_qubits: int, signs: Sequence[int]):
         if not (0.0 <= purity <= 1.0):
             raise DomainError(f"purity must lie in [0, 1], got {purity}")
-        if any(s not in (-1, 1) for s in signs):
-            raise DomainError(f"signs must be +/-1, got {tuple(signs)}")
+        signs = check_signs(signs)
         if num_qubits < 2:
             raise DomainError(f"need at least 2 qubits, got {num_qubits}")
         object.__setattr__(self, "purity", float(purity))
         object.__setattr__(self, "num_qubits", int(num_qubits))
-        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
+        object.__setattr__(self, "signs", signs)
 
     @property
     def is_entangled(self) -> bool:
@@ -121,8 +136,7 @@ def mixture_witness_pmf(
     per-purity exact pmfs, one batch on a shared grid, are mixed with the
     renormalized weights.
     """
-    if len(signs) != len(copies):
-        raise DomainError("signs and copies must have equal length")
+    signs = check_signs(signs, len(copies))
     points, weights = prior.discretize(grid_step)
     grid = WitnessGrid(witness, copies)
     masses = np.array(weights) @ grid.pmf_batch(np.outer(points, signs))
@@ -182,6 +196,7 @@ class EntangledStateModel:
         copies: Sequence[int],
         signs: Sequence[int],
     ) -> OutcomePmf:
+        signs = check_signs(signs, len(copies))
         if self.purity is not None:
             settings = [
                 CorrelationSetting(s * self.purity, n) for s, n in zip(signs, copies)

@@ -4,11 +4,12 @@ Two shapes are supported: a linear combination of correlations plus a
 constant, and the sum of squared full correlations.  Each shape's class
 also carries its grid values, moments, separable region and analytic worst
 case, so the grid engine, the worst-case search and the CLI never ask which
-class they hold.  Outcome distributions
-of independent settings come from one integer encoding of the outcome grid,
-``WitnessGrid``, shared with the worst-case search and the simulator: its
-partial-sum steps aggregate probabilities forwards in ``pmf_batch`` and
-carry outcome weights backwards in ``expectation``.
+class they hold.  Every outcome distribution the package computes, the
+one-setting ``correlation_pmf`` and ``squared_correlation_pmf`` included,
+comes from one integer encoding of the outcome grid, ``WitnessGrid``,
+shared with the worst-case search and the simulator: its partial-sum steps
+aggregate probabilities forwards in ``pmf_batch`` and carry outcome weights
+backwards in ``expectation``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .finite_stats import (
-    _DIRECT_BINOMIAL_LIMIT,
     CorrelationSetting,
-    _binomial_weights,
+    check_copies,
     correlation_moments,
     squared_correlation_moments,
 )
 from .pmf import OutcomePmf, RationalLike, as_fraction
+
+#: Above this copy count binomial weights are assembled in log space.
+_DIRECT_BINOMIAL_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,22 @@ def _count_differences(n: int) -> np.ndarray:
     return 2 * np.arange(n + 1, dtype=np.int64) - n
 
 
+def _binomial_weights(n: int, success: float) -> list[float]:
+    """P(k successes in n trials) for k = 0..n, assembled in log space."""
+    if success == 0.0:
+        return [1.0] + [0.0] * n
+    if success == 1.0:
+        return [0.0] * n + [1.0]
+    log_s, log_f = math.log(success), math.log1p(-success)
+    out = []
+    for k in range(n + 1):
+        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        out.append(math.exp(log_comb + k * log_s + (n - k) * log_f))
+    # lgamma's rounding leaves the raw weights a few 1e-12 off unit mass.
+    total = math.fsum(out)
+    return [w / total for w in out]
+
+
 def _check_settings(settings: Sequence[CorrelationSetting], witness: Witness) -> None:
     if len(settings) != witness.num_settings:
         raise DomainError(
@@ -241,11 +260,9 @@ class WitnessGrid:
     """
 
     def __init__(self, witness: Witness, copies: Sequence[int]):
-        copies = tuple(int(n) for n in copies)
+        copies = tuple(check_copies(n) for n in copies)
         if len(copies) != witness.num_settings:
             raise DomainError(f"witness expects {witness.num_settings} settings, got {len(copies)}")
-        if any(n < 1 for n in copies):
-            raise DomainError("copies must all be >= 1")
         self.copies = copies
         denom, self.shift, self.values = witness.grid_values(copies)
         self.denominator = denom
@@ -370,6 +387,16 @@ def witness_pmf(settings: Sequence[CorrelationSetting], witness: Witness) -> Out
     """Exact outcome pmf of a witness over independent settings."""
     grid = WitnessGrid(witness, [s.copies for s in settings])
     return grid.pmf([s.correlation for s in settings])
+
+
+def correlation_pmf(setting: CorrelationSetting) -> OutcomePmf:
+    """Exact pmf of one estimated correlation on its grid {-1, -1 + 2/n, ..., 1}."""
+    return witness_pmf([setting], LinearWitness([1]))
+
+
+def squared_correlation_pmf(setting: CorrelationSetting) -> OutcomePmf:
+    """Exact pmf of one squared estimate; +v and -v fold onto v^2."""
+    return witness_pmf([setting], QuadraticWitness(1))
 
 
 def witness_moments(settings: Sequence[CorrelationSetting], witness: Witness) -> tuple[float, float]:

@@ -37,9 +37,8 @@ import numpy as np
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
-from .finite_stats import _DIRECT_BINOMIAL_LIMIT
 from .pmf import OutcomePmf, RationalLike, as_fraction
-from .witnesses import Witness, WitnessGrid
+from .witnesses import _DIRECT_BINOMIAL_LIMIT, Witness, WitnessGrid
 
 
 def minimize(*args, **kwargs):

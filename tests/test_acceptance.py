@@ -18,9 +18,7 @@ from entcert.acceptance import AcceptanceSet
 from entcert.finite_stats import (
     CorrelationSetting,
     correlation_moments,
-    correlation_pmf,
     squared_correlation_moments,
-    squared_correlation_pmf,
 )
 from entcert.inference import (
     PriorPair,
@@ -50,10 +48,13 @@ from entcert.states import (
 from entcert.witnesses import (
     LinearWitness,
     QuadraticWitness,
+    correlation_pmf,
+    squared_correlation_pmf,
     witness_moments,
     witness_pmf,
 )
 from entcert.worst_case import SearchOptions, WorstCaseProblem
+from oracles import setting_grid
 
 F = Fraction
 PP = 1.5e-3  # 0.15 percentage points
@@ -351,10 +352,10 @@ def test_criterion_08_brute_force_equivalence():
             sts = settings(rng.uniform(-1, 1, m), copies)
             exact = witness_pmf(sts, witness)
             if kind == "quadratic":
-                grids = [list(squared_correlation_pmf(s).items()) for s in sts]
+                grids = [list(setting_grid(s, square=True).items()) for s in sts]
                 combine = lambda values: sum(values, F(0))
             else:
-                grids = [list(correlation_pmf(s).items()) for s in sts]
+                grids = [list(setting_grid(s).items()) for s in sts]
                 combine = lambda values: sum(
                     (a * v for a, v in zip(witness.coefficients, values)), witness.constant
                 )

@@ -9,26 +9,32 @@ from scipy.stats import binom
 from entcert.errors import DomainError
 from entcert.finite_stats import (
     CorrelationSetting,
-    _binomial_weights,
     correlation_moments,
-    correlation_pmf,
     squared_correlation_moments,
-    squared_correlation_pmf,
 )
+from entcert.witnesses import _binomial_weights, correlation_pmf, squared_correlation_pmf
 
 F = Fraction
 
 
 class TestValidation:
-    @pytest.mark.parametrize("correlation", [-1.5, 1.0001, float("nan")])
+    # Strings and bools are not correlations, though float() converts them.
+    @pytest.mark.parametrize(
+        "correlation", [-1.5, 1.0001, float("nan"), "0.5", True, None, np.True_, 0.5j]
+    )
     def test_rejects_bad_correlation(self, correlation):
         with pytest.raises(DomainError):
             CorrelationSetting(correlation, 4)
 
-    @pytest.mark.parametrize("copies", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("copies", [0, -3, 2.5, True, "3", np.float64(3), None])
     def test_rejects_bad_copies(self, copies):
         with pytest.raises(DomainError):
             CorrelationSetting(0.5, copies)
+
+    def test_keeps_numpy_numbers(self):
+        setting = CorrelationSetting(np.float32(-0.25), np.int64(4))
+        assert (setting.correlation, setting.copies) == (-0.25, 4)
+        assert (type(setting.correlation), type(setting.copies)) == (float, int)
 
 
 class TestCorrelationPmf:
@@ -77,10 +83,10 @@ class TestCorrelationPmf:
 
 
 class TestBinomialWeights:
-    # The exact pmfs and the simulator's CDFs rest on these weights, so they
-    # need a reference of their own.  The tolerance covers lgamma's rounding
-    # on the log-space path above 1,000 copies (relative error ~1e-11 at
-    # 5,000 copies).
+    # The exact pmfs and the simulator's CDFs rest on these weights above
+    # 1,000 copies, so they need a reference of their own; the smaller n
+    # run the same log-space path.  The tolerance covers lgamma's rounding
+    # (relative error ~1e-11 at 5,000 copies).
     @pytest.mark.parametrize("n", [1, 4, 20, 1000, 1001, 5000])
     @pytest.mark.parametrize("success", [0.0, 0.3, 0.5, 0.97, 1.0])
     def test_match_scipy(self, n, success):
@@ -160,6 +166,5 @@ class TestSquaredPmf:
             n = int(rng.integers(1, 25))
             plus = correlation_pmf(CorrelationSetting(t, n))
             minus = correlation_pmf(CorrelationSetting(-t, n))
-            mirrored = plus.affine(scale=-1)
-            assert mirrored.outcomes == minus.outcomes
-            assert mirrored.probabilities == pytest.approx(minus.probabilities, abs=1e-15)
+            assert tuple(-o for o in reversed(plus.outcomes)) == minus.outcomes
+            assert plus.probabilities[::-1] == pytest.approx(minus.probabilities, abs=1e-15)

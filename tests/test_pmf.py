@@ -127,23 +127,6 @@ class TestQueries:
 
 
 class TestTransforms:
-    def test_affine_negative_scale_reverses_grid(self):
-        pmf = OutcomePmf((F(0), F(1)), (0.3, 0.7))
-        flipped = pmf.affine(scale=-2, shift=1)
-        assert flipped.outcomes == (F(-1), F(1))
-        assert flipped.probabilities == (0.7, 0.3)
-
-    def test_affine_zero_scale_collapses(self):
-        pmf = OutcomePmf((F(0), F(1)), (0.3, 0.7))
-        point = pmf.affine(scale=0, shift=F(5, 2))
-        assert point.outcomes == (F(5, 2),)
-
-    def test_fold_square_merges_signs(self):
-        pmf = OutcomePmf((F(-1), F(0), F(1)), (0.2, 0.5, 0.3))
-        folded = pmf.fold_square()
-        assert folded.outcomes == (F(0), F(1))
-        assert folded.probability(1) == pytest.approx(0.5)
-
     def test_convolution_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(40):

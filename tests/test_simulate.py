@@ -58,6 +58,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             SimulationConfig([0.5], copies, trials, seed)
 
+    @pytest.mark.parametrize("correlations, copies", [(None, [4]), (0.5, [4]), ([0.5], 4), ([0.5], None)])
+    def test_rejects_non_sequences(self, correlations, copies):
+        with pytest.raises(DomainError):
+            SimulationConfig(correlations, copies, 100, 0)
+
     @pytest.mark.parametrize("correlation", ["a", "0.5", None, 0.5j, True, False, np.True_])
     def test_rejects_non_real_correlations(self, correlation):
         with pytest.raises(DomainError):
@@ -78,7 +83,7 @@ class TestPerSettingLaw:
     # The simulator inverts the CDF of the outcome grid's own binomial
     # weights, which also give the exact pmfs, so the law of one setting is
     # checked against scipy.  One linear setting's grid lists k = 0..n in
-    # order.  Tolerance as for ``finite_stats._binomial_weights``.
+    # order.  Tolerance as for ``witnesses._binomial_weights``.
     @pytest.mark.parametrize("n", [1, 4, 20, 1000, 1001, 5000])
     @pytest.mark.parametrize("success", [0.0, 0.3, 0.5, 0.97, 1.0])
     def test_grid_weights_match_scipy(self, n, success):

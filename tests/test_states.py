@@ -6,11 +6,13 @@ import pytest
 from entcert.config import parse_entangled
 from entcert.errors import DomainError, SchemaError
 from entcert.finite_stats import CorrelationSetting
+from entcert.simulate import simulate_mixture_witness
 from entcert.states import (
     MAX_PRIOR_CELLS,
     EntangledStateModel,
     NoisyPureFamily,
     TruncatedGaussianPrior,
+    check_signs,
     entanglement_threshold,
     family_correlations,
     mixture_witness_pmf,
@@ -207,3 +209,45 @@ class TestEntangledModel:
             [CorrelationSetting(0.75, 10), CorrelationSetting(-0.75, 10)], QuadraticWitness(2)
         )
         assert pmf.probabilities == direct.probabilities
+
+
+#: Each takes the signs of three settings of four copies.
+_PRIOR = TruncatedGaussianPrior(0.8, 0.1, 0.2)
+_SIGNED_ENTRY_POINTS = {
+    "simulate_mixture_witness": lambda signs: simulate_mixture_witness(
+        _PRIOR, signs, (4, 4, 4), QuadraticWitness(3), 1000, 0
+    ),
+    "mixture_witness_pmf": lambda signs: mixture_witness_pmf(
+        _PRIOR, signs, (4, 4, 4), QuadraticWitness(3)
+    ),
+    "outcome_pmf at a fixed purity": lambda signs: EntangledStateModel(purity=0.4).outcome_pmf(
+        QuadraticWitness(3), (4, 4, 4), signs
+    ),
+    "outcome_pmf over a prior": lambda signs: EntangledStateModel(prior=_PRIOR).outcome_pmf(
+        QuadraticWitness(3), (4, 4, 4), signs
+    ),
+}
+
+
+class TestSignCheck:
+    # Any sign but +1 or -1 would rescale a correlation: sign 2 at purity
+    # 0.4 would run as correlation 0.8.
+    @pytest.mark.parametrize("entry", sorted(_SIGNED_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "signs", [(0.5, 1, 1), (True, 1, 1), ("a", 1, 1), (1, 2, 1), (1, 1), (1, 1, 1, 1), None]
+    )
+    def test_every_entry_point_rejects_bad_signs(self, entry, signs):
+        with pytest.raises(DomainError):
+            _SIGNED_ENTRY_POINTS[entry](signs)
+
+    @pytest.mark.parametrize("sign", [0.5, True, "a", 2, np.True_])
+    def test_family_rejects_bad_signs(self, sign):
+        with pytest.raises(DomainError):
+            NoisyPureFamily(0.5, 3, (1, sign))
+
+    def test_numpy_and_float_signs_become_ints(self):
+        signs = check_signs((np.int64(1), -1.0, np.float64(1.0)), 3)
+        assert signs == (1, -1, 1)
+        assert all(type(s) is int for s in signs)
+        assert NoisyPureFamily(0.5, 3, (np.int8(-1),)).signs == (-1,)
+

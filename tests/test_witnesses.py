@@ -11,16 +11,20 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from entcert.errors import DomainError, InfeasibleError
-from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
+from entcert.finite_stats import CorrelationSetting
 from entcert.witnesses import (
     LinearWitness,
     QuadraticWitness,
     WitnessGrid,
+    _binomial_weights,
+    correlation_pmf,
+    squared_correlation_pmf,
     witness_grid,
     witness_moments,
     witness_pmf,
 )
-from entcert.worst_case import FEASIBILITY_TOLERANCE
+from entcert.worst_case import FEASIBILITY_TOLERANCE, WorstCaseProblem
+from oracles import setting_grid
 from sampling import sample_separable
 
 F = Fraction
@@ -115,13 +119,37 @@ class TestSupportBounds:
         assert all(0 <= o <= 3 for o in pmf.outcomes)
 
 
+class TestOneSettingPmfs:
+    """``correlation_pmf`` and ``squared_correlation_pmf`` are the engine's
+    one-setting pmfs, bit for bit, on both binomial paths."""
+
+    CASES = settings(np.random.default_rng(60).uniform(-1, 1, 62), [*range(1, 61), 2000, 5000])
+
+    @pytest.mark.parametrize(
+        "single,witness",
+        [(correlation_pmf, LinearWitness([1])), (squared_correlation_pmf, QuadraticWitness(1))],
+    )
+    def test_equal_the_engine_exactly(self, single, witness):
+        for setting in self.CASES:
+            pmf = single(setting)
+            reference = witness_pmf([setting], witness)
+            assert pmf.outcomes == reference.outcomes
+            assert pmf.probabilities == reference.probabilities
+
+    def test_package_exports_them(self):
+        import entcert
+
+        assert entcert.correlation_pmf is correlation_pmf
+        assert entcert.squared_correlation_pmf is squared_correlation_pmf
+
+
 def brute_force_pmf(sts, witness):
     """Exhaustive enumeration over all per-setting outcome tuples."""
     if isinstance(witness, QuadraticWitness):
-        grids = [list(squared_correlation_pmf(s).items()) for s in sts]
+        grids = [list(setting_grid(s, square=True).items()) for s in sts]
         evaluate = lambda values: sum(values, F(0))
     else:
-        grids = [list(correlation_pmf(s).items()) for s in sts]
+        grids = [list(setting_grid(s).items()) for s in sts]
         evaluate = lambda values: sum(
             (c * v for c, v in zip(witness.coefficients, values)), witness.constant
         )
@@ -252,9 +280,8 @@ class TestGridEngine:
     def test_log_space_binomial_beyond_direct_limit(self):
         setting = CorrelationSetting(0.3, 2000)
         pmf = witness_pmf([setting], LinearWitness([1]))
-        reference = correlation_pmf(setting)
-        assert pmf.outcomes == reference.outcomes
-        assert pmf.probabilities == pytest.approx(reference.probabilities, abs=1e-15)
+        assert pmf.outcomes == tuple(F(2 * k - 2000, 2000) for k in range(2001))
+        assert pmf.probabilities == pytest.approx(_binomial_weights(2000, 0.65), abs=1e-15)
 
     @pytest.mark.parametrize("witness", [LinearWitness([1]), QuadraticWitness(1)])
     def test_five_thousand_copies_keep_unit_mass(self, witness):
@@ -342,6 +369,19 @@ class TestSeparableRegion:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("copies", [(2.5, 3), ("3", 3), (True, 3), (np.float64(3), 3), (0, 3), (None, 3)])
+    def test_rejects_what_it_used_to_coerce(self, copies):
+        # int() would truncate 2.5 copies to 2 and turn "3" and True into 3 and 1.
+        with pytest.raises(DomainError):
+            WitnessGrid(QuadraticWitness(2), copies)
+        with pytest.raises(DomainError):
+            WorstCaseProblem(QuadraticWitness(2), copies)
+
+    def test_keeps_numpy_integers(self):
+        grid = WitnessGrid(QuadraticWitness(2), (np.int64(3), np.uint8(2)))
+        assert grid.copies == (3, 2)
+        assert all(type(n) is int for n in grid.copies)
+
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             witness_pmf(settings([0.5], [4]), LinearWitness([1, -1], 1))

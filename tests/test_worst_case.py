@@ -10,10 +10,11 @@ from scipy.optimize import minimize
 from entcert import worst_case
 from entcert.acceptance import AcceptanceSet
 from entcert.errors import DomainError, InfeasibleError
-from entcert.finite_stats import CorrelationSetting, correlation_pmf, squared_correlation_pmf
+from entcert.finite_stats import CorrelationSetting
 from entcert.pmf import OutcomePmf
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
 from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem
+from oracles import setting_grid
 from sampling import sample_separable
 
 F = Fraction
@@ -23,12 +24,14 @@ OPTS = SearchOptions(restarts=12, seed=101)
 def convolution_pmf(settings, witness):
     """Independent oracle: the ``OutcomePmf.convolve`` chain over per-setting pmfs."""
     if isinstance(witness, QuadraticWitness):
-        parts = [squared_correlation_pmf(s) for s in settings]
-        shift = 0
+        grids = [setting_grid(s, square=True) for s in settings]
     else:
-        parts = [correlation_pmf(s).affine(scale=c) for s, c in zip(settings, witness.coefficients)]
-        shift = witness.constant
-    return functools.reduce(OutcomePmf.convolve, parts).affine(shift=shift)
+        shifts = [witness.constant] + [0] * (len(settings) - 1)
+        grids = [
+            setting_grid(s, scale=c, shift=b)
+            for s, c, b in zip(settings, witness.coefficients, shifts)
+        ]
+    return functools.reduce(OutcomePmf.convolve, map(OutcomePmf.from_entries, grids))
 
 
 def dense_quadratic_oracle(copies, accepted, resolution=1e-3):
