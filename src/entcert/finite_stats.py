@@ -29,12 +29,13 @@ class CorrelationSetting:
         object.__setattr__(self, "correlation", check_correlation(self.correlation))
 
 
-def check_copies(value) -> int:
-    """A copy count as an int: an integer (numpy's included, bools not) >= 1."""
+def check_copies(value, name: str = "copies") -> int:
+    """A copy count as an int: an integer (numpy's included, bools not) >= 1.
+    ``name`` is the quantity the error messages name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"copies must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 1:
-        raise DomainError(f"copies must be >= 1, got {value}")
+        raise DomainError(f"{name} must be >= 1, got {value}")
     return int(value)
 
 

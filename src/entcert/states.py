@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .finite_stats import CorrelationSetting
+from .finite_stats import CorrelationSetting, check_copies
 from .pmf import OutcomePmf
 from .witnesses import Witness, WitnessGrid, witness_pmf
 
@@ -41,6 +41,15 @@ def check_signs(signs: Sequence[int], settings: int | None = None) -> tuple[int,
     return tuple(int(s) for s in signs)
 
 
+def check_purity(value) -> float:
+    """A purity as a float: a real number (numpy's, not bools) in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"purity must be a real number, got {value!r}")
+    if not (0.0 <= value <= 1.0):
+        raise DomainError(f"purity must lie in [0, 1], got {value}")
+    return float(value)
+
+
 def entanglement_threshold(num_qubits: int) -> float:
     """Pure-state weight above which the noisy family is entangled."""
     if num_qubits < 2:
@@ -61,12 +70,11 @@ class NoisyPureFamily:
     signs: tuple[int, ...]
 
     def __init__(self, purity: float, num_qubits: int, signs: Sequence[int]):
-        if not (0.0 <= purity <= 1.0):
-            raise DomainError(f"purity must lie in [0, 1], got {purity}")
+        purity = check_purity(purity)
         signs = check_signs(signs)
         if num_qubits < 2:
             raise DomainError(f"need at least 2 qubits, got {num_qubits}")
-        object.__setattr__(self, "purity", float(purity))
+        object.__setattr__(self, "purity", purity)
         object.__setattr__(self, "num_qubits", int(num_qubits))
         object.__setattr__(self, "signs", signs)
 
@@ -150,10 +158,9 @@ def white_noise_success_probability(purity: float, copies: int, num_settings: in
     to agree in sign.  This is the chance of observing the maximal value of
     the sum-of-squares witness for the white-noise family.
     """
-    if not (0.0 <= purity <= 1.0):
-        raise DomainError(f"purity must lie in [0, 1], got {purity}")
-    if copies < 1 or num_settings < 1:
-        raise DomainError("copies and num_settings must be >= 1")
+    purity = check_purity(purity)
+    copies = check_copies(copies)
+    num_settings = check_copies(num_settings, "num_settings")
     agree = ((1.0 + purity) / 2.0) ** copies + ((1.0 - purity) / 2.0) ** copies
     return agree**num_settings
 
@@ -183,8 +190,8 @@ class EntangledStateModel:
     def __post_init__(self):
         if (self.purity is None) == (self.prior is None):
             raise DomainError("give exactly one of purity and prior")
-        if self.purity is not None and not (0.0 <= self.purity <= 1.0):
-            raise DomainError(f"purity must lie in [0, 1], got {self.purity}")
+        if self.purity is not None:
+            object.__setattr__(self, "purity", check_purity(self.purity))
         if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
             raise DomainError(f"grid_step must be positive and finite, got {self.grid_step}")
         if self.prior is not None:

@@ -9,7 +9,7 @@ one-setting ``correlation_pmf`` and ``squared_correlation_pmf`` included,
 comes from one integer encoding of the outcome grid, ``WitnessGrid``,
 shared with the worst-case search and the simulator: its partial-sum steps
 aggregate probabilities forwards in ``pmf_batch`` and carry outcome weights
-backwards in ``expectation``.
+backwards in ``value_and_grad``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -255,7 +255,7 @@ class WitnessGrid:
     binomial weight ``comb * q**k * (1 - q)**(n - k)`` from the padded
     tables.  One step per setting maps every (partial sum, count k) pair to
     its place among the next partial sums.  ``pmf_batch`` runs the steps
-    first to last, and ``expectation`` runs them last to first, so neither
+    first to last, and ``value_and_grad`` runs them back again, so neither
     ever enumerates the full combination space.
     """
 
@@ -330,7 +330,8 @@ class WitnessGrid:
 
         The forward pass keeps the partial-sum masses before every step; the
         backward pass gathers the weights through each step's inverse map,
-        as ``expectation`` does.  Setting j's gradient pairs the masses
+        from the last setting to the first, and contracts them with that
+        setting's binomial weights.  Setting j's gradient pairs the masses
         before its step with the weights gathered after it and with the
         derivatives of its binomial weights.  Only the direct binomial
         tables are differentiated, which covers every ``WorstCaseProblem``.
@@ -357,26 +358,6 @@ class WitnessGrid:
             grad[:, j] = (per_count * slope[:, j, : inverse.shape[1]]).sum(axis=1)
             adjoint = (gathered * table[:, j, None, : inverse.shape[1]]).sum(axis=2)
         return adjoint[:, 0], grad
-
-    def expectation(self, weights) -> Callable[[Sequence[float]], float]:
-        """The map  t -> pmf_batch([t])[0] @ weights, as the transpose of ``pmf_batch``.
-
-        From the last setting to the first, each step gathers the current
-        weights through its inverse map and contracts them with that
-        setting's binomial weights; the outcome probabilities are never
-        formed.
-        """
-        inverses = [inverse for inverse, _ in self._steps]
-        tail = np.asarray(weights, dtype=np.float64)[inverses[-1]]
-
-        def expectation(correlations) -> float:
-            table = self._binomials(np.asarray(correlations, dtype=np.float64)[None])[0]
-            value = tail.dot(table[-1, : tail.shape[1]])
-            for j in range(len(inverses) - 2, -1, -1):
-                value = value[inverses[j]].dot(table[j, : inverses[j].shape[1]])
-            return float(value[0])
-
-        return expectation
 
     def pmf(self, correlations: Sequence[float]) -> OutcomePmf:
         """Exact outcome pmf at one correlation vector."""

@@ -15,8 +15,8 @@ the point of the best candidate and re-evaluates it exactly.  The ascent
 projects every start onto the region, so starts may lie outside it.
 Acceptance-set searches climb the set's weighted mass from the analytic
 point, any seed points and random points of the box, all drawn from one
-generator, and a short simulated-annealing walk on a penalized objective
-adds one more start when the restarts stall.  Single-outcome searches share
+generator, and, with restarts, from the projected box point of largest mass
+among a screen of ``_SCREEN_POINTS`` more.  Single-outcome searches share
 one deterministic scan of the feasible region per problem: a capped lattice
 of the box, each point projected onto the region and evaluated in chunks
 with the batched grid engine, keeps the best point of every outcome, and
@@ -27,7 +27,6 @@ search, they floor its result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,18 +70,9 @@ _SCAN_CALL_CAP = 1024
 #: once when it looks flat (M rows), and an ascent call takes at least 1 row.
 _SCAN_FLOATS = 2**20
 
-#: Weight of the exterior quadratic penalty on constraint violations in the
-#: objective of the annealing walk.
-_PENALTY_WEIGHT = 1e4
-
-#: Start temperature and step width of the annealing walk, and the factor
-#: that shrinks both after every step.
-_ANNEAL_INITIAL_TEMP = 0.05
-_ANNEAL_INITIAL_STEP = 0.25
-_ANNEAL_FACTOR = 0.95
-
-#: An ascent row improves on the best value so far only by more than this.
-_STALL_TOLERANCE = 1e-6
+#: Uniform box points that an acceptance-set search with restarts screens
+#: by their projections' set mass; the best one climbs as its last start.
+_SCREEN_POINTS = 64
 
 #: Largest entry of the first step of the ascent, and of the
 #: probe that projects its gradients (see ``_ascent_directions``).
@@ -109,10 +99,11 @@ class SearchOptions:
     ``fatol``.  Acceptance-set searches add random points of the box, drawn
     from one generator seeded with ``seed`` and projected by the ascent, to
     the analytic point and any seed points until there are ``restarts``
-    starts, and a stalled search gets an annealing walk of ``anneal_steps``
-    steps from the same generator.  Pointwise searches start from the
-    analytic point and the best scan point, and use only ``max_iterations``,
-    ``xatol`` and ``fatol``.
+    starts, and one screened start from the same generator where
+    ``restarts`` is above 0 (see ``maximize_set``).  Pointwise searches
+    start from the analytic point and the best scan point, and use only
+    ``max_iterations``, ``xatol`` and ``fatol``.  ``anneal_steps`` is
+    checked so that configs which set it still run, but no search reads it.
     """
 
     restarts: int = 32
@@ -132,8 +123,8 @@ class SearchOptions:
 
 
 #: One loose ascent from each seed point and from the analytic start, without
-#: random restarts or annealing.  The planner's pointwise searches and the
-#: feasibility probes of the acceptance-set search use it.
+#: random restarts or a screened start.  The planner's pointwise searches and
+#: the feasibility probes of the acceptance-set search use it.
 POLISH = SearchOptions(restarts=0, anneal_steps=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
 
 
@@ -165,9 +156,8 @@ class WorstCaseProblem:
     """One witness + copy allocation and its worst-case searches.
 
     The outcome grid and its integer encoding come from ``WitnessGrid``.
-    The scan evaluates candidate points with that engine's ``pmf_batch``,
-    every search climbs with its ``value_and_grad``, and the annealing walk
-    evaluates its ``expectation`` of the outcome weights.
+    The scans evaluate candidate points with that engine's ``pmf_batch``,
+    and every search climbs with its ``value_and_grad``.
     """
 
     def __init__(self, witness: Witness, copies: tuple[int, ...] | list[int]):
@@ -255,15 +245,17 @@ class WorstCaseProblem:
         the analytic point, the seed points as given, and random points of
         the box until there are ``restarts`` starts, all drawn from one
         generator seeded with ``seed``; the ascent projects them onto the
-        region.  The search stalls when none of the last max(2, B/2) of the
-        B rows, in start order, ends more than ``_STALL_TOLERANCE`` above
-        every row before it; then a Metropolis walk on the penalized
-        objective (``_anneal``), drawing from the same generator, starts from
-        the best candidate, and one more row climbs from where it ends.  The
-        result is the best candidate (``_best``), so never below the
-        analytic start's, and it is ``converged`` when at least 3 candidates
-        (every candidate, if fewer) lie within 1e-3 of the best.  With no
-        start at all it raises DomainError.
+        region.  With ``restarts`` above 0, the same generator then draws
+        ``_SCREEN_POINTS`` box points, and the first of largest set mass
+        once projected, evaluated in chunks sized by ``_SCAN_FLOATS``,
+        climbs last; ``restarts_used`` does not count it.  A few restarts
+        can all climb into one low basin, and the screened start lands in a
+        higher one far more often.  The result is the best candidate
+        (``_best``), the first in start order on an exact tie, so never
+        below the analytic start's or the search's without the screened
+        start.  It is ``converged`` when at least 3 candidates (every
+        candidate, if fewer) lie within 1e-3 of the best.  With no start at
+        all it raises DomainError.
         """
         weights = self.outcome_weights(acc)
         opts = options or SearchOptions()
@@ -272,35 +264,25 @@ class WorstCaseProblem:
         rng = np.random.default_rng(opts.seed)
         shape = (max(0, opts.restarts - len(starts)), len(self.copies))
         starts += list(rng.uniform(self.witness.low, 1.0, shape))
+        restarts_used = len(starts)
+        if opts.restarts > 0:
+            box = rng.uniform(self.witness.low, 1.0, (_SCREEN_POINTS, len(self.copies)))
+            screen = self.witness.project_batch(box)
+            per_call = max(1, _SCAN_FLOATS // self._engine.table_size)
+            chunks = range(0, _SCREEN_POINTS, per_call)
+            mass = [self._engine.pmf_batch(screen[i : i + per_call]) @ weights for i in chunks]
+            starts.append(screen[np.argmax(np.concatenate(mass))])
 
         def rows(owner):
             return np.broadcast_to(weights, (len(owner), len(self.grid)))
 
         (candidates,) = self._search(rows, [starts], opts)
-        best_so_far = -np.inf
-        last_improvement = 0
-        for i, (value, _, _) in enumerate(candidates[len(starts) :]):
-            if value > best_so_far + _STALL_TOLERANCE:
-                best_so_far = value
-                last_improvement = i
-
-        stalled = (len(starts) - 1 - last_improvement) >= max(2, len(starts) // 2)
-        if stalled and opts.anneal_steps > 0:
-            objective = self._engine.expectation(weights)
-
-            def penalized_negative(t) -> float:
-                return -objective(t) + _PENALTY_WEIGHT * self.witness.violation(t) ** 2
-
-            best_point = np.array(_best(candidates)[1])
-            annealed = self._anneal(best_point, penalized_negative, rng, opts)
-            candidates += self._search(rows, [[annealed]], opts)[0]
-
         best_value, chosen, _ = _best(candidates)
         near_best = sum(1 for value, _, _ in candidates if value >= best_value - 1e-3)
         return self._result(
             chosen,
             lambda dist: float(np.dot(weights, np.array(dist.probabilities))),
-            len(starts),
+            restarts_used,
             near_best >= min(3, len(candidates)),
         )
 
@@ -536,29 +518,6 @@ class WorstCaseProblem:
         probe = self.witness.project_batch(points + grads / scale[:, None])
         return (probe - points) * scale[:, None]
 
-    def _anneal(
-        self,
-        start: np.ndarray,
-        penalized_negative,
-        rng: np.random.Generator,
-        opts: SearchOptions,
-    ) -> np.ndarray:
-        """Geometric-cooling Metropolis walk used to escape shallow basins."""
-        current = np.array(start, dtype=np.float64)
-        current_value = penalized_negative(current)
-        best, best_value = current, current_value
-        temperature = _ANNEAL_INITIAL_TEMP
-        step = _ANNEAL_INITIAL_STEP
-        for _ in range(opts.anneal_steps):
-            proposal = np.clip(current + rng.normal(0.0, step, len(current)), self.witness.low, 1.0)
-            value = penalized_negative(proposal)
-            if value < current_value or rng.random() < math.exp(
-                -(value - current_value) / max(temperature, 1e-12)
-            ):
-                current, current_value = proposal, value
-                if value < best_value:
-                    best, best_value = proposal, value
-            temperature *= _ANNEAL_FACTOR
-            step *= _ANNEAL_FACTOR
-        return best
-
+    def _anneal(self, *args, **kwargs):
+        """No search calls it; it stays while perfbench's tracer wraps it."""
+        raise NotImplementedError("the annealing walk is retired")

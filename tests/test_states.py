@@ -12,6 +12,7 @@ from entcert.states import (
     EntangledStateModel,
     NoisyPureFamily,
     TruncatedGaussianPrior,
+    check_purity,
     check_signs,
     entanglement_threshold,
     family_correlations,
@@ -43,6 +44,33 @@ class TestNoisyFamily:
             NoisyPureFamily(0.5, 3, (2,))
         with pytest.raises(DomainError):
             NoisyPureFamily(0.5, 1, (1,))
+
+
+_PURITY_ENTRY_POINTS = {
+    "NoisyPureFamily": lambda p: NoisyPureFamily(p, 3, (1,)).purity,
+    "EntangledStateModel": lambda p: EntangledStateModel(purity=p).purity,
+    "white_noise_success_probability": lambda p: white_noise_success_probability(p, 4, 5),
+}
+
+
+class TestPurityCheck:
+    # A bool would run as purity 0 or 1, and a string would fail inside
+    # the comparison with a TypeError.
+    @pytest.mark.parametrize("entry", sorted(_PURITY_ENTRY_POINTS))
+    @pytest.mark.parametrize("purity", [True, False, np.True_, "0.5", None, 1.5, -0.1, float("nan")])
+    def test_every_entry_point_rejects_bad_purity(self, entry, purity):
+        with pytest.raises(DomainError):
+            _PURITY_ENTRY_POINTS[entry](purity)
+
+    @pytest.mark.parametrize("entry", sorted(_PURITY_ENTRY_POINTS))
+    @pytest.mark.parametrize("purity", [0, 1, np.float64(0.5), np.int64(1)])
+    def test_every_entry_point_takes_real_purity(self, entry, purity):
+        _PURITY_ENTRY_POINTS[entry](purity)
+
+    def test_purity_becomes_a_float(self):
+        assert type(check_purity(np.float32(0.5))) is float
+        assert type(NoisyPureFamily(1, 3, (1,)).purity) is float
+        assert type(EntangledStateModel(purity=np.int64(0)).purity) is float
 
 
 class TestTruncatedPrior:
@@ -163,6 +191,20 @@ class TestWhiteNoiseCurve:
                 for p in np.arange(0.0, 1.0001, 0.01)
             ]
             assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "copies,settings", [(2.5, 1), (4, 2.0), (True, 5), (4, True), (0, 5), (4, 0), ("4", 5)]
+    )
+    def test_rejects_bad_counts(self, copies, settings):
+        # (0.5, 2.5, 1) once gave 0.518, a law at 2.5 copies, and bools ran
+        # as 1 copy of 1 setting.
+        with pytest.raises(DomainError):
+            white_noise_success_probability(0.5, copies, settings)
+
+    def test_numpy_integer_counts(self):
+        assert white_noise_success_probability(0.8, np.int64(4), np.int8(5)) == (
+            white_noise_success_probability(0.8, 4, 5)
+        )
 
     def test_matches_quadratic_pmf_mass(self):
         # P(S = M) computed from the exact distribution must agree.

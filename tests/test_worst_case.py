@@ -66,7 +66,8 @@ def multistart_nelder_mead(problem, weights, restarts=12, seed=7):
     region.  A run's first simplex is scipy's, reflected into the box at
     both bounds, so that a start on a face can leave it."""
     witness = problem.witness
-    objective = problem._engine.expectation(weights)
+    def objective(t):
+        return problem._engine.pmf_batch([t])[0] @ weights
 
     def penalized_negative(t):
         return -objective(t) + 1e4 * witness.violation(t) ** 2
@@ -281,7 +282,8 @@ class TestSetSearch:
         ],
     )
     def test_reports_the_best_candidate(self, witness, copies, acc, options, monkeypatch):
-        # The second case stalls, so its annealed row is a candidate too.
+        # Both cases have restarts, so the screened start's row is a
+        # candidate too.
         found = []
         search = WorstCaseProblem._search
 
@@ -295,6 +297,93 @@ class TestSetSearch:
         best = max(value for value, _, _ in found)
         assert result.correlations == next(p for v, p, _ in found if v == best)
         assert result.objective == pytest.approx(best, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "witness,copies,outcomes,options,floor",
+        [
+            # Three random restarts end at 0.2703; the annealing walk that
+            # once ran here reached 0.4722.
+            (
+                LinearWitness([-1, -1, 1, F(1, 2)], F(1, 2)),
+                (3, 6, 3, 3),
+                [-2, F(-5, 3), F(-4, 3), F(-2, 3), F(4, 3), F(8, 3), F(10, 3)],
+                SearchOptions(restarts=3, seed=472),
+                0.4722,
+            ),
+            # 0.25 from the restarts, 0.26171875 with the walk.
+            (
+                QuadraticWitness(4),
+                (1, 2, 6, 4),
+                [F(10, 9), F(5, 4), 2, F(31, 9)],
+                SearchOptions(restarts=3, seed=374),
+                0.2617,
+            ),
+        ]
+        + [
+            # All four starts of seed 1 climb to 0.444 at (-1, -1/3); (1, -1)
+            # gives 1.
+            (
+                LinearWitness([1, -1], 1),
+                (4, 3),
+                [F(1, 3), F(1, 2), F(5, 6), 2, F(5, 2), 3],
+                SearchOptions(restarts=4, seed=seed),
+                1.0 - 1e-9,
+            )
+            for seed in range(8)
+        ],
+    )
+    def test_few_restarts_reach_the_worst_case(self, witness, copies, outcomes, options, floor):
+        result = WorstCaseProblem(witness, copies).maximize_set(AcceptanceSet.explicit(outcomes), options)
+        assert result.objective >= floor
+        assert result.restarts_used == options.restarts
+
+    @pytest.mark.parametrize("restarts", [0, 1, 5])
+    def test_screened_start_climbs_last(self, restarts, monkeypatch):
+        groups = []
+        search = WorstCaseProblem._search
+
+        def spied(self, weights, starts, opts):
+            groups.extend(starts)
+            return search(self, weights, starts, opts)
+
+        monkeypatch.setattr(WorstCaseProblem, "_search", spied)
+        problem = WorstCaseProblem(QuadraticWitness(3), (4, 3, 2))
+        acc = AcceptanceSet.explicit([F(1, 9), 3])
+        seeds = [(0.1, 0.2, 0.3)]
+        options = SearchOptions(restarts=restarts, seed=9)
+        result = problem.maximize_set(acc, options, seed_points=seeds)
+        (starts,) = groups
+        analytic = [problem.witness.analytic_worst_case()]
+        rng = np.random.default_rng(9)
+        low = problem.witness.low
+        box = rng.uniform(low, 1.0, (max(0, restarts - 2), 3))
+        assert result.restarts_used == 2 + len(box)
+        if not restarts:
+            assert np.array_equal(np.array(starts), np.array(analytic + seeds))
+            return
+        assert np.array_equal(np.array(starts[:-1]), np.vstack([analytic, seeds, box]))
+        screen = problem.witness.project_batch(rng.uniform(low, 1.0, (worst_case._SCREEN_POINTS, 3)))
+        mass = problem._engine.pmf_batch(screen) @ problem.outcome_weights(acc)
+        assert np.array_equal(starts[-1], screen[np.argmax(mass)])
+
+    def test_screen_is_chunked_by_the_grid(self, monkeypatch):
+        problem = WorstCaseProblem(QuadraticWitness(3), (5, 4, 4))
+        acc = AcceptanceSet.explicit([1, F(34, 25), F(9, 4), 3])
+        options = SearchOptions(restarts=3, seed=4)
+        reference = problem.maximize_set(acc, options)
+        calls = []
+        pmf_batch = problem._engine.pmf_batch
+
+        def counted(points):
+            calls.append(len(points))
+            return pmf_batch(points)
+
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 5 * problem._engine.table_size)
+        monkeypatch.setattr(problem._engine, "pmf_batch", counted)
+        chunked = problem.maximize_set(acc, options)
+        # 64 screen points 5 at a time, then the result's own evaluation.
+        assert calls == [5] * 12 + [4, 1]
+        assert (chunked.objective, chunked.correlations) == (reference.objective, reference.correlations)
 
     def test_acceptance_must_live_on_grid(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
@@ -407,7 +496,7 @@ class TestPolish:
         monkeypatch.setattr(WorstCaseProblem, "_anneal", counted)
         acc = AcceptanceSet.threshold(0, "accept_low")
         problem.maximize_set(acc, SearchOptions(restarts=8))
-        assert len(walks) == 1
+        assert walks == []
         problem.maximize_set(acc, POLISH, seed_points=[(0.0, 0.0)])
 
     def test_reports_the_best_candidate(self):
