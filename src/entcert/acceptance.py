@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from .errors import DomainError
+from .finite_stats import check_real
 from .pmf import OutcomePmf, RationalLike, as_fraction, format_fraction, round_fraction
 
 Direction = Literal["accept_low", "accept_high"]
@@ -28,8 +29,7 @@ class AcceptanceSet:
     boundary: Fraction | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise DomainError(f"gamma must lie in [0, 1], got {self.gamma}")
+        object.__setattr__(self, "gamma", check_real(self.gamma, "gamma", 0.0, 1.0))
         if self.gamma > 0.0 and self.boundary is None:
             raise DomainError("randomization requires a designated boundary outcome")
         if self.kind == "threshold":
@@ -57,7 +57,8 @@ class AcceptanceSet:
             bound=b,
             direction=direction,
             gamma=gamma,
-            boundary=b if gamma > 0.0 else None,
+            # Not gamma > 0: a gamma that is not a number must reach __post_init__'s check.
+            boundary=b if gamma else None,
         )
 
     @classmethod

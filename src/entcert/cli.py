@@ -17,8 +17,8 @@ from typing import Any
 from . import config as cfg
 from .acceptance import snap_to_grid
 from .errors import DomainError, EntcertError, InfeasibleError, SchemaError
-from .finite_stats import CorrelationSetting
-from .inference import _check_q_bayes, build_test_report
+from .finite_stats import CorrelationSetting, check_copies, check_real
+from .inference import build_test_report, check_q_bayes
 from .pmf import OutcomePmf, format_fraction
 from .planner import (
     PlanEvaluator,
@@ -68,9 +68,7 @@ def _load_config(path: str) -> dict[str, Any]:
         raise SchemaError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("config root must be a JSON object")
-    return doc
+    return doc  # each command checks that it is an object with its keys
 
 
 def _settings(correlations, copies) -> list[CorrelationSetting]:
@@ -85,8 +83,8 @@ def _settings(correlations, copies) -> list[CorrelationSetting]:
 def cmd_dist(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]], int]:
     cfg.check_keys(doc, "config", {"witness", "correlations", "copies"})
     witness = cfg.parse_witness(doc["witness"])
-    correlations = cfg.number_list(doc["correlations"], "correlations")
-    copies = cfg.integer_list(doc["copies"], "copies")
+    correlations = cfg.array(doc["correlations"], "correlations")
+    copies = cfg.array(doc["copies"], "copies")
     pmf = witness_pmf(_settings(correlations, copies), witness)
     report = {
         "command": "dist",
@@ -105,7 +103,7 @@ def cmd_worst_case(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list
         doc, "config", {"witness", "copies"}, {"acceptance", "outcome", "optimizer"}
     )
     witness = cfg.parse_witness(doc["witness"])
-    copies = cfg.integer_list(doc["copies"], "copies")
+    copies = cfg.array(doc["copies"], "copies")
     options = cfg.parse_optimizer(doc.get("optimizer"), args.seed)
     problem = WorstCaseProblem(witness, copies)
     if ("acceptance" in doc) == ("outcome" in doc):
@@ -134,10 +132,9 @@ def cmd_test(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
         {"signs", "optimizer"},
     )
     witness = cfg.parse_witness(doc["witness"])
-    copies = cfg.integer_list(doc["copies"], "copies")
+    copies = cfg.array(doc["copies"], "copies")
     priors = cfg.parse_priors(doc["priors"])
-    q_bayes = cfg.number(doc, "q_bayes", "config")
-    _check_q_bayes(q_bayes)
+    q_bayes = check_q_bayes(doc["q_bayes"])
     options = cfg.parse_optimizer(doc.get("optimizer"), args.seed)
     model = cfg.parse_entangled(doc["entangled"])
     signs = cfg.parse_signs(doc, len(copies), family_signs(witness.kind, len(copies)))
@@ -217,7 +214,7 @@ def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
     kind = doc["witness_kind"]
     if kind not in ("linear", "quadratic"):
         raise SchemaError("witness_kind: expected 'linear' or 'quadratic'")
-    budget = cfg.integer(doc, "budget", "config")
+    budget = doc["budget"]
     mode = doc.get("mode", "optimize")
 
     if mode == "sweep":
@@ -265,11 +262,11 @@ def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
             raise SchemaError(f"config: missing keys ['{key}'] for optimize mode")
     spec = PlanSpec(
         budget=budget,
-        max_settings=cfg.integer(doc, "max_settings", "config"),
-        min_validity=cfg.number(doc, "min_validity", "config"),
+        max_settings=doc["max_settings"],
+        min_validity=doc["min_validity"],
         framework=doc["framework"],
-        allow_unused_copies=cfg.boolean(doc, "allow_unused_copies", "config", True),
-        equal_allocation_only=cfg.boolean(doc, "equal_allocation_only", "config", False),
+        allow_unused_copies=doc.get("allow_unused_copies", True),
+        equal_allocation_only=doc.get("equal_allocation_only", False),
     )
     evaluator = PlanEvaluator(
         kind,
@@ -305,15 +302,13 @@ def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
 
 def cmd_noise_curve(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]], int]:
     cfg.check_keys(doc, "config", {"copies_per_setting", "settings"}, {"step"})
-    copies = cfg.integer(doc, "copies_per_setting", "config")
-    settings = cfg.integer(doc, "settings", "config")
-    step = cfg.number(doc, "step", "config") if "step" in doc else 0.01
-    if step <= 0 or step > 1:
-        raise SchemaError("step: expected a value in (0, 1]")
+    copies = check_copies(doc["copies_per_setting"], "copies_per_setting")
+    settings = check_copies(doc["settings"], "settings")
+    step = check_real(doc.get("step", 0.01), "step", 0.0, 1.0, "(]")
     intervals = 1.0 / step
     # Checked before rounding: a tiny step makes 1 / step inf, which round() rejects.
     if intervals >= MAX_CURVE_POINTS - 0.5:
-        raise SchemaError(f"step: {step} gives more than {MAX_CURVE_POINTS} curve points")
+        raise DomainError(f"step {step} gives more than {MAX_CURVE_POINTS} curve points")
     count = round(intervals)
     points = [min(1.0, i * step) for i in range(count + 1)]
     values = [

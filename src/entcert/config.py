@@ -1,13 +1,15 @@
-"""Schema validation and construction of run objects from JSON documents.
+"""Construction of run objects from JSON documents.
 
-Every command's configuration is validated strictly: unknown keys are
-rejected, required keys must be present, and values must have the right
-types before any computation starts.
+A config is checked for its shape here: every section must be an object
+with no unknown and no missing keys, every array key must hold an array,
+and outcomes must not be given as floats, which are ambiguous grid keys.
+Each value is then handed as it is to the object or function that owns it,
+which checks it (see ``finite_stats.check_integer`` and ``check_real``)
+and raises DomainError if it is out of its domain.  Both errors exit 2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -15,9 +17,8 @@ from typing import Any, Mapping, Sequence
 from .acceptance import AcceptanceSet, snap_to_grid
 from .errors import SchemaError
 from .inference import PriorPair
-from .pmf import as_fraction
 from .simulate import SimulationConfig
-from .states import EntangledStateModel, TruncatedGaussianPrior
+from .states import EntangledStateModel, TruncatedGaussianPrior, check_signs
 from .witnesses import LinearWitness, QuadraticWitness, Witness
 from .worst_case import SearchOptions
 
@@ -33,56 +34,11 @@ def check_keys(doc: Mapping[str, Any], where: str, required: set[str], optional:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
-def number(doc: Mapping[str, Any], key: str, where: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SchemaError(f"{where}.{key}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def boolean(doc: Mapping[str, Any], key: str, where: str, default: bool) -> bool:
-    value = doc.get(key, default)
-    if not isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}: expected true or false, got {value!r}")
+def array(value: Any, where: str) -> list:
+    """A JSON array, as the list it is; its items are checked by their owner."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected an array, got {value!r}")
     return value
-
-
-def integer(doc: Mapping[str, Any], key: str, where: str) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def number_list(value: Any, where: str) -> list[float]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)) or not value:
-        raise SchemaError(f"{where}: expected a nonempty array of numbers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{where}: expected numbers, got {item!r}")
-        out.append(float(item))
-    return out
-
-
-def integer_list(value: Any, where: str) -> list[int]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)) or not value:
-        raise SchemaError(f"{where}: expected a nonempty array of integers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise SchemaError(f"{where}: expected integers, got {item!r}")
-        out.append(item)
-    return out
-
-
-def rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise SchemaError(f"{where}: expected a number or fraction string, got {value!r}")
-    try:
-        return as_fraction(value)
-    except Exception as exc:
-        raise SchemaError(f"{where}: not a rational value: {value!r}") from exc
 
 
 def parse_witness(doc: Any, where: str = "witness") -> Witness:
@@ -91,23 +47,18 @@ def parse_witness(doc: Any, where: str = "witness") -> Witness:
     if kind == "linear":
         if "coefficients" not in doc:
             raise SchemaError(f"{where}: linear witness needs coefficients")
-        coefficients = [
-            rational(c, f"{where}.coefficients") for c in doc["coefficients"]
-        ]
-        constant = rational(doc.get("constant", 0), f"{where}.constant")
-        return LinearWitness(coefficients, constant)
+        coefficients = array(doc["coefficients"], f"{where}.coefficients")
+        return LinearWitness(coefficients, doc.get("constant", 0))
     if kind == "quadratic":
         if "settings" not in doc:
             raise SchemaError(f"{where}: quadratic witness needs settings")
-        return QuadraticWitness(integer(doc, "settings", where))
+        return QuadraticWitness(doc["settings"])
     raise SchemaError(f"{where}.kind: expected 'linear' or 'quadratic', got {kind!r}")
 
 
 def parse_acceptance(doc: Any, grid: Sequence[Fraction], where: str = "acceptance") -> AcceptanceSet:
     check_keys(doc, where, {"kind"}, {"bound", "direction", "outcomes", "gamma", "boundary"})
-    gamma = 0.0
-    if "gamma" in doc:
-        gamma = number(doc, "gamma", where)
+    gamma = doc.get("gamma", 0.0)
     kind = doc["kind"]
     if kind == "threshold":
         if "bound" not in doc or "direction" not in doc:
@@ -120,7 +71,8 @@ def parse_acceptance(doc: Any, grid: Sequence[Fraction], where: str = "acceptanc
         if "outcomes" not in doc:
             raise SchemaError(f"{where}: explicit sets need outcomes")
         outcomes = [
-            snap_to_grid(raw_outcome(o, f"{where}.outcomes"), grid) for o in doc["outcomes"]
+            snap_to_grid(raw_outcome(o, f"{where}.outcomes"), grid)
+            for o in array(doc["outcomes"], f"{where}.outcomes")
         ]
         boundary = None
         if "boundary" in doc:
@@ -141,43 +93,30 @@ def raw_outcome(value: Any, where: str):
 
 def parse_entangled(doc: Any, where: str = "entangled") -> EntangledStateModel:
     check_keys(doc, where, set(), {"purity", "prior", "grid_step"})
-    grid_step = number(doc, "grid_step", where) if "grid_step" in doc else 0.01
     if ("purity" in doc) == ("prior" in doc):
         raise SchemaError(f"{where}: give exactly one of purity and prior")
+    grid_step = doc.get("grid_step", 0.01)
     if "purity" in doc:
-        return EntangledStateModel(purity=number(doc, "purity", where), grid_step=grid_step)
-    prior_doc = doc["prior"]
-    check_keys(prior_doc, f"{where}.prior", {"mean", "std", "p_min"})
-    prior = TruncatedGaussianPrior(
-        mean=number(prior_doc, "mean", f"{where}.prior"),
-        std=number(prior_doc, "std", f"{where}.prior"),
-        p_min=number(prior_doc, "p_min", f"{where}.prior"),
-    )
-    return EntangledStateModel(prior=prior, grid_step=grid_step)
+        return EntangledStateModel(purity=doc["purity"], grid_step=grid_step)
+    check_keys(doc["prior"], f"{where}.prior", {"mean", "std", "p_min"})
+    return EntangledStateModel(prior=TruncatedGaussianPrior(**doc["prior"]), grid_step=grid_step)
 
 
 def parse_priors(doc: Any, where: str = "priors") -> PriorPair:
     check_keys(doc, where, {"entangled"})
-    return PriorPair(number(doc, "entangled", where))
+    return PriorPair(doc["entangled"])
 
 
 def parse_optimizer(doc: Any, seed_override: int | None, where: str = "optimizer") -> SearchOptions:
-    """``SearchOptions`` from an object keyed by its field names.
-
-    A field with an integer default takes an integer, the others a number;
-    ``SearchOptions`` itself rejects out-of-range values with DomainError.
-    Only an absent section (``None``) means the defaults.
-    """
+    """``SearchOptions`` from an object keyed by its field names, which
+    checks their values.  Only an absent section (``None``) means the
+    defaults."""
     if doc is None:
         doc = {}
-    parsers = {
-        f.name: integer if isinstance(f.default, int) else number for f in fields(SearchOptions)
-    }
-    check_keys(doc, where, set(), set(parsers))
-    kwargs = {key: parsers[key](doc, key, where) for key in doc}
+    check_keys(doc, where, set(), {f.name for f in fields(SearchOptions)})
     if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return SearchOptions(**kwargs)
+        doc = {**doc, "seed": seed_override}
+    return SearchOptions(**doc)
 
 
 def parse_simulation(doc: Any, seed_override: int | None) -> tuple[Witness, SimulationConfig]:
@@ -187,19 +126,13 @@ def parse_simulation(doc: Any, seed_override: int | None) -> tuple[Witness, Simu
     them, with DomainError before any draw."""
     check_keys(doc, "config", {"witness", "correlations", "copies", "trials"}, {"seed"})
     witness = parse_witness(doc["witness"])
-    correlations = number_list(doc["correlations"], "correlations")
-    copies = integer_list(doc["copies"], "copies")
-    trials = integer(doc, "trials", "config")
+    correlations = array(doc["correlations"], "correlations")
+    copies = array(doc["copies"], "copies")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError("seed: expected an integer")
-    return witness, SimulationConfig(correlations, copies, trials, seed)
+    return witness, SimulationConfig(correlations, copies, doc["trials"], seed)
 
 
 def parse_signs(doc: Mapping[str, Any], count: int, default: tuple[int, ...], where: str = "signs") -> tuple[int, ...]:
     if "signs" not in doc:
         return default
-    signs = integer_list(doc["signs"], where)
-    if len(signs) != count or any(s not in (-1, 1) for s in signs):
-        raise SchemaError(f"{where}: expected {count} values of +/-1")
-    return tuple(signs)
+    return check_signs(array(doc["signs"], where), count)

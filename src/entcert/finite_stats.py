@@ -11,6 +11,7 @@ square come from the grid engine (``witnesses.correlation_pmf`` and
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -29,24 +30,45 @@ class CorrelationSetting:
         object.__setattr__(self, "correlation", check_correlation(self.correlation))
 
 
-def check_copies(value, name: str = "copies") -> int:
-    """A copy count as an int: an integer (numpy's included, bools not) >= 1.
-    ``name`` is the quantity the error messages name."""
+def check_integer(value, name: str, low: int = 0) -> int:
+    """An integer as an int: numpy's accepted, bools refused, at least
+    ``low``.  ``name`` is the quantity the error messages name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
-def check_correlation(value) -> float:
-    """A correlation as a float: a real number (numpy's included, bools and
-    strings not) in [-1, 1]."""
+def check_real(
+    value, name: str, low: float = -math.inf, high: float = math.inf, ends: str = "[]"
+) -> float:
+    """A real number as a float: finite (numpy's accepted, bools and strings
+    refused) and between ``low`` and ``high``, each end closed or open as
+    ``ends`` says: "[]", "()", "(]" or "[)"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"correlation must be a real number, got {value!r}")
-    if not (-1.0 <= value <= 1.0):
-        raise DomainError(f"correlation must lie in [-1, 1], got {value}")
-    return float(value)
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    above = value > low if ends[0] == "(" else value >= low
+    below = value < high if ends[1] == ")" else value <= high
+    if not (above and below):
+        raise DomainError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value}")
+    return number
+
+
+def check_copies(value, name: str = "copies") -> int:
+    """A copy count as an int: an integer >= 1 (see ``check_integer``)."""
+    return check_integer(value, name, 1)
+
+
+def check_correlation(value) -> float:
+    """A correlation as a float: a real number in [-1, 1] (see ``check_real``)."""
+    return check_real(value, "correlation", -1.0, 1.0)
 
 
 def correlation_moments(setting: CorrelationSetting) -> tuple[float, float]:

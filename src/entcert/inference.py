@@ -21,6 +21,7 @@ import numpy as np
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, UndefinedOutcomeError
+from .finite_stats import check_real
 from .pmf import OutcomePmf
 from .witnesses import Witness
 from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
@@ -40,8 +41,7 @@ class PriorPair:
     p_ent: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p_ent <= 1.0):
-            raise DomainError(f"P(ent) must lie in [0, 1], got {self.p_ent}")
+        object.__setattr__(self, "p_ent", check_real(self.p_ent, "P(ent)", 0.0, 1.0))
 
     @property
     def p_sep(self) -> float:
@@ -113,14 +113,14 @@ def posterior_map(
     return out
 
 
-def _check_q_bayes(q_bayes: float) -> None:
-    if not (0.0 <= q_bayes <= 1.0):
-        raise DomainError(f"q_bayes must lie in [0, 1], got {q_bayes}")
+def check_q_bayes(q_bayes) -> float:
+    """A validity target as a float: a real number in [0, 1]."""
+    return check_real(q_bayes, "q_bayes", 0.0, 1.0)
 
 
 def bayes_acceptance_set(q_bayes: float, posteriors: Mapping[Fraction, float]) -> AcceptanceSet:
     """Accept exactly the outcomes whose posterior bound reaches ``q_bayes``."""
-    _check_q_bayes(q_bayes)
+    q_bayes = check_q_bayes(q_bayes)
     return AcceptanceSet.explicit(o for o, p in posteriors.items() if p >= q_bayes)
 
 
@@ -137,7 +137,7 @@ def expected_loss_bound(
     worst-case acceptance mass; false negatives are weighted by 1 - q_bayes
     and use the entangled model directly.  ``q_bayes`` must lie in [0, 1].
     """
-    _check_q_bayes(q_bayes)
+    q_bayes = check_q_bayes(q_bayes)
     reject_mass = 1.0 - acc.weighted_mass(ent_pmf)
     return q_bayes * worst_case_mass * priors.p_sep + (1.0 - q_bayes) * reject_mass * priors.p_ent
 

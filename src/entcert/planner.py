@@ -18,7 +18,7 @@ from typing import Iterator, Literal
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
-from .finite_stats import CorrelationSetting
+from .finite_stats import CorrelationSetting, check_integer, check_real
 from .inference import (
     PriorPair,
     TestReport,
@@ -48,6 +48,7 @@ def witness_for(kind: WitnessKind, num_settings: int) -> Witness:
     Linear uses the standard extension: leading coefficient +1, the rest -1,
     unit constant; quadratic is the plain sum of M squared correlations.
     """
+    num_settings = check_integer(num_settings, "num_settings", 1)
     if kind == "quadratic":
         return QuadraticWitness(num_settings)
     if kind == "linear":
@@ -57,6 +58,7 @@ def witness_for(kind: WitnessKind, num_settings: int) -> Witness:
 
 def family_signs(kind: WitnessKind, num_settings: int) -> tuple[int, ...]:
     """Ideal correlation signs of the target pure state for each setting."""
+    num_settings = check_integer(num_settings, "num_settings", 1)
     if kind == "quadratic":
         return (1,) * num_settings
     if kind == "linear":
@@ -76,10 +78,13 @@ class PlanSpec:
     equal_allocation_only: bool = False
 
     def __post_init__(self):
-        if self.budget < 1 or self.max_settings < 1:
-            raise DomainError("budget and max_settings must be >= 1")
-        if not (0.0 < self.min_validity < 1.0):
-            raise DomainError(f"min_validity must lie in (0, 1), got {self.min_validity}")
+        for name in ("budget", "max_settings"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, 1))
+        level = check_real(self.min_validity, "min_validity", 0.0, 1.0, "()")
+        object.__setattr__(self, "min_validity", level)
+        for name in ("allow_unused_copies", "equal_allocation_only"):
+            if not isinstance(getattr(self, name), bool):
+                raise DomainError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.framework not in ("frequentist", "bayesian"):
             raise DomainError(f"unknown framework {self.framework!r}")
 
@@ -438,8 +443,7 @@ def equal_split_sweep(
     probability, and the split is scored by the best achievable maximum of
     the two.  The returned list is sorted by (score, M).
     """
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
+    budget = check_integer(budget, "budget", 1)
     entries = []
     for m in range(1, budget + 1):
         if budget % m:

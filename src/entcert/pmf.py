@@ -27,11 +27,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Convert a number to an exact Fraction.
 
     Floats convert via their exact binary expansion, strings via decimal or
-    "p/q" notation, so no rounding is ever introduced silently.
+    "p/q" notation, so no rounding is ever introduced silently.  Bools and
+    non-finite floats are refused.
     """
+    if isinstance(value, bool):
+        raise DomainError(f"not a rational value: {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise DomainError(f"not a rational value: {value!r}") from exc
 
 

@@ -25,14 +25,13 @@ drew the counts with ``Generator.binomial``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .finite_stats import check_copies, check_correlation
+from .finite_stats import check_copies, check_correlation, check_integer
 from .pmf import OutcomePmf
 from .states import TruncatedGaussianPrior, check_signs
 from .witnesses import Witness, WitnessGrid
@@ -46,19 +45,13 @@ CHUNK_TRIALS = 1 << 16
 MAX_TRIALS = 10**9
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _run_size(trials, seed) -> tuple[int, int]:
     """Validated ``(trials, seed)`` of one simulation: 1 to ``MAX_TRIALS``
     trials and an unsigned 64-bit seed."""
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
-    if not 1 <= trials <= MAX_TRIALS:
+    trials, seed = check_integer(trials, "trials", 1), check_integer(seed, "seed")
+    if trials > MAX_TRIALS:
         raise DomainError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    if not (0 <= seed < 2**64):
+    if seed >= 2**64:
         raise DomainError("seed must be an unsigned 64-bit integer")
     return trials, seed
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .finite_stats import CorrelationSetting, check_copies
+from .finite_stats import CorrelationSetting, check_copies, check_integer, check_real
 from .pmf import OutcomePmf
 from .witnesses import Witness, WitnessGrid, witness_pmf
 
@@ -42,18 +42,13 @@ def check_signs(signs: Sequence[int], settings: int | None = None) -> tuple[int,
 
 
 def check_purity(value) -> float:
-    """A purity as a float: a real number (numpy's, not bools) in [0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"purity must be a real number, got {value!r}")
-    if not (0.0 <= value <= 1.0):
-        raise DomainError(f"purity must lie in [0, 1], got {value}")
-    return float(value)
+    """A purity as a float: a real number in [0, 1] (see ``check_real``)."""
+    return check_real(value, "purity", 0.0, 1.0)
 
 
 def entanglement_threshold(num_qubits: int) -> float:
     """Pure-state weight above which the noisy family is entangled."""
-    if num_qubits < 2:
-        raise DomainError(f"need at least 2 qubits, got {num_qubits}")
+    num_qubits = check_integer(num_qubits, "num_qubits", 2)
     return 1.0 / (2 ** (num_qubits - 1) + 1)
 
 
@@ -70,13 +65,9 @@ class NoisyPureFamily:
     signs: tuple[int, ...]
 
     def __init__(self, purity: float, num_qubits: int, signs: Sequence[int]):
-        purity = check_purity(purity)
-        signs = check_signs(signs)
-        if num_qubits < 2:
-            raise DomainError(f"need at least 2 qubits, got {num_qubits}")
-        object.__setattr__(self, "purity", purity)
-        object.__setattr__(self, "num_qubits", int(num_qubits))
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "purity", check_purity(purity))
+        object.__setattr__(self, "num_qubits", check_integer(num_qubits, "num_qubits", 2))
+        object.__setattr__(self, "signs", check_signs(signs))
 
     @property
     def is_entangled(self) -> bool:
@@ -97,12 +88,9 @@ class TruncatedGaussianPrior:
     p_min: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise DomainError(f"mean and std must be finite, got {self.mean} and {self.std}")
-        if self.std <= 0.0:
-            raise DomainError(f"std must be positive, got {self.std}")
-        if not (0.0 <= self.p_min <= 1.0):
-            raise DomainError(f"p_min must lie in [0, 1], got {self.p_min}")
+        object.__setattr__(self, "mean", check_real(self.mean, "mean"))
+        object.__setattr__(self, "std", check_real(self.std, "std", 0.0, ends="()"))
+        object.__setattr__(self, "p_min", check_real(self.p_min, "p_min", 0.0, 1.0))
 
     def density(self, p: float) -> float:
         """Unnormalized density; zero outside [p_min, 1]."""
@@ -113,8 +101,7 @@ class TruncatedGaussianPrior:
 
     def discretize(self, grid_step: float) -> tuple[list[float], list[float]]:
         """Cell-midpoint grid on [p_min, 1] with renormalized weights."""
-        if not (math.isfinite(grid_step) and grid_step > 0.0):
-            raise DomainError(f"grid_step must be positive and finite, got {grid_step}")
+        grid_step = check_real(grid_step, "grid_step", 0.0, ends="()")
         span = (1.0 - self.p_min) / grid_step
         # Checked before rounding: a tiny step makes the span inf, which round() rejects.
         if span > MAX_PRIOR_CELLS + 0.5:
@@ -192,8 +179,8 @@ class EntangledStateModel:
             raise DomainError("give exactly one of purity and prior")
         if self.purity is not None:
             object.__setattr__(self, "purity", check_purity(self.purity))
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
-            raise DomainError(f"grid_step must be positive and finite, got {self.grid_step}")
+        step = check_real(self.grid_step, "grid_step", 0.0, ends="()")
+        object.__setattr__(self, "grid_step", step)
         if self.prior is not None:
             self.prior.discretize(self.grid_step)  # reject an oversized prior grid up front
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -27,6 +26,7 @@ from .errors import DomainError, InfeasibleError
 from .finite_stats import (
     CorrelationSetting,
     check_copies,
+    check_integer,
     correlation_moments,
     squared_correlation_moments,
 )
@@ -165,13 +165,7 @@ class QuadraticWitness:
     num_settings: int
 
     def __post_init__(self):
-        if (
-            isinstance(self.num_settings, bool)
-            or not isinstance(self.num_settings, numbers.Integral)
-            or self.num_settings < 1
-        ):
-            raise DomainError(f"num_settings must be a positive integer, got {self.num_settings!r}")
-        object.__setattr__(self, "num_settings", int(self.num_settings))
+        object.__setattr__(self, "num_settings", check_integer(self.num_settings, "num_settings", 1))
 
     def grid_values(self, copies: Sequence[int]) -> tuple[int, int, list[np.ndarray]]:
         """Denominator, shift 0 and per-setting integer values of ((2k - n) / n)^2."""

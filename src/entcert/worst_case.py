@@ -36,6 +36,7 @@ import numpy as np
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
+from .finite_stats import check_integer, check_real
 from .pmf import OutcomePmf, RationalLike, as_fraction
 from .witnesses import _DIRECT_BINOMIAL_LIMIT, Witness, WitnessGrid
 
@@ -102,8 +103,7 @@ class SearchOptions:
     starts, and one screened start from the same generator where
     ``restarts`` is above 0 (see ``maximize_set``).  Pointwise searches
     start from the analytic point and the best scan point, and use only
-    ``max_iterations``, ``xatol`` and ``fatol``.  ``anneal_steps`` is
-    checked so that configs which set it still run, but no search reads it.
+    ``max_iterations``, ``xatol`` and ``fatol``.
     """
 
     restarts: int = 32
@@ -111,21 +111,18 @@ class SearchOptions:
     max_iterations: int = 600
     xatol: float = 1e-6
     fatol: float = 1e-12
-    anneal_steps: int = 200
 
     def __post_init__(self):
-        for name in ("restarts", "seed", "max_iterations", "anneal_steps"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("restarts", "seed", "max_iterations"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         for name in ("xatol", "fatol"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            object.__setattr__(self, name, check_real(getattr(self, name), name, 0.0, ends="()"))
 
 
 #: One loose ascent from each seed point and from the analytic start, without
 #: random restarts or a screened start.  The planner's pointwise searches and
 #: the feasibility probes of the acceptance-set search use it.
-POLISH = SearchOptions(restarts=0, anneal_steps=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
+POLISH = SearchOptions(restarts=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from entcert.config import (
     parse_simulation,
     parse_witness,
 )
-from entcert.errors import DomainError, SchemaError
+from entcert.errors import DomainError
 from entcert.inference import PriorPair
 from entcert.planner import PlanSpec
 from entcert.pmf import format_fraction, round_fraction
@@ -169,7 +169,7 @@ class TestWorstCase:
             "witness": {"kind": "quadratic", "settings": 3},
             "copies": [4, 4, 4],
             "acceptance": {"kind": "explicit", "outcomes": [0, 1]},
-            "optimizer": {"restarts": 1, "anneal_steps": 0, "seed": 0},
+            "optimizer": {"restarts": 1, "seed": 0},
         }
         code, text = run(tmp_path, "worst-case", doc)
         report = json.loads(text)
@@ -428,6 +428,57 @@ class TestSchemaErrors:
         assert main(["test", "--config", config]) == 2
 
 
+class TestArrayKeys:
+    """Every array key takes a JSON array and nothing else: a string is not
+    read as its characters, and a number or null ends in exit 2, not in a
+    traceback."""
+
+    DIST = {"witness": {"kind": "linear", "coefficients": [1, -1]}, "correlations": [0.5, 0.5], "copies": [2, 2]}
+    WORST_CASE = {
+        "witness": {"kind": "quadratic", "settings": 2},
+        "copies": [2, 2],
+        "acceptance": {"kind": "explicit", "outcomes": ["0", "1"]},
+        "optimizer": {"restarts": 2},
+    }
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("dist", {**DIST, "witness": {"kind": "linear", "coefficients": "12"}}),
+            ("dist", {**DIST, "witness": {"kind": "linear", "coefficients": 5}}),
+            ("worst-case", {**WORST_CASE, "acceptance": {"kind": "explicit", "outcomes": "01"}}),
+            ("worst-case", {**WORST_CASE, "acceptance": {"kind": "explicit", "outcomes": 5}}),
+            ("worst-case", {**WORST_CASE, "acceptance": {"kind": "explicit", "outcomes": None}}),
+            ("worst-case", {**WORST_CASE, "optimizer": {"restarts": 2.5}}),
+        ],
+    )
+    def test_malformed_exits_2_without_traceback(self, tmp_path, capsys, command, doc):
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_outcomes_still_run(self, tmp_path):
+        doc = {**self.WORST_CASE, "acceptance": {"kind": "explicit", "outcomes": []}}
+        code, text = run(tmp_path, "worst-case", doc)
+        assert code == 0
+        assert json.loads(text)["objective"] == 0.0
+
+    @pytest.mark.parametrize("signs", [[1.0, -1.0], [1, -1]])
+    def test_signs_of_plus_or_minus_one_as_floats_are_accepted(self, tmp_path, signs):
+        doc = {
+            "witness": {"kind": "quadratic", "settings": 2},
+            "copies": [2, 2],
+            "acceptance": {"kind": "threshold", "bound": "2", "direction": "accept_high"},
+            "entangled": {"purity": 0.75},
+            "priors": {"entangled": 0.5},
+            "q_bayes": 0.5,
+            "optimizer": {"restarts": 2},
+            "signs": signs,
+        }
+        code, text = run(tmp_path, "test", doc)
+        assert code == 0
+        assert json.loads(text)["frequentist"]["power"] == pytest.approx((0.875**2 + 0.125**2) ** 2)
+
+
 class TestPriorGridLimits:
     def plan_doc(self, grid_step):
         return {
@@ -498,7 +549,7 @@ class TestWorkers:
 class TestOptimizerSchema:
     """The ``optimizer`` object takes exactly the ``SearchOptions`` fields."""
 
-    FIELDS = {"restarts", "seed", "max_iterations", "xatol", "fatol", "anneal_steps"}
+    FIELDS = {"restarts", "seed", "max_iterations", "xatol", "fatol"}
 
     def worst_case_doc(self, optimizer, coefficients=(1, -1)):
         return {
@@ -516,11 +567,10 @@ class TestOptimizerSchema:
             "max_iterations": 5,
             "xatol": 1e-3,
             "fatol": 1e-9,
-            "anneal_steps": 6,
         }
         assert parse_optimizer(doc, None) == SearchOptions(**doc)
         assert parse_optimizer({"xatol": 1}, None).xatol == 1.0
-        with pytest.raises(SchemaError):
+        with pytest.raises(DomainError):
             parse_optimizer({"restarts": 2.0}, None)
 
     @pytest.mark.parametrize(
@@ -532,6 +582,7 @@ class TestOptimizerSchema:
             "anneal_initial_step",
             "stall_tolerance",
             "tie_tolerance",
+            "anneal_steps",
         ],
     )
     def test_removed_keys_are_unknown(self, tmp_path, key):
@@ -763,7 +814,7 @@ class TestConfigRoundTrip:
         assert parse_witness(floats) == LinearWitness([Fraction(float(c)) for c in coefficients])
         for bad in ("1/0", "one", True, None, [1]):
             malformed = {"kind": "linear", "coefficients": [*decimals[:-1], bad]}
-            with pytest.raises(SchemaError):
+            with pytest.raises(DomainError):
                 parse_witness(malformed)
             config = {"witness": malformed, "copies": [2] * len(coefficients), "outcome": "0"}
             assert exit_code(config) == 2
@@ -774,6 +825,8 @@ class TestConfigRoundTrip:
 NOT_OBJECTS = st.sampled_from([0, 1.5, [], [{"purity": 0.5}], "", "purity", False, True])
 NOT_NUMBERS = st.sampled_from(["0.5", "1/2", True, False, None, [0.5], {"value": 0.5}])
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+#: What an array key may wrongly hold; a string must not be read as its characters.
+NOT_ARRAYS = st.sampled_from(["01", "", "12", 5, 0, 1.5, None, True, {"0": 1}])
 OUTSIDE_UNIT = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False) | st.floats(
     min_value=1.0, exclude_min=True, allow_infinity=False
 )
@@ -842,7 +895,7 @@ MALFORMED_PRIOR_PAIRS = st.one_of(
     (OUTSIDE_UNIT | NOT_NUMBERS | NON_FINITE).map(lambda p: {"entangled": p}),
 )
 
-INTEGER_OPTIONS = ("restarts", "seed", "max_iterations", "anneal_steps")
+INTEGER_OPTIONS = ("restarts", "seed", "max_iterations")
 NUMBER_OPTIONS = ("xatol", "fatol")
 
 
@@ -915,6 +968,11 @@ MALFORMED_SIMULATIONS = st.one_of(
     st.sampled_from([[], [10], [10, 0], [10, 2.5]]).map(
         lambda copies: {**SIMULATE_DOC, "copies": copies}
     ),
+    st.builds(lambda key, value: {**SIMULATE_DOC, key: value},
+              st.sampled_from(["correlations", "copies"]), NOT_ARRAYS),
+    NOT_ARRAYS.map(
+        lambda value: {**SIMULATE_DOC, "witness": {"kind": "linear", "coefficients": value}}
+    ),
 )
 
 #: A small ``entcert test`` run that reads all three sections.
@@ -955,6 +1013,8 @@ class TestSectionRoundTrip:
             MALFORMED_ENTANGLED.map(lambda section: ("entangled", section)),
             MALFORMED_PRIOR_PAIRS.map(lambda section: ("priors", section)),
             MALFORMED_OPTIMIZERS.map(lambda section: ("optimizer", section)),
+            st.builds(lambda key, value: (key, value), st.sampled_from(["copies", "signs"]), NOT_ARRAYS),
+            NOT_ARRAYS.map(lambda value: ("acceptance", {"kind": "explicit", "outcomes": value})),
         )
     )
     def test_malformed_exits_2(self, case):

@@ -398,7 +398,6 @@ class TestSearchOptions:
             ("restarts", -5),
             ("seed", -1),
             ("max_iterations", -1),
-            ("anneal_steps", -1),
             ("xatol", 0.0),
             ("fatol", -1e-12),
             ("xatol", float("nan")),
@@ -671,7 +670,7 @@ class TestScan:
         table_size = WorstCaseProblem(witness, copies)._engine.table_size
         # Budgets for 7, 50 and 1 lattice points per pmf_batch call.
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 7 * table_size)
-        varied = SearchOptions(restarts=20, seed=2, anneal_steps=50)
+        varied = SearchOptions(restarts=20, seed=2)
         assert run(varied) == reference
         monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 2 * 50 * table_size)
         assert run(SearchOptions(restarts=3, seed=1)) == reference
