@@ -1,8 +1,9 @@
 """Command-line front end: JSON-configured runs with JSON/CSV output.
 
 Subcommands: dist, worst-case, test, plan, noise-curve, simulate.  Exit
-codes: 0 success, 2 configuration/schema error, 3 infeasible constraints,
-4 optimizer non-convergence (output is still written).
+codes: 0 success, 2 configuration/schema error (priors that leave an
+outcome without a posterior included), 3 infeasible constraints, 4
+optimizer non-convergence (output is still written).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any
 
 from . import config as cfg
 from .acceptance import snap_to_grid
-from .errors import DomainError, EntcertError, InfeasibleError, SchemaError
+from .errors import DomainError, EntcertError, InfeasibleError, SchemaError, UndefinedOutcomeError
 from .finite_stats import CorrelationSetting, check_copies, check_real
 from .inference import build_test_report, check_q_bayes
 from .pmf import OutcomePmf, format_fraction
@@ -444,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DomainError as exc:
+    except (DomainError, UndefinedOutcomeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

@@ -93,7 +93,8 @@ def posterior_lower_bound(
     denominator = pointwise_mass * priors.p_sep + numerator
     if denominator <= 0.0:
         raise UndefinedOutcomeError(
-            f"outcome {outcome} has zero probability under both hypotheses"
+            f"outcome {outcome} has zero prior-weighted probability under both hypotheses, "
+            "so it has no posterior"
         )
     return numerator / denominator
 

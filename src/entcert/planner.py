@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
@@ -40,6 +40,12 @@ Framework = Literal["frequentist", "bayesian"]
 #: search, so a budget past this could not finish.  The 13-copy, 3-setting
 #: plan has 122 and 30 copies over at most 5 settings have 5,325.
 MAX_ALLOCATIONS = 10_000
+
+#: Largest budget that an equal-split sweep takes; a larger one is refused
+#: before any pmf is built.  A sweep's work grows steeply with the budget:
+#: on a 2-vCPU machine the quadratic witness takes about 1 s at 180 to 200
+#: copies, 5 s at 240 and 27 s at 360.
+MAX_SWEEP_BUDGET = 200
 
 
 def witness_for(kind: WitnessKind, num_settings: int) -> Witness:
@@ -127,10 +133,11 @@ def enumerate_allocations(spec: PlanSpec) -> list[tuple[int, tuple[int, ...]]]:
                 yield (head,) + tail
 
     def candidates() -> Iterator[tuple[int, tuple[int, ...]]]:
-        for m in range(1, spec.max_settings + 1):
+        # Past the budget, settings would get no copies.
+        for m in range(1, min(spec.max_settings, spec.budget) + 1):
             if spec.equal_allocation_only:
                 if spec.allow_unused_copies:
-                    sizes: list[int] = list(range(spec.budget // m, 0, -1))
+                    sizes: Sequence[int] = range(spec.budget // m, 0, -1)
                 else:
                     sizes = [spec.budget // m] if spec.budget % m == 0 else []
                 for n in sizes:
@@ -441,9 +448,12 @@ def equal_split_sweep(
     worst case and the entangled side the purity-p family; each threshold on
     the outcome grid yields a false-positive and a false-negative
     probability, and the split is scored by the best achievable maximum of
-    the two.  The returned list is sorted by (score, M).
+    the two.  The returned list is sorted by (score, M).  A budget above
+    ``MAX_SWEEP_BUDGET`` raises DomainError.
     """
     budget = check_integer(budget, "budget", 1)
+    if budget > MAX_SWEEP_BUDGET:
+        raise DomainError(f"a sweep's budget must lie in [1, {MAX_SWEEP_BUDGET}], got {budget}")
     entries = []
     for m in range(1, budget + 1):
         if budget % m:

@@ -138,6 +138,10 @@ def mixture_witness_pmf(
     return OutcomePmf(grid.outcomes, tuple(masses.tolist()))
 
 
+#: Exponents past this leave a power of a float in [0, 1] unchanged.
+_EXPONENT_CAP = 2**64
+
+
 def white_noise_success_probability(purity: float, copies: int, num_settings: int) -> float:
     """Probability that every squared correlation estimate is exactly 1.
 
@@ -146,10 +150,13 @@ def white_noise_success_probability(purity: float, copies: int, num_settings: in
     the sum-of-squares witness for the white-noise family.
     """
     purity = check_purity(purity)
-    copies = check_copies(copies)
-    num_settings = check_copies(num_settings, "num_settings")
+    # Python raises a float to an integer past the float range by first
+    # converting the integer, which overflows.  Bases here lie in [0, 1],
+    # whose powers past 2^64 are those at 2^64: 0, or 1 for a base of 1.
+    copies = min(check_copies(copies), _EXPONENT_CAP)
+    num_settings = min(check_copies(num_settings, "num_settings"), _EXPONENT_CAP)
     agree = ((1.0 + purity) / 2.0) ** copies + ((1.0 - purity) / 2.0) ** copies
-    return agree**num_settings
+    return min(agree, 1.0) ** num_settings
 
 
 def natural_prior(num_qubits: int) -> tuple[float, float]:

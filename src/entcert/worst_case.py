@@ -18,15 +18,17 @@ point, any seed points and random points of the box, all drawn from one
 generator, and, with restarts, from the projected box point of largest mass
 among a screen of ``_SCREEN_POINTS`` more.  Single-outcome searches share
 one deterministic scan of the feasible region per problem: a capped lattice
-of the box, each point projected onto the region and evaluated in chunks
-with the batched grid engine, keeps the best point of every outcome, and
-every outcome climbs from that seed at once.  Symmetric threshold problems
+of the box, one cell for each orbit of swaps of exchangeable settings, each
+point projected onto the region and evaluated in chunks with the batched
+grid engine, keeps the best point of every outcome, and every outcome
+climbs from that seed at once.  Symmetric threshold problems
 additionally have known analytic solutions; as the first start of every
 search, they floor its result.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -180,23 +182,57 @@ class WorstCaseProblem:
 
     # -- scan of the separable region -------------------------------------
 
-    def _scan_lattice(self) -> tuple[range | np.ndarray, np.ndarray]:
-        """Flat indices and axis values of the scan lattice of the feasible box.
+    def _exchangeable(self) -> list[list[int]]:
+        """Classes of exchangeable settings, each class in setting order.
+
+        Settings are exchangeable where their grid values are equal arrays:
+        equal copies and, for a linear witness, an equal coefficient.
+        Swapping two of them changes neither the outcome law nor the
+        separable region.
+        """
+        classes: list[list[int]] = []
+        for j, values in enumerate(self._engine.values):
+            for members in classes:
+                if np.array_equal(self._engine.values[members[0]], values):
+                    members.append(j)
+                    break
+            else:
+                classes.append([j])
+        return classes
+
+    def _scan_lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices, in lattice order, and axis values of the cells of
+        the lattice of the feasible box that the scan evaluates.
 
         Every axis gets the same number of evenly spaced points, as many as
         the caps allow (``_SCAN_LATTICE_CAP`` in all, ``_SCAN_AXIS_CAP`` per
         axis) and at least 2.  Where even 2 per axis exceed the cap, a fixed
-        pseudo-random subset of the box corners stands in.
+        pseudo-random subset of the box corners stands in.  Each cell is
+        replaced by its canonical cell, its digits sorted ascending within
+        every class of exchangeable settings (``_exchangeable``), and kept
+        once: swapping such settings moves no mass, and the canonical cell
+        is the first of its orbit in lattice order.  The full lattice's
+        canonical cells are built directly, one sorted digit tuple per
+        class, without a digit array of the whole lattice.
         """
         m = len(self.copies)
         per_axis = max(2, min(_SCAN_AXIS_CAP, round(_SCAN_LATTICE_CAP ** (1.0 / m))))
         while per_axis > 2 and per_axis**m > _SCAN_LATTICE_CAP:
             per_axis -= 1
+        classes = self._exchangeable()
         if per_axis**m <= _SCAN_LATTICE_CAP:
-            cells = range(per_axis**m)
+            strides = per_axis ** np.arange(m - 1, -1, -1, dtype=np.int64)
+            cells = np.zeros(1, dtype=np.int64)
+            for members in classes:
+                digits = itertools.combinations_with_replacement(range(per_axis), len(members))
+                cells = np.add.outer(cells, np.array(list(digits)) @ strides[members]).ravel()
+            cells = np.sort(cells)
         else:
             corners = np.random.default_rng(0).choice(2**m, _SCAN_LATTICE_CAP, replace=False)
-            cells = np.sort(corners)
+            digits = np.stack(np.unravel_index(corners, (2,) * m), axis=1)
+            for members in classes:
+                digits[:, members] = np.sort(digits[:, members], axis=1)
+            cells = np.unique(np.ravel_multi_index(tuple(digits.T), (2,) * m))
         return cells, np.linspace(self.witness.low, 1.0, per_axis)
 
     @cached_property
@@ -204,9 +240,13 @@ class WorstCaseProblem:
         """Best scan point of every outcome: its mass (G,) and the point
         itself (G, M).
 
-        The scan points are the lattice points projected onto the region
+        The scan points are the cells of ``_scan_lattice``, one for each
+        orbit of exchangeable settings, projected onto the region
         (``project_batch``): a feasible point stays, an infeasible one moves
-        to its nearest feasible point.  The scan runs in chunks of at most
+        to its nearest feasible point.  Every point of an orbit has the same
+        masses, up to float rounding, and its canonical cell comes first in
+        lattice order, so each outcome's best mass is the one over all the
+        cells, and on the full lattice its point is too.  The scan runs in chunks of at most
         ``_SCAN_CALL_CAP`` lattice points, fewer where ``_SCAN_FLOATS`` asks
         for it; ties go to the earlier point in lattice order (the first
         within a chunk, the held one across chunks), so the result does not

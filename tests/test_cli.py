@@ -197,6 +197,22 @@ class TestTest:
         assert report["frequentist"]["power"] == pytest.approx(0.535, abs=1.5e-3)
         assert report["bayesian"]["expected_loss"] == pytest.approx(0.007, abs=2e-3)
 
+    def test_outcome_without_posterior_exits_2(self, tmp_path, capsys):
+        # Purity 1 leaves every outcome but the ideal one without entangled
+        # mass, and P(ent) = 1 leaves none separable either.
+        doc = {
+            "witness": {"kind": "linear", "coefficients": [1, -1], "constant": 1},
+            "copies": [2, 2],
+            "acceptance": {"kind": "threshold", "bound": -1, "direction": "accept_low"},
+            "entangled": {"purity": 1},
+            "priors": {"entangled": 1},
+            "q_bayes": 0.9,
+            "optimizer": {"restarts": 2, "seed": 5},
+        }
+        assert main(["test", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outcome ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("q_bayes", [1.5, -0.1])
     def test_q_bayes_outside_unit_interval_rejected(self, tmp_path, q_bayes):
@@ -304,6 +320,13 @@ class TestPlan:
         assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
         assert "allocations" in capsys.readouterr().err
 
+    def test_sweep_budget_past_the_cap_exits_2(self, tmp_path, capsys):
+        doc = {**SWEEP_DOC, "budget": 1_000_003}
+        start = time.perf_counter()
+        assert main(["plan", "--config", write_config(tmp_path, doc)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "budget" in capsys.readouterr().err
+
 
 class TestNoiseCurve:
     def test_edges_and_format(self, tmp_path):
@@ -327,6 +350,15 @@ class TestNoiseCurve:
         code, text = run(tmp_path, "noise-curve", doc, "--format", "csv")
         assert code == 0
         assert len(text.strip().splitlines()) == 1 + MAX_CURVE_POINTS
+
+    @pytest.mark.parametrize("key", ["copies_per_setting", "settings"])
+    def test_integers_past_the_float_range(self, tmp_path, key):
+        doc = {"copies_per_setting": 4, "settings": 2, "step": 0.5, key: 10**400}
+        code, text = run(tmp_path, "noise-curve", doc)
+        assert code == 0
+        curve = [point["success_probability"] for point in json.loads(text)["curve"]]
+        # Every power past 2^64 of a number below 1 is 0 in floats.
+        assert curve == [0.0, 0.0, 1.0]
 
 
 class TestSimulate:

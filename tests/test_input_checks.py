@@ -15,7 +15,7 @@ from entcert.acceptance import AcceptanceSet
 from entcert.errors import DomainError
 from entcert.finite_stats import CorrelationSetting, check_integer, check_real
 from entcert.inference import PriorPair, bayes_acceptance_set, check_q_bayes, expected_loss_bound
-from entcert.planner import PlanSpec, equal_split_sweep, family_signs, witness_for
+from entcert.planner import MAX_SWEEP_BUDGET, PlanSpec, equal_split_sweep, family_signs, witness_for
 from entcert.pmf import OutcomePmf, as_fraction
 from entcert.simulate import MAX_TRIALS, SimulationConfig, simulate_mixture_witness
 from entcert.states import (
@@ -49,7 +49,9 @@ INTEGERS = {
     "PlanSpec.max_settings": (lambda v: plan_spec(max_settings=v).max_settings, 1, None),
     "witness_for": (lambda v: witness_for("linear", v).num_settings, 1, None),
     "family_signs": (lambda v: len(family_signs("linear", v)), 1, None),
-    "equal_split_sweep": (lambda v: max(e.num_settings for e in equal_split_sweep(v, "linear", 0.8)), 1, None),
+    "equal_split_sweep": (
+        lambda v: max(e.num_settings for e in equal_split_sweep(v, "linear", 0.8)), 1, MAX_SWEEP_BUDGET
+    ),
     "NoisyPureFamily.num_qubits": (lambda v: NoisyPureFamily(0.8, v, (1,)).num_qubits, 2, None),
     "entanglement_threshold": (entanglement_threshold, 2, None),
     "QuadraticWitness": (lambda v: QuadraticWitness(v).num_settings, 1, None),

@@ -1,5 +1,6 @@
 """Allocation enumeration, equal-split sweep, and plan optimization."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from entcert.errors import DomainError, InfeasibleError
 from entcert.inference import PriorPair
 from entcert.planner import (
     MAX_ALLOCATIONS,
+    MAX_SWEEP_BUDGET,
     PlanEvaluator,
     PlanSpec,
     best_equal_split,
@@ -64,6 +66,23 @@ class TestEnumeration:
         with pytest.raises(DomainError, match="allocations"):
             enumerate_allocations(PlanSpec(100_000, 4, 0.7, "frequentist"))
 
+    def test_huge_equal_budget_rejected_at_once(self):
+        # One setting alone would take 10^9 equal allocations.
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="allocations"):
+            enumerate_allocations(PlanSpec(10**9, 3, 0.7, "frequentist", equal_allocation_only=True))
+        with pytest.raises(DomainError, match="allocations"):
+            enumerate_allocations(PlanSpec(10**9, 10**9, 0.7, "frequentist"))
+        assert time.perf_counter() - start < 5.0
+
+    def test_settings_past_the_budget_add_nothing(self):
+        start = time.perf_counter()
+        for equal in (False, True):
+            huge = PlanSpec(6, 10**9, 0.7, "frequentist", equal_allocation_only=equal)
+            capped = PlanSpec(6, 6, 0.7, "frequentist", equal_allocation_only=equal)
+            assert enumerate_allocations(huge) == enumerate_allocations(capped)
+        assert time.perf_counter() - start < 5.0
+
     def test_single_copy_budget(self):
         spec = PlanSpec(1, 3, 0.7, "frequentist")
         assert enumerate_allocations(spec) == [(1, (1,))]
@@ -91,6 +110,13 @@ class TestSweep:
         entries = equal_split_sweep(20, "linear", 0.75)
         assert (entries[0].num_settings, entries[0].copies_per_setting) == (20, 1)
         assert (entries[1].num_settings, entries[1].copies_per_setting) == (10, 2)
+
+    def test_budget_past_the_cap_rejected_at_once(self):
+        start = time.perf_counter()
+        for budget in (MAX_SWEEP_BUDGET + 1, 1_000_003):
+            with pytest.raises(DomainError, match="budget"):
+                equal_split_sweep(budget, "quadratic", 0.75)
+        assert time.perf_counter() - start < 1.0
 
     def test_sweep_scores_are_minimax(self):
         entries = equal_split_sweep(20, "quadratic", 0.75)

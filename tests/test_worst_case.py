@@ -1,6 +1,8 @@
 """Separability-constrained worst-case search."""
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -705,28 +707,56 @@ class TestScan:
 
     @pytest.mark.parametrize("m", [16, 21])
     def test_scan_is_capped(self, m):
-        problem = WorstCaseProblem(LinearWitness([1] + [-1] * (m - 1), 1), (1,) * m)
-        cells, axis = problem._scan_lattice()
-        assert len(cells) == worst_case._SCAN_LATTICE_CAP == len(set(cells.tolist()))
-        assert list(axis) == [-1.0, 1.0]
-        calls = self.scan_calls(problem)
-        rows = [len(points) for points in calls]
-        assert max(rows) * problem._engine.table_size <= worst_case._SCAN_FLOATS
-        assert max(rows) <= 1024
-        assert sum(rows) == worst_case._SCAN_LATTICE_CAP
-        # Every scan point, and so every seed, lies in the region.
-        assert max(problem.witness.violation(t) for points in calls for t in points) <= 1e-9
-        mass, where = problem._scan
-        assert np.all(np.isfinite(mass))
-        assert max(problem.witness.violation(t) for t in where) <= 1e-9
+        corners = np.random.default_rng(0).choice(2**m, worst_case._SCAN_LATTICE_CAP, replace=False)
+        # Equal coefficients make settings 2..M exchangeable; distinct ones
+        # (integers, so that the grid stays small) leave every setting alone.
+        for exchangeable in (True, False):
+            coefficients = [1] + ([-1] * (m - 1) if exchangeable else list(range(-2, -m - 1, -1)))
+            problem = WorstCaseProblem(LinearWitness(coefficients, 1), (1,) * m)
+            cells, axis = problem._scan_lattice()
+            assert list(axis) == [-1.0, 1.0]
+            # The canonical cells of the pseudo-random corner subset: the
+            # digits of settings 2..M sorted where they are exchangeable.
+            canonical = set()
+            for corner in corners.tolist():
+                digits = [(corner >> (m - 1 - j)) & 1 for j in range(m)]
+                if exchangeable:
+                    digits = digits[:1] + sorted(digits[1:])
+                canonical.add(int("".join(map(str, digits)), 2))
+            assert cells.tolist() == sorted(canonical)
+            # One cell per corner without symmetry, and with it at most one
+            # per count of ones among settings 2..M.
+            if exchangeable:
+                assert len(cells) <= 2 * m
+            else:
+                assert len(cells) == worst_case._SCAN_LATTICE_CAP
+            calls = self.scan_calls(problem)
+            rows = [len(points) for points in calls]
+            assert max(rows) * problem._engine.table_size <= worst_case._SCAN_FLOATS
+            assert max(rows) <= 1024
+            assert sum(rows) == len(cells)
+            # Every scan point, and so every seed, lies in the region.
+            assert max(problem.witness.violation(t) for points in calls for t in points) <= 1e-9
+            mass, where = problem._scan
+            assert np.all(np.isfinite(mass))
+            assert max(problem.witness.violation(t) for t in where) <= 1e-9
 
     @pytest.mark.parametrize("m,per_axis", [(1, 32), (2, 32), (3, 32), (4, 13), (5, 8)])
     def test_scan_is_capped_per_axis(self, m, per_axis):
+        assert worst_case._SCAN_AXIS_CAP == 32
+        # Equal copies: one class, so only nondecreasing digit tuples.
         problem = WorstCaseProblem(QuadraticWitness(m), (2,) * m)
         cells, axis = problem._scan_lattice()
-        assert worst_case._SCAN_AXIS_CAP == 32
         assert len(axis) == per_axis
-        assert list(cells) == list(range(per_axis**m))
+        lattice = itertools.product(range(per_axis), repeat=m)
+        sorted_cells = [i for i, digits in enumerate(lattice) if list(digits) == sorted(digits)]
+        assert cells.tolist() == sorted_cells
+        assert len(cells) == math.comb(per_axis + m - 1, m)
+        # Distinct copies: no two settings exchangeable, the whole lattice.
+        problem = WorstCaseProblem(QuadraticWitness(m), tuple(range(2, m + 2)))
+        cells, axis = problem._scan_lattice()
+        assert len(axis) == per_axis
+        assert cells.tolist() == list(range(per_axis**m))
 
     @pytest.mark.parametrize(
         "floats,lattice,points", [(1, 64, 1), (2**12, 64, 32), (2**20, 32_768, 1024)]
@@ -741,6 +771,85 @@ class TestScan:
         rows = [len(points) for points in self.scan_calls(problem)]
         assert max(rows) == points
         assert max(rows) * 125 <= max(floats, 125)
+
+
+def full_lattice_scan(problem):
+    """Brute-force oracle of the scan: every cell of the lattice (or of the
+    pseudo-random corner subset past the cap) projected and evaluated, and
+    each outcome's first best cell in lattice order."""
+    m = len(problem.copies)
+    per_axis = len(problem._scan_lattice()[1])
+    if per_axis**m <= worst_case._SCAN_LATTICE_CAP:
+        cells = np.arange(per_axis**m)
+    else:
+        corners = np.random.default_rng(0).choice(2**m, worst_case._SCAN_LATTICE_CAP, replace=False)
+        cells = np.sort(corners)
+    axis = np.linspace(problem.witness.low, 1.0, per_axis)
+    digits = np.stack(np.unravel_index(cells, (per_axis,) * m), axis=1)
+    points = problem.witness.project_batch(axis[digits])
+    mass = np.concatenate(
+        [problem._engine.pmf_batch(points[i : i + 1024]) for i in range(0, len(points), 1024)]
+    )
+    first = np.argmax(mass, axis=0)
+    return mass[first, np.arange(mass.shape[1])], points[first]
+
+
+class TestChamberScan:
+    """The scan evaluates one cell of each orbit of exchangeable settings and
+    finds what the full lattice finds."""
+
+    @pytest.mark.parametrize(
+        "witness,copies,classes",
+        [
+            (QuadraticWitness(3), (5, 4, 4), [[0], [1, 2]]),
+            (QuadraticWitness(5), (4,) * 5, [[0, 1, 2, 3, 4]]),
+            (LinearWitness([1, -1, -1, -1, -1], 1), (4,) * 5, [[0], [1, 2, 3, 4]]),
+            # Equal copies, equal coefficients only in pairs.
+            (LinearWitness([1, -1, -1, F(-1, 2), F(-1, 2)], 1), (4,) * 5, [[0], [1, 2], [3, 4]]),
+            # The corner subset past the lattice cap.
+            (LinearWitness([1] + [-1] * 15, 1), (1,) * 16, [[0], list(range(1, 16))]),
+        ],
+    )
+    def test_matches_the_full_lattice(self, witness, copies, classes):
+        problem = WorstCaseProblem(witness, copies)
+        assert problem._exchangeable() == classes
+        best, where = full_lattice_scan(problem)
+        mass, seeds = problem._scan
+        assert np.abs(mass - best).max() <= 1e-15
+
+        def canonical(point):
+            return [sorted(point[members].tolist()) for members in classes]
+
+        at_seeds = problem._engine.pmf_batch(seeds)
+        for outcome in range(len(problem.grid)):
+            permuted = canonical(seeds[outcome]) == canonical(where[outcome])
+            assert permuted or abs(at_seeds[outcome, outcome] - best[outcome]) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "copies,cells", [((5, 4, 4), 16_896), ((4, 4, 4), 5_984), ((4,) * 5, 792), ((4, 2, 1), 32_768)]
+    )
+    def test_cells_evaluated(self, copies, cells):
+        problem = WorstCaseProblem(QuadraticWitness(len(copies)), copies)
+        assert len(problem._scan_lattice()[0]) == cells
+
+    @pytest.mark.parametrize(
+        "witness,copies",
+        [
+            # Equal copies, distinct coefficients: no swap keeps the region.
+            (LinearWitness([1, -1, F(-1, 2)], 1), (4, 4, 4)),
+            (LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (3, 3, 3)),
+            (QuadraticWitness(3), (4, 2, 1)),
+        ],
+    )
+    def test_settings_that_differ_are_not_merged(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        assert problem._exchangeable() == [[0], [1], [2]]
+        cells, axis = problem._scan_lattice()
+        assert cells.tolist() == list(range(len(axis) ** 3))
+        best, where = full_lattice_scan(problem)
+        mass, seeds = problem._scan
+        assert np.array_equal(mass, best)
+        assert np.array_equal(seeds, where)
 
 
 class TestLimits:
