@@ -9,10 +9,6 @@ bounds.  The entangled hypothesis is an explicit outcome distribution.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
@@ -203,13 +199,6 @@ def _ratio_key(index: int, ent: float, sep: float) -> tuple:
 
 # -- acceptance-set construction -------------------------------------------
 
-#: Factor on the power in the MILP objective.  HiGHS stops at an absolute
-#: objective gap of 1e-6 (``mip_abs_gap``, which ``milp`` does not expose),
-#: so scaled by 1e12 the gap is 1e-18 in power, below the float spacing of
-#: powers near 1.
-_POWER_SCALE = 1e12
-
-
 @dataclass
 class SetSearchOutcome:
     """Result of the max-power acceptance-set search.
@@ -277,14 +266,15 @@ class _FeasibilityChecker:
         """(feasible, worst-case result of the full search if one ran) of
         the candidate ``indices``; a feasible candidate always has one.
 
-        The pool masses are float sums over ``indices`` in the given order.
+        The pool masses are float sums over ``indices``, added row by row in
+        the given order, as ``_max_power_subset`` adds them.
         Every test allows ``TIE_TOLERANCE`` above the budget: the candidate
         is infeasible when a pool mass exceeds that, and otherwise the probe
         may refute it in the same way and the full search decides it, each
         of them adding its point to the pool.
         """
         cap = self.budget + TIE_TOLERANCE
-        masses = self.table[indices].sum(axis=0)
+        masses = np.cumsum(self.table[indices], axis=0)[-1]
         if masses.max() > cap:
             return False, None
         order = np.argsort(masses)[::-1][:2]
@@ -314,12 +304,13 @@ def max_power_acceptance_set(
     The universe is the outcomes that add power and fit the budget alone,
     and every budget comparison allows ``TIE_TOLERANCE``.
     ``_constraint_generation`` searches all its subsets exactly, for every
-    universe size: a MILP over the pool of separable points proposes the
-    most powerful subset, and ``_FeasibilityChecker.check`` verifies it.
-    The reported worst case is the full search of the check that accepted
-    the winner.  Powers that differ by more than float noise are ranked
-    exactly; exact power ties may resolve either way.  Returns None when no
-    non-empty subset is feasible.
+    universe size: a branch and bound over the pool of separable points
+    proposes the most powerful subset, and ``_FeasibilityChecker.check``
+    verifies it.  The reported worst case is the full search of the check
+    that accepted the winner.  Powers that differ by more than float noise
+    are ranked exactly; an exact power tie goes to the subset the branch
+    and bound finds first.  Returns None when no non-empty subset is
+    feasible.
     """
     opts = options or SearchOptions()
     problem = problem or WorstCaseProblem(witness, tuple(copies))
@@ -340,8 +331,6 @@ def max_power_acceptance_set(
         if ent_pmf.probabilities[i] > 0.0
         and pointwise[o].objective <= max_sep_mass + TIE_TOLERANCE
     ]
-    # Ascending mass fixes the order in which ``check`` adds the masses.
-    universe.sort(key=lambda i: (ent_pmf.probabilities[i], problem.grid[i]))
     order = np.array(universe, dtype=np.intp)
     outcomes, result = _constraint_generation(
         order, np.array(ent_pmf.probabilities)[order], checker
@@ -358,23 +347,25 @@ def _constraint_generation(
     """Most powerful subset of ``universe`` that ``checker`` accepts.
 
     Blankenship and Falk's constraint generation for semi-infinite programs
-    (JOTA 19, 1976).  Each round solves the 0/1 knapsack over the pool:
-    maximise the power, the sum of ``gains`` over the subset, subject to
-    every pool point's mass within the budget.  ``check`` then verifies the
-    winner.  A refuted winner is cut off with a no-good cut, and its probe
-    or full search has usually added the pool point that refutes it and
-    its neighbours.  The pool constraints sit at the budget plus
-    ``TIE_TOLERANCE``, the bound that ``check`` applies, so a winner may fit
-    them only within HiGHS's feasibility tolerance; ``check`` then refutes
-    it on its float pool masses, and the cut alone removes it.  Each subset
-    is checked at most once, so the loop ends.
+    (JOTA 19, 1976).  Each round solves the 0/1 knapsack over the pool with
+    ``_max_power_subset``: maximise the power, the sum of ``gains`` over the
+    subset, subject to every pool point's mass within the budget plus
+    ``TIE_TOLERANCE``.  ``check`` then verifies the winner.  A refuted
+    winner is cut off with a no-good cut, and its probe or full search has
+    usually added the pool point that refutes it and its neighbours.  The
+    universe is put in descending gain (stably), the order in which the
+    knapsack tries items and in which both it and ``check`` add masses, so
+    the pool never refutes a winner; each subset is checked at most once,
+    so the loop ends.
 
-    Tie rule: HiGHS returns a subset within 1e-6 / ``_POWER_SCALE`` of the
-    best power over the pool, so powers that differ by more than float
-    noise are ranked exactly; exact power ties may resolve either way.
-    Returns the winner with its accepting check's result, or the empty set
-    and None when every non-empty subset is refuted.
+    Tie rule: the knapsack is exact, so powers that differ by more than
+    float noise are ranked exactly, and an exact power tie goes to the
+    subset found first in that order.  Returns the winner with its
+    accepting check's result, or the empty set and None when every
+    non-empty subset is refuted.
     """
+    rank = np.argsort(-gains, kind="stable")
+    universe, gains = universe[rank], gains[rank]
     cuts: list[np.ndarray] = []
     while universe.size:
         chosen = _max_power_subset(gains, checker.table[universe], checker.budget, cuts)
@@ -387,60 +378,143 @@ def _constraint_generation(
     return frozenset(), None
 
 
-def milp(*args, **kwargs):
-    """``scipy.optimize.milp``, imported on the first call: loading
-    ``scipy.optimize`` costs more than all of ``import entcert``, and only
-    the acceptance-set search needs it."""
-    from scipy.optimize import milp as solve
+#: Nodes a knapsack may visit before ``_max_power_subset`` adds its
+#: surrogate bound: smaller knapsacks end before the bound would pay for
+#: its multipliers.
+_SURROGATE_NODES = 200
 
-    return solve(*args, **kwargs)
+#: Subgradient steps that ``_surrogate_multipliers`` takes at most.
+_SUBGRADIENT_STEPS = 200
 
 
 def _max_power_subset(
     gains: np.ndarray, masses: np.ndarray, budget: float, cuts: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Boolean mask of the subset of largest gain whose (N, P) ``masses``
-    sum to at most ``budget + TIE_TOLERANCE`` in every column, excluding
-    each subset of ``cuts`` by its no-good cut
-    sum(x in S) - sum(x not in S) <= |S| - 1."""
-    from scipy.optimize import Bounds, LinearConstraint
+    sum to at most ``budget + TIE_TOLERANCE`` in every column, other than
+    the subsets of ``cuts``; all False when no other subset fits.
 
-    rows = [masses.T, *(np.where(cut, 1.0, -1.0)[None] for cut in cuts)]
+    Exact depth-first branch and bound over the items in the order given,
+    which should be descending gain, each item included before it is
+    excluded.  An item leaves the free set once adding it would overflow
+    some column: masses are nonnegative, so it would overflow every
+    superset too.  A node is pruned when its gain plus a bound on the free
+    items is at most the incumbent's.  The bounds are the free items' total
+    gain, the least of the columns' fractional bounds and, once the search
+    has visited ``_SURROGATE_NODES`` nodes, the fractional bound of one
+    surrogate column.  A subset becomes the incumbent only on a strictly
+    larger gain, so a tie goes to the first subset found, and a cut subset
+    never does.  Column masses are added row by row in the given order, as
+    ``_FeasibilityChecker.check`` adds them, so a subset fits here exactly
+    when it fits the pool there.
+    """
+    n, width = masses.shape
     cap = budget + TIE_TOLERANCE
-    upper = [np.full(masses.shape[1], cap), *(np.array([cut.sum() - 1.0]) for cut in cuts)]
-    with _stdout_silenced():
-        found = milp(
-            -_POWER_SCALE * gains,
-            integrality=np.ones(len(gains)),
-            bounds=Bounds(0.0, 1.0),
-            constraints=LinearConstraint(np.vstack(rows), -np.inf, np.concatenate(upper)),
-            options={"mip_rel_gap": 0.0},
+    excluded = {sum(1 << int(i) for i in np.flatnonzero(cut)) for cut in cuts}
+    columns = _FractionalBound(gains, masses, np.full(width, cap))
+    surrogate = mix = None
+    best_gain, best = 0.0, 0
+    start = np.flatnonzero((masses <= cap).all(axis=1))
+    stack = [(np.zeros(width), 0.0, 0, start)]
+    nodes = 0
+    while stack:
+        mass, gain, chosen, free = stack.pop()
+        if not free.size:
+            if gain > best_gain and chosen not in excluded:
+                best_gain, best = gain, chosen
+            continue
+        nodes += 1
+        if nodes == _SURROGATE_NODES:
+            mix = _surrogate_multipliers(gains, masses, cap, best_gain)[:, None]
+            # The relative slack covers the rounding of the mixed sums.
+            surrogate = _FractionalBound(gains, masses @ mix, cap * mix.sum(0) * (1 + 1e-12))
+        if (
+            gain + gains[free].sum() <= best_gain
+            or (surrogate is not None and gain + surrogate(mass @ mix, free) <= best_gain)
+            or gain + columns(mass, free) <= best_gain
+        ):
+            continue
+        item, rest = free[0], free[1:]
+        grown = mass + masses[item]
+        stack.append((mass, gain, chosen, rest))
+        stack.append(
+            (grown, gain + gains[item], chosen | 1 << int(item),
+             rest[(grown + masses[rest] <= cap).all(axis=1)])
         )
-    if found.status != 0:
-        raise RuntimeError(f"acceptance-set MILP failed: {found.message}")
-    return found.x > 0.5
+    return np.array([bool(best >> i & 1) for i in range(n)], dtype=bool)
 
 
-#: Serialises the descriptor swaps of threads that solve at once, so that
-#: none saves another's null device as the descriptor to restore.
-_STDOUT_LOCK = threading.Lock()
+class _FractionalBound:
+    """Dantzig's bound (Oper. Res. 5, 1957) for knapsacks that share their
+    items: the most gain that fractions of the free items can take within
+    each column's room of the (N, K) ``weights`` under the (K,) ``caps``,
+    least over the columns.  Each column ranks the items once, by gain per
+    unit weight, weightless items first."""
+
+    def __init__(self, gains: np.ndarray, weights: np.ndarray, caps: np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = gains[:, None] / weights
+        self.order = np.argsort(-ratio.T, axis=1, kind="stable")
+        self.weights = np.take_along_axis(weights.T, self.order, axis=1)
+        self.gains = gains[self.order]
+        self.caps = caps
+        self.rows = np.arange(len(caps))
+
+    def __call__(self, loads: np.ndarray, free: np.ndarray) -> float:
+        """The bound for the ``free`` items when the columns carry ``loads``."""
+        k, n = self.order.shape
+        held = np.zeros(n, dtype=bool)
+        held[free] = True
+        held = held[self.order]
+        weight = np.where(held, self.weights, 0.0)
+        worth = np.where(held, self.gains, 0.0)
+        # Prefix sums, the first before any item.
+        weight_sum = np.zeros((k, n + 1))
+        worth_sum = np.zeros((k, n + 1))
+        np.cumsum(weight, axis=1, out=weight_sum[:, 1:])
+        np.cumsum(worth, axis=1, out=worth_sum[:, 1:])
+        # Never below 0, so the item that overflows has a positive weight.
+        room = np.maximum(self.caps - loads, 0.0)
+        over = weight_sum[:, 1:] > room[:, None]
+        split = over.argmax(axis=1)  # the first free item that overflows
+        rows = self.rows
+        overflows = over[rows, split]
+        last = np.where(overflows, weight[rows, split], 1.0)
+        fractional = worth_sum[rows, split] + (room - weight_sum[rows, split]) / last * worth[rows, split]
+        return float(np.where(overflows, fractional, worth_sum[:, -1]).min())
 
 
-@contextmanager
-def _stdout_silenced():
-    """Point file descriptor 1 at the null device: HiGHS can write solver
-    lines straight to it, past ``sys.stdout``, which would corrupt the
-    CLI's JSON on stdout."""
-    with _STDOUT_LOCK:
-        sys.stdout.flush()
-        saved = os.dup(1)
-        try:
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), 1)
-            yield
-        finally:
-            os.dup2(saved, 1)
-            os.close(saved)
+def _surrogate_multipliers(
+    gains: np.ndarray, masses: np.ndarray, cap: float, target: float
+) -> np.ndarray:
+    """Column multipliers mu >= 0 for Glover's surrogate constraint (Oper.
+    Res. 16, 1968): every subset that fits all columns of ``masses`` also
+    has (masses @ mu) summing to at most cap * sum(mu).  Good multipliers
+    make the one constraint bind as all columns do together.  They come
+    from subgradient steps on the Lagrangian dual
+    sum_i max(0, g_i - masses_i @ mu) + cap * sum(mu) toward ``target``, a
+    gain some subset reaches, with Held and Karp's step rule (Math. Program.
+    1, 1971): the step halves after 10 steps without a new least value.
+    Returns the multipliers of the least value seen."""
+    mu = np.zeros(masses.shape[1])
+    least, best, scale, stale = np.inf, mu, 2.0, 0
+    for _ in range(_SUBGRADIENT_STEPS):
+        reduced = gains - masses @ mu
+        taken = reduced > 0.0
+        value = reduced[taken].sum() + cap * mu.sum()
+        if value < least:
+            least, best, stale = value, mu, 0
+        else:
+            stale += 1
+            if stale == 10:
+                scale, stale = scale / 2, 0
+        slope = cap - masses[taken].sum(axis=0)
+        slope[(mu <= 0.0) & (slope > 0.0)] = 0.0  # steps that would leave mu >= 0
+        norm = slope @ slope
+        if norm <= 0.0 or value <= target:
+            break
+        mu = np.maximum(0.0, mu - scale * (value - target) / norm * slope)
+    return best
 
 
 def build_test_report(

@@ -466,14 +466,16 @@ def equal_split_sweep(
         ent = witness_pmf(ent_settings, witness)
         sep = witness_pmf(sep_settings, witness)
         accept_low = witness_kind == "linear"
+        # Both pmfs live on one grid; threshold k splits it before point k
+        # (accept at or above it) or after it (accept at or below it).
+        sep_below, sep_above = sep.tail_masses()
+        ent_below, ent_above = ent.tail_masses()
         curve = []
-        for bound in ent.outcomes:
+        for k, bound in enumerate(ent.outcomes):
             if accept_low:
-                sep_error = sep.mass_below(bound)
-                ent_error = ent.mass_above(bound, inclusive=False)
+                sep_error, ent_error = sep_below[k + 1], ent_above[k + 1]
             else:
-                sep_error = sep.mass_above(bound)
-                ent_error = ent.mass_below(bound, inclusive=False)
+                sep_error, ent_error = sep_above[k], ent_below[k]
             curve.append((bound, sep_error, ent_error))
         stricter = (lambda b: b) if accept_low else (lambda b: -b)
         best_bound, sep_error, ent_error = min(

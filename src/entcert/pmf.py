@@ -110,6 +110,21 @@ class OutcomePmf:
         split = bisect_left if inclusive else bisect_right
         return math.fsum(self.probabilities[split(self.outcomes, as_fraction(bound)) :])
 
+    def tail_masses(self) -> tuple[list[float], list[float]]:
+        """(below, above) for every split of the grid: ``below[k]`` is the
+        mass of the first k grid points and ``above[k]`` that of the rest,
+        k = 0..G.  Each is the exact sum rounded once, the value ``math.fsum``
+        gives for that slice, and all of them take O(G) additions."""
+        # Every double is a whole multiple of 2**-1074, so the scaled prefix
+        # sums are exact ints, and int true division rounds correctly.
+        scale = 1 << 1074
+        prefix = [0]
+        for p in self.probabilities:
+            numerator, denominator = p.as_integer_ratio()
+            prefix.append(prefix[-1] + numerator * (scale // denominator))
+        total = prefix[-1]
+        return [s / scale for s in prefix], [(total - s) / scale for s in prefix]
+
     def convolve(self, other: "OutcomePmf") -> "OutcomePmf":
         """Pmf of the sum of two independent variables (exact key merging)."""
         acc: dict[Fraction, float] = {}

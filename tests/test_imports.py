@@ -1,8 +1,8 @@
 """Import cost: ``import entcert`` loads numpy and no scipy subpackage.
 
-Each subpackage is imported inside the function that first needs it:
-``scipy.optimize`` at the acceptance-set MILP, ``scipy.special`` at the
-chi-square tail of ``chi_square_compare``.
+``scipy.special`` is imported inside the one function that needs it, at the
+chi-square tail of ``chi_square_compare``.  No command loads
+``scipy.optimize``: the acceptance-set search solves its knapsacks itself.
 """
 
 import os
@@ -23,9 +23,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("scipy.optimize", "scipy.stats", "scipy.special")
 
 
-@pytest.mark.parametrize("module", ["entcert", "entcert.cli"])
-def test_import_loads_no_deferred_scipy_subpackage(module):
-    code = f"import sys, {module}; print([m for m in {DEFERRED!r} if m in sys.modules])"
+def loaded_after(code: str) -> str:
+    """The deferred subpackages in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter, as printed there."""
+    code += f"\nimport sys; print([m for m in {DEFERRED!r} if m in sys.modules])"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -34,7 +35,26 @@ def test_import_loads_no_deferred_scipy_subpackage(module):
         text=True,
         check=True,
     )
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["entcert", "entcert.cli"])
+def test_import_loads_no_deferred_scipy_subpackage(module):
+    assert loaded_after(f"import {module}") == "[]"
+
+
+def test_acceptance_set_search_loads_no_scipy_optimize():
+    code = """
+from entcert.finite_stats import CorrelationSetting
+from entcert.inference import max_power_acceptance_set
+from entcert.witnesses import QuadraticWitness, witness_pmf
+from entcert.worst_case import SearchOptions
+witness = QuadraticWitness(2)
+ent = witness_pmf([CorrelationSetting(0.8, 4)] * 2, witness)
+found = max_power_acceptance_set(witness, (4, 4), ent, 0.2, SearchOptions(restarts=2, seed=3))
+assert found is not None
+"""
+    assert loaded_after(code) == "[]"
 
 
 #: Bins of the 20-copy linear report's grid, (4,)*5 copies: the most groups

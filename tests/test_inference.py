@@ -406,7 +406,8 @@ class RecordingChecker(_FeasibilityChecker):
 
 
 class TestConstraintGeneration:
-    """The MILP loop finds the winner of the one-at-a-time oracle."""
+    """The constraint-generation loop finds the winner of the one-at-a-time
+    oracle."""
 
     @staticmethod
     def problem(seed):
@@ -472,23 +473,23 @@ class TestConstraintGeneration:
         assert found == {F(1)}
 
     def test_float_pool_refutation_cuts_the_winner(self, monkeypatch):
-        # {0, 1} overshoots the budget by 1e-9 at column 0, inside HiGHS's
-        # feasibility tolerance, so the MILP proposes it and only the float
-        # pool masses refute it; the cut then lets {1, 2} win.
+        # {0, 1} overshoots the budget by 1e-9 at column 0.  The knapsack
+        # adds its pool masses as ``check`` does, so it never proposes the
+        # set, and {1, 2} wins in the first round.
         hidden = np.array([[0.3, 0.1], [0.3 + 1e-9, 0.1], [0.05, 0.45]])
         ent = np.array([0.4, 0.41, 0.1])
-        calls = []
+        proposed = []
         solve = inference._max_power_subset
 
         def recorded(gains, masses, budget, cuts):
-            calls.append([tuple(np.flatnonzero(cut)) for cut in cuts])
-            assert len(calls) < 10
-            return solve(gains, masses, budget, cuts)
+            chosen = solve(gains, masses, budget, cuts)
+            proposed.append(chosen)
+            return chosen
 
         monkeypatch.setattr(inference, "_max_power_subset", recorded)
         found, log = self.run(hidden, np.arange(3), ent, 0.6)
-        assert log[0] == ((0, 1), 0, False)
-        assert calls[1] == [(0, 1)]
+        assert len(proposed) == 1
+        assert log == [((1, 2), 2, True)]
         assert found == {F(1), F(2)}
 
     def test_each_decision_class(self):
@@ -538,30 +539,113 @@ class TestConstraintGeneration:
         assert found.worst_case.objective == pytest.approx(0.3)
         assert len(problem.searches) == searches
 
-    def test_failed_solve_raises(self, monkeypatch):
-        def unsolved(*args, **kwargs):
-            return SimpleNamespace(status=1, message="Time limit reached.", x=None)
 
-        monkeypatch.setattr(inference, "milp", unsolved)
-        with pytest.raises(RuntimeError, match="Time limit reached"):
-            self.run(*self.problem(0))
+def fits(masses, subset, budget):
+    """Whether ``subset``'s masses, added row by row, stay within budget."""
+    if len(subset) == 0:
+        return True
+    total = np.cumsum(masses[list(subset)], axis=0)[-1]
+    return bool((total <= budget + inference.TIE_TOLERANCE).all())
 
-    def test_stdout_restored_when_the_solver_raises(self, monkeypatch, capfd):
-        def broken(*args, **kwargs):
-            raise ValueError("broken solver")
 
-        monkeypatch.setattr(inference, "milp", broken)
-        capfd.readouterr()
-        with pytest.raises(ValueError, match="broken solver"):
-            self.run(*self.problem(0))
-        print("still here")
-        assert capfd.readouterr().out == "still here\n"
+def solved_power(gains, masses, budget, cuts=()):
+    chosen = inference._max_power_subset(gains, masses, budget, list(cuts))
+    assert fits(masses, np.flatnonzero(chosen), budget)
+    assert not any(np.array_equal(chosen, cut) for cut in cuts)
+    return gains[chosen].sum()
 
-    def test_nothing_reaches_stdout(self, capfd):
-        # HiGHS writes a line straight to file descriptor 1 on this problem.
-        capfd.readouterr()
-        self.run(*self.problem(61))
-        assert capfd.readouterr().out == ""
+
+class TestMaxPowerSubset:
+    """The branch and bound that proposes each round's winner."""
+
+    @pytest.mark.parametrize("surrogate_nodes", [inference._SURROGATE_NODES, 1])
+    def test_brute_force_with_cuts_and_ties(self, surrogate_nodes, monkeypatch):
+        # At 1 the surrogate bound prunes from the root's first node on.
+        monkeypatch.setattr(inference, "_SURROGATE_NODES", surrogate_nodes)
+        rng = np.random.default_rng(5)
+        for trial in range(120):
+            size = int(rng.integers(1, 13))
+            width = int(rng.integers(1, 6))
+            # Gains on a coarse lattice half the time, so powers tie exactly.
+            gains = rng.integers(1, 5, size) / 8 if trial % 2 else rng.random(size)
+            masses = rng.dirichlet(np.full(size, 0.5), width).T
+            budget = float(rng.uniform(0.1, 0.8))
+            feasible = sorted(
+                (
+                    (gains[list(subset)].sum(), subset)
+                    for k in range(1, size + 1)
+                    for subset in itertools.combinations(range(size), k)
+                    if fits(masses, subset, budget)
+                ),
+                reverse=True,
+            )
+            cuts = []
+            for power_left, subset in feasible[:3]:
+                assert solved_power(gains, masses, budget, cuts) == pytest.approx(
+                    power_left, abs=1e-12
+                )
+                cut = np.zeros(size, dtype=bool)
+                cut[list(subset)] = True
+                cuts.append(cut)
+            if len(feasible) < 3:
+                assert not inference._max_power_subset(gains, masses, budget, cuts).any()
+
+    @pytest.mark.parametrize("surrogate_nodes", [inference._SURROGATE_NODES, 1])
+    def test_same_power_as_milp(self, surrogate_nodes, monkeypatch):
+        monkeypatch.setattr(inference, "_SURROGATE_NODES", surrogate_nodes)
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(9)
+        for _ in range(12):
+            size = int(rng.integers(20, 41))
+            width = int(rng.integers(3, 16))
+            # In descending gain, the order ``_constraint_generation`` gives.
+            gains = np.sort(rng.dirichlet(np.full(size, 0.5)))[::-1]
+            masses = rng.dirichlet(np.full(size, 0.5), width).T
+            budget = float(rng.uniform(0.2, 0.6))
+            found = optimize.milp(
+                -1e12 * gains,  # scaled: HiGHS stops at an absolute gap of 1e-6
+                integrality=np.ones(size),
+                bounds=optimize.Bounds(0.0, 1.0),
+                constraints=optimize.LinearConstraint(masses.T, -np.inf, budget),
+                options={"mip_rel_gap": 0.0},
+            )
+            assert found.status == 0
+            expected = gains[found.x > 0.5].sum()
+            assert solved_power(gains, masses, budget) == pytest.approx(expected, abs=1e-12)
+
+    def test_first_found_wins_an_exact_tie(self):
+        # {0} and {1, 2} both have power 1/2 and fit; {0, 1} and {0, 2}
+        # do not.  Items are tried in order, each included first.
+        gains = np.array([0.5, 0.25, 0.25])
+        masses = np.array([[0.5], [0.25], [0.25]])
+        chosen = inference._max_power_subset(gains, masses, 0.5, [])
+        assert chosen.tolist() == [True, False, False]
+        chosen = inference._max_power_subset(gains[::-1], masses[::-1], 0.5, [])
+        assert chosen.tolist() == [True, True, False]
+        cut = np.array([True, False, False])
+        chosen = inference._max_power_subset(gains, masses, 0.5, [cut])
+        assert chosen.tolist() == [False, True, True]
+
+    def test_a_proposed_winner_is_never_pool_refuted(self, monkeypatch):
+        # Masses in tenths with no tie tolerance: a float sum such as
+        # 0.1 + 0.2 + 0.3 lands above or on the budget 0.6 depending on its
+        # order, and ``ndarray.sum`` would add a single pool column of 8 or
+        # more items pairwise.
+        monkeypatch.setattr(inference, "TIE_TOLERANCE", 0.0)
+        rng = np.random.default_rng(23)
+        rounds = 0
+        for trial in range(80):
+            size = int(rng.integers(4, 15))
+            width = 1 if trial % 2 == 0 else int(rng.integers(2, 6))
+            hidden = rng.choice(4, (size, width), p=[0.4, 0.3, 0.2, 0.1]) / 10
+            ent = rng.random(size)
+            checker = RecordingChecker(HiddenPoints(hidden), 0.6)
+            order = np.flatnonzero(hidden.max(axis=1) <= 0.6)
+            _constraint_generation(order, ent[order], checker)
+            for _, searches, _ in checker.log:
+                assert searches > 0
+            rounds += len(checker.log)
+        assert rounds > 80
 
 
 class TestTieTolerance:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from entcert.errors import DomainError, InfeasibleError
+from entcert.finite_stats import CorrelationSetting
 from entcert.inference import PriorPair
 from entcert.planner import (
     MAX_ALLOCATIONS,
@@ -22,6 +23,7 @@ from entcert.planner import (
     witness_for,
 )
 from entcert.states import EntangledStateModel, TruncatedGaussianPrior
+from entcert.witnesses import witness_pmf
 from entcert.worst_case import SearchOptions
 
 F = Fraction
@@ -123,6 +125,27 @@ class TestSweep:
         for entry in entries:
             assert entry.score == max(entry.sep_error, entry.ent_error)
             assert entry.score == min(max(s, e) for _, s, e in entry.curve)
+
+    @pytest.mark.parametrize("budget", [20, 36])
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_curve_matches_tail_reads(self, budget, kind):
+        # The sweep's running tail sums equal the pmf's one-off reads
+        # exactly, not just to rounding.
+        for entry in equal_split_sweep(budget, kind, 0.75):
+            m, n = entry.num_settings, entry.copies_per_setting
+            witness = witness_for(kind, m)
+            ent = witness_pmf(
+                [CorrelationSetting(s * 0.75, n) for s in family_signs(kind, m)], witness
+            )
+            sep = witness_pmf(
+                [CorrelationSetting(t, n) for t in witness.analytic_worst_case()], witness
+            )
+            for bound, sep_error, ent_error in entry.curve:
+                if kind == "linear":
+                    expected = sep.mass_below(bound), ent.mass_above(bound, inclusive=False)
+                else:
+                    expected = sep.mass_above(bound), ent.mass_below(bound, inclusive=False)
+                assert (sep_error, ent_error) == expected
 
     def test_sorted_by_score(self):
         entries = equal_split_sweep(20, "linear", 0.75)

@@ -119,6 +119,10 @@ class TestQueries:
                 assert pmf.mass_above(key, inclusive) == math.fsum(
                     p for o, p in pmf.items() if above(o, key)
                 )
+        below, above = pmf.tail_masses()
+        for k in range(len(outcomes) + 1):
+            assert below[k] == math.fsum(pmf.probabilities[:k])
+            assert above[k] == math.fsum(pmf.probabilities[k:])
 
     def test_moments(self):
         pmf = OutcomePmf((F(-1), F(1)), (0.5, 0.5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entcert.config import parse_entangled
-from entcert.errors import DomainError, SchemaError
+from entcert.errors import DomainError
 from entcert.finite_stats import CorrelationSetting
 from entcert.simulate import simulate_mixture_witness
 from entcert.states import (
@@ -234,14 +234,18 @@ class TestEntangledModel:
         with pytest.raises(DomainError):
             EntangledStateModel(purity=0.5, prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
 
-    @pytest.mark.parametrize("step", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "step",
+        [-1.0, 0.0, float("nan"), float("inf"), -0.1, float("-inf"), True, "0.1", None],
+    )
     def test_rejects_bad_grid_step_on_both_branches(self, step):
         with pytest.raises(DomainError):
             EntangledStateModel(purity=0.8, grid_step=step)
         with pytest.raises(DomainError):
             EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2), grid_step=step)
-        # The config reader turns away non-finite numbers itself, as SchemaError.
-        with pytest.raises((DomainError, SchemaError)):
+        # The config reader passes the step on to the model, which owns its
+        # rule, so every bad step is a DomainError there too.
+        with pytest.raises(DomainError):
             parse_entangled({"purity": 0.8, "grid_step": step})
 
     def test_fixed_purity_pmf(self):
