@@ -24,11 +24,19 @@ grid engine, keeps the best point of every outcome, and every outcome
 climbs from that seed at once.  Symmetric threshold problems
 additionally have known analytic solutions; as the first start of every
 search, they floor its result.
+
+A setting whose grid values are all equal has an outcome law that does not
+depend on its correlation: a 1-copy setting of the quadratic witness or a
+zero-coefficient setting of a linear one.  Every search pins it at the
+witness's ``low``, which loses no maximum (``WorstCaseProblem._pinned``): the
+scan takes one lattice value on its axis, every start sets it to ``low``,
+and the ascent never moves it, so every reported point has ``low`` there.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -169,6 +177,12 @@ class WorstCaseProblem:
         self.copies = grid.copies
         self._engine = grid
         self.grid: tuple[Fraction, ...] = grid.outcomes
+        #: Settings whose grid values are all equal, so that their outcome
+        #: law is constant: a 1-copy setting of the quadratic witness, a
+        #: zero-coefficient setting of a linear one.  Every search fixes
+        #: them at ``witness.low``, which changes no law and, as ``low``
+        #: never shrinks the region, loses no maximum.
+        self._pinned = [j for j, values in enumerate(grid.values) if np.all(values == values[0])]
 
     # -- evaluation --------------------------------------------------------
 
@@ -200,39 +214,52 @@ class WorstCaseProblem:
                 classes.append([j])
         return classes
 
+    def _lattice_shape(self, per_axis: int) -> tuple[int, ...]:
+        """Shape of a scan lattice with ``per_axis`` points on every free
+        axis: a pinned setting (``_pinned``) has one point, its ``low``."""
+        return tuple(1 if j in self._pinned else per_axis for j in range(len(self.copies)))
+
     def _scan_lattice(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices, in lattice order, and axis values of the cells of
         the lattice of the feasible box that the scan evaluates.
 
-        Every axis gets the same number of evenly spaced points, as many as
-        the caps allow (``_SCAN_LATTICE_CAP`` in all, ``_SCAN_AXIS_CAP`` per
-        axis) and at least 2.  Where even 2 per axis exceed the cap, a fixed
-        pseudo-random subset of the box corners stands in.  Each cell is
-        replaced by its canonical cell, its digits sorted ascending within
-        every class of exchangeable settings (``_exchangeable``), and kept
-        once: swapping such settings moves no mass, and the canonical cell
-        is the first of its orbit in lattice order.  The full lattice's
-        canonical cells are built directly, one sorted digit tuple per
-        class, without a digit array of the whole lattice.
+        Every free axis gets the same number of evenly spaced points, as
+        many as the caps allow over the free settings (``_SCAN_LATTICE_CAP``
+        in all, ``_SCAN_AXIS_CAP`` per axis) and at least 2; a pinned
+        setting (``_pinned``) has one point, its ``low``, so the indices
+        are flat in ``_lattice_shape``.  Where even 2 per free axis exceed
+        the cap, a fixed pseudo-random subset of the corners of the free
+        settings' box stands in.  Each cell is replaced by its canonical
+        cell, its digits sorted ascending within every class of
+        exchangeable settings (``_exchangeable``), and kept once: swapping
+        such settings moves no mass, and the canonical cell is the first of
+        its orbit in lattice order.  The full lattice's canonical cells are
+        built directly, one sorted digit tuple per class, without a digit
+        array of the whole lattice.
         """
-        m = len(self.copies)
-        per_axis = max(2, min(_SCAN_AXIS_CAP, round(_SCAN_LATTICE_CAP ** (1.0 / m))))
-        while per_axis > 2 and per_axis**m > _SCAN_LATTICE_CAP:
+        free = [j for j in range(len(self.copies)) if j not in self._pinned]
+        root = round(_SCAN_LATTICE_CAP ** (1.0 / max(len(free), 1)))
+        per_axis = max(2, min(_SCAN_AXIS_CAP, root))
+        while per_axis > 2 and per_axis ** len(free) > _SCAN_LATTICE_CAP:
             per_axis -= 1
-        classes = self._exchangeable()
-        if per_axis**m <= _SCAN_LATTICE_CAP:
-            strides = per_axis ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        # Exchangeable settings have equal values, so a class is pinned whole.
+        classes = [c for c in self._exchangeable() if c[0] not in self._pinned]
+        shape = self._lattice_shape(per_axis)
+        if per_axis ** len(free) <= _SCAN_LATTICE_CAP:
+            strides = np.array([math.prod(shape[j + 1 :]) for j in range(len(shape))])
             cells = np.zeros(1, dtype=np.int64)
             for members in classes:
                 digits = itertools.combinations_with_replacement(range(per_axis), len(members))
                 cells = np.add.outer(cells, np.array(list(digits)) @ strides[members]).ravel()
             cells = np.sort(cells)
         else:
-            corners = np.random.default_rng(0).choice(2**m, _SCAN_LATTICE_CAP, replace=False)
-            digits = np.stack(np.unravel_index(corners, (2,) * m), axis=1)
+            rng = np.random.default_rng(0)
+            corners = rng.choice(2 ** len(free), _SCAN_LATTICE_CAP, replace=False)
+            digits = np.zeros((len(corners), len(shape)), dtype=np.int64)
+            digits[:, free] = np.stack(np.unravel_index(corners, (2,) * len(free)), axis=1)
             for members in classes:
                 digits[:, members] = np.sort(digits[:, members], axis=1)
-            cells = np.unique(np.ravel_multi_index(tuple(digits.T), (2,) * m))
+            cells = np.unique(np.ravel_multi_index(tuple(digits.T), shape))
         return cells, np.linspace(self.witness.low, 1.0, per_axis)
 
     @cached_property
@@ -257,7 +284,7 @@ class WorstCaseProblem:
         per_call = max(1, min(_SCAN_CALL_CAP, _SCAN_FLOATS // self._engine.table_size))
         best = np.full(len(self.grid), -np.inf)
         where = np.zeros((len(self.grid), len(self.copies)))
-        shape = (len(axis),) * len(self.copies)
+        shape = self._lattice_shape(len(axis))
         for start in range(0, len(cells), per_call):
             digits = np.unravel_index(cells[start : start + per_call], shape)
             points = self.witness.project_batch(axis[np.stack(digits, axis=1)])
@@ -283,8 +310,9 @@ class WorstCaseProblem:
         the box until there are ``restarts`` starts, all drawn from one
         generator seeded with ``seed``; the ascent projects them onto the
         region.  With ``restarts`` above 0, the same generator then draws
-        ``_SCREEN_POINTS`` box points, and the first of largest set mass
-        once projected, evaluated in chunks sized by ``_SCAN_FLOATS``,
+        ``_SCREEN_POINTS`` box points, their pinned settings (``_pinned``)
+        then set to ``low``, and the first of largest set mass once
+        projected, evaluated in chunks sized by ``_SCAN_FLOATS``,
         climbs last; ``restarts_used`` does not count it.  A few restarts
         can all climb into one low basin, and the screened start lands in a
         higher one far more often.  The result is the best candidate
@@ -304,6 +332,7 @@ class WorstCaseProblem:
         restarts_used = len(starts)
         if opts.restarts > 0:
             box = rng.uniform(self.witness.low, 1.0, (_SCREEN_POINTS, len(self.copies)))
+            box[:, self._pinned] = self.witness.low
             screen = self.witness.project_batch(box)
             per_call = max(1, _SCAN_FLOATS // self._engine.table_size)
             chunks = range(0, _SCREEN_POINTS, per_call)
@@ -449,8 +478,11 @@ class WorstCaseProblem:
         most ``xatol`` (largest entry) and promises a gain between 0 and
         ``fatol`` to first order.  Returns the projected starts, their values, each row's
         best point and value, and whether each row stopped within
-        ``max_iterations`` trials.
+        ``max_iterations`` trials.  Every start has its pinned settings
+        (``_pinned``) set to ``low`` first, and no step moves them.
         """
+        start = np.array(start, dtype=np.float64)
+        start[:, self._pinned] = self.witness.low
         point = self.witness.project_batch(start)
         value, grad = self._engine.value_and_grad(weights, point)
         reach = np.full(len(point), _FIRST_STEP)

@@ -826,7 +826,7 @@ class TestChamberScan:
             assert permuted or abs(at_seeds[outcome, outcome] - best[outcome]) <= 1e-15
 
     @pytest.mark.parametrize(
-        "copies,cells", [((5, 4, 4), 16_896), ((4, 4, 4), 5_984), ((4,) * 5, 792), ((4, 2, 1), 32_768)]
+        "copies,cells", [((5, 4, 4), 16_896), ((4, 4, 4), 5_984), ((4,) * 5, 792), ((4, 2, 1), 1_024)]
     )
     def test_cells_evaluated(self, copies, cells):
         problem = WorstCaseProblem(QuadraticWitness(len(copies)), copies)
@@ -838,7 +838,7 @@ class TestChamberScan:
             # Equal copies, distinct coefficients: no swap keeps the region.
             (LinearWitness([1, -1, F(-1, 2)], 1), (4, 4, 4)),
             (LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (3, 3, 3)),
-            (QuadraticWitness(3), (4, 2, 1)),
+            (QuadraticWitness(3), (4, 3, 2)),
         ],
     )
     def test_settings_that_differ_are_not_merged(self, witness, copies):
@@ -850,6 +850,104 @@ class TestChamberScan:
         mass, seeds = problem._scan
         assert np.array_equal(mass, best)
         assert np.array_equal(seeds, where)
+
+
+class TestPinnedSettings:
+    """A setting whose law is constant is fixed at ``low`` in every search."""
+
+    @pytest.mark.parametrize(
+        "copies,pinned,cells",
+        [((4, 2, 1), [2], 1_024), ((5, 1, 1), [1, 2], 32), ((3, 3, 1), [2], 528), ((1, 1), [0, 1], 1)],
+    )
+    def test_cells_evaluated(self, copies, pinned, cells):
+        problem = WorstCaseProblem(QuadraticWitness(len(copies)), copies)
+        assert problem._pinned == pinned
+        found, axis = problem._scan_lattice()
+        assert len(found) == cells
+        shape = problem._lattice_shape(len(axis))
+        assert [n for j, n in enumerate(shape) if j in pinned] == [1] * len(pinned)
+        digits = np.stack(np.unravel_index(found, shape), axis=1)
+        assert not digits[:, pinned].any()
+
+    def test_corner_subset_is_drawn_over_the_free_settings(self):
+        # 16 free settings, no two exchangeable, and one pinned: the corner
+        # subset of the free settings' box, at its full size.
+        coefficients = list(range(-2, -17, -1))
+        problem = WorstCaseProblem(LinearWitness([1] + coefficients + [0], 1), (1,) * 17)
+        assert problem._pinned == [16]
+        cells, axis = problem._scan_lattice()
+        assert list(axis) == [-1.0, 1.0]
+        assert problem._lattice_shape(2) == (2,) * 16 + (1,)
+        corners = np.random.default_rng(0).choice(2**16, worst_case._SCAN_LATTICE_CAP, replace=False)
+        assert cells.tolist() == sorted(corners.tolist())
+
+    @pytest.mark.parametrize("copies", [(1,) * 13, (2,) + (1,) * 12, (3, 2) + (1,) * 12])
+    def test_many_pinned_settings(self, copies):
+        # A lattice over every setting would have 32**13 cells or more, past
+        # the range of a flat int64 index; pinned axes have one point each.
+        problem = WorstCaseProblem(QuadraticWitness(len(copies)), copies)
+        free = [j for j, n in enumerate(copies) if n > 1]
+        assert problem._pinned == [j for j in range(len(copies)) if j not in free]
+        _, seeds = problem._scan
+        assert np.all(seeds[:, problem._pinned] == 0.0)
+        for result in problem.maximize_all_points(POLISH).values():
+            assert all(result.correlations[j] == 0.0 for j in problem._pinned)
+
+    @staticmethod
+    def outcomes(problem):
+        return {o: r.objective for o, r in problem.maximize_all_points(POLISH).items()}
+
+    def test_quadratic_search_drops_one_copy_settings(self):
+        # Every 2- to 8-copy allocation over 2 or 3 settings with a 1-copy
+        # setting and another: each 1-copy setting adds 1 to every outcome.
+        checked = 0
+        for m in (2, 3):
+            for copies in itertools.product(range(1, 8), repeat=m):
+                if not 2 <= sum(copies) <= 8 or 1 not in copies or max(copies) == 1:
+                    continue
+                reduced = tuple(n for n in copies if n > 1)
+                full = self.outcomes(WorstCaseProblem(QuadraticWitness(m), copies))
+                alone = self.outcomes(WorstCaseProblem(QuadraticWitness(len(reduced)), reduced))
+                shift = len(copies) - len(reduced)
+                assert sorted(full) == [o + shift for o in sorted(alone)]
+                for outcome, value in full.items():
+                    assert value == pytest.approx(alone[outcome - shift], abs=1e-9)
+                    checked += 1
+        assert checked == 222
+
+    def test_linear_search_drops_zero_coefficients(self):
+        full = self.outcomes(WorstCaseProblem(LinearWitness([1, 0, -1], 1), (4, 2, 3)))
+        alone = self.outcomes(WorstCaseProblem(LinearWitness([1, -1], 1), (4, 3)))
+        assert full.keys() == alone.keys()
+        for outcome, value in full.items():
+            assert value == pytest.approx(alone[outcome], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "witness,copies",
+        [
+            (QuadraticWitness(3), (4, 2, 1)),
+            (QuadraticWitness(3), (5, 1, 1)),
+            (LinearWitness([1, 0, -1], 1), (4, 2, 3)),
+            (LinearWitness([F(1, 2), 0, -1, 0], F(1, 4)), (3, 4, 2, 5)),
+        ],
+    )
+    def test_pinned_coordinates_stay_at_low(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        assert problem._pinned
+        results = list(problem.maximize_all_points(POLISH).values())
+        results += list(problem.maximize_all_points(SearchOptions(restarts=3)).values())
+        grid = problem.grid
+        for restarts in (3, 12):
+            for acc in (
+                AcceptanceSet.threshold(grid[len(grid) // 3], "accept_low"),
+                AcceptanceSet.threshold(grid[2 * len(grid) // 3], "accept_high"),
+                AcceptanceSet.explicit(grid[1::3]),
+            ):
+                results.append(problem.maximize_set(acc, SearchOptions(restarts=restarts, seed=3)))
+                seed = [0.5] * len(copies)
+                results.append(problem.maximize_set(acc, POLISH, seed_points=[seed]))
+        for result in results:
+            assert all(result.correlations[j] == witness.low for j in problem._pinned)
 
 
 class TestLimits:
@@ -879,6 +977,10 @@ class TestInfeasible:
             WorstCaseProblem(witness, (4, 4)).maximize_set(
                 AcceptanceSet.threshold(0, "accept_low"), OPTS
             )
+        # Pointwise searches raise too, though the witness and the problem
+        # were built without complaint.
+        with pytest.raises(InfeasibleError):
+            WorstCaseProblem(witness, (4, 4)).maximize_all_points(POLISH)
 
 
 class TestThinRegion:
