@@ -30,7 +30,7 @@ from .inference import (
 )
 from .pmf import OutcomePmf
 from .states import EntangledStateModel
-from .witnesses import LinearWitness, QuadraticWitness, Witness, witness_pmf
+from .witnesses import LinearWitness, QuadraticWitness, Witness, WitnessGrid
 from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
 WitnessKind = Literal["linear", "quadratic"]
@@ -463,8 +463,12 @@ def equal_split_sweep(
         signs = family_signs(witness_kind, m)
         ent_settings = [CorrelationSetting(s * purity, n) for s in signs]
         sep_settings = [CorrelationSetting(t, n) for t in witness.analytic_worst_case()]
-        ent = witness_pmf(ent_settings, witness)
-        sep = witness_pmf(sep_settings, witness)
+        # One grid for both sides: pmf_batch computes each row on its own.
+        grid = WitnessGrid(witness, [n] * m)
+        ent_row, sep_row = grid.pmf_batch(
+            [[s.correlation for s in ent_settings], [s.correlation for s in sep_settings]]
+        )
+        ent, sep = grid.as_pmf(ent_row.tolist()), grid.as_pmf(sep_row.tolist())
         accept_low = witness_kind == "linear"
         # Both pmfs live on one grid; threshold k splits it before point k
         # (accept at or above it) or after it (accept at or below it).

@@ -1,18 +1,21 @@
 """Exact discrete probability mass functions over rational outcome values.
 
-Outcomes are kept as reduced ``fractions.Fraction`` objects so that grid
-points coming from different settings (e.g. 9/25 + 1 + 1 = 59/25) group
-exactly; probabilities are double-precision floats.  Zero-probability grid
-points are retained: acceptance sets are defined over the full grid.
+Outcomes are reduced ``fractions.Fraction`` objects, so that grid points
+coming from different settings (e.g. 9/25 + 1 + 1 = 59/25) group exactly;
+probabilities are double-precision floats.  A pmf of the grid engine
+(``WitnessGrid.as_pmf``) shares its grid's one outcome tuple, which the grid
+builds on its first read, and takes its float outcome values from the
+grid's integers, so a pmf whose outcomes are never read builds no Fraction.
+Zero-probability grid points are retained: acceptance sets are defined over
+the full grid.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError
 
@@ -51,28 +54,67 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class OutcomePmf:
-    """Probability mass function on a strictly increasing rational grid."""
+def _check_mass(size: int, probabilities: Sequence[float]) -> None:
+    """Refuse probabilities that are not ``size`` nonnegative floats of unit total mass."""
+    if size != len(probabilities):
+        raise DomainError("outcomes and probabilities must have equal length")
+    if not size:
+        raise DomainError("a pmf needs at least one outcome")
+    total = 0.0
+    for p in probabilities:
+        if not (p >= 0.0):
+            raise DomainError(f"negative probability {p}")
+        total += p
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise DomainError(f"total mass {total} deviates from 1 by more than {MASS_TOLERANCE}")
 
-    outcomes: tuple[Fraction, ...]
+
+class OutcomePmf:
+    """Probability mass function on a strictly increasing rational grid.
+
+    Immutable; two pmfs are equal when their outcomes and probabilities are.
+    """
+
     probabilities: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.probabilities):
-            raise DomainError("outcomes and probabilities must have equal length")
-        if not self.outcomes:
-            raise DomainError("a pmf needs at least one outcome")
-        for left, right in zip(self.outcomes, self.outcomes[1:]):
+    def __init__(self, outcomes: tuple[Fraction, ...], probabilities: tuple[float, ...]):
+        for left, right in zip(outcomes, outcomes[1:]):
             if not left < right:
                 raise DomainError("outcomes must be strictly increasing")
-        total = 0.0
-        for p in self.probabilities:
-            if not (p >= 0.0):
-                raise DomainError(f"negative probability {p}")
-            total += p
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise DomainError(f"total mass {total} deviates from 1 by more than {MASS_TOLERANCE}")
+        _check_mass(len(outcomes), probabilities)
+        vars(self).update(_outcomes=outcomes, _grid=None, probabilities=probabilities)
+
+    @classmethod
+    def on_grid(cls, grid, probabilities: tuple[float, ...]) -> "OutcomePmf":
+        """A pmf on an outcome grid (a ``WitnessGrid``) that it shares.
+
+        Its ``outcomes`` are the grid's ``outcomes`` tuple, read when first
+        needed, and its float outcome values the grid's ``integers`` over
+        its ``denominator``.  Those integers increase strictly, so only the
+        probabilities are checked.
+        """
+        _check_mass(len(grid.integers), probabilities)
+        pmf = cls.__new__(cls)
+        vars(pmf).update(_outcomes=None, _grid=grid, probabilities=probabilities)
+        return pmf
+
+    @property
+    def outcomes(self) -> tuple[Fraction, ...]:
+        return self._grid.outcomes if self._grid is not None else self._outcomes
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: an OutcomePmf is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outcomes, self.probabilities) == (other.outcomes, other.probabilities)
+
+    def __hash__(self):
+        return hash((self.outcomes, self.probabilities))
+
+    def __repr__(self):
+        return f"OutcomePmf(outcomes={self.outcomes!r}, probabilities={self.probabilities!r})"
 
     @classmethod
     def from_entries(cls, entries: Mapping[Fraction, float]) -> "OutcomePmf":
@@ -93,12 +135,21 @@ class OutcomePmf:
     def total_mass(self) -> float:
         return math.fsum(self.probabilities)
 
+    def _values(self) -> list[float]:
+        """Every outcome as the float nearest to it.  On a grid, int true
+        division is correctly rounded, as ``float(Fraction)`` is, so the
+        values are the same without building a Fraction."""
+        if self._grid is None:
+            return [float(o) for o in self.outcomes]
+        denominator = self._grid.denominator
+        return [v / denominator for v in self._grid.integers.tolist()]
+
     def mean(self) -> float:
-        return math.fsum(float(o) * p for o, p in self.items())
+        return math.fsum(v * p for v, p in zip(self._values(), self.probabilities))
 
     def variance(self) -> float:
         mu = self.mean()
-        return math.fsum((float(o) - mu) ** 2 * p for o, p in self.items())
+        return math.fsum((v - mu) ** 2 * p for v, p in zip(self._values(), self.probabilities))
 
     def mass_below(self, bound: RationalLike, inclusive: bool = True) -> float:
         """Mass at outcomes ``<= bound`` (``< bound`` if not ``inclusive``)."""

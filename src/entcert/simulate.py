@@ -130,7 +130,7 @@ def _tally(
         bits = max(min(n.bit_length() + 7, 16 - (len(weights) - 1).bit_length()), 0)
         rows = table[:, j, :n]
         settings.append((rows, [_guide(row, bits) for row in rows]))
-    counts = np.zeros(len(grid.outcomes), dtype=np.int64)
+    counts = np.zeros(len(grid.integers), dtype=np.int64)
     base = np.random.Philox(key=seed)
     chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     for i in range(chunks):
@@ -149,7 +149,7 @@ def _tally(
                 part += value[_counts(row, guide, row_draws)]
         values, tallies = np.unique(total, return_counts=True)
         counts[np.searchsorted(grid.integers, values)] += tallies
-    return OutcomePmf(grid.outcomes, tuple((counts / trials).tolist()))
+    return grid.as_pmf((counts / trials).tolist())
 
 
 def simulate_witness(config: SimulationConfig, witness: Witness) -> OutcomePmf:

@@ -135,7 +135,7 @@ def mixture_witness_pmf(
     points, weights = prior.discretize(grid_step)
     grid = WitnessGrid(witness, copies)
     masses = np.array(weights) @ grid.pmf_batch(np.outer(points, signs))
-    return OutcomePmf(grid.outcomes, tuple(masses.tolist()))
+    return grid.as_pmf(masses.tolist())
 
 
 #: Exponents past this leave a power of a float in [0, 1] unchanged.

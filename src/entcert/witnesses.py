@@ -14,6 +14,7 @@ backwards in ``value_and_grad``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -251,6 +252,11 @@ class WitnessGrid:
     its place among the next partial sums.  ``pmf_batch`` runs the steps
     first to last, and ``value_and_grad`` runs them back again, so neither
     ever enumerates the full combination space.
+
+    The grid points are ``integers`` over ``denominator``.  Their reduced
+    Fractions, ``outcomes``, are built on the first read only, and every
+    pmf of the grid (``as_pmf``) shares that one tuple and takes its float
+    outcome values from the integers.
     """
 
     def __init__(self, witness: Witness, copies: Sequence[int]):
@@ -286,8 +292,14 @@ class WitnessGrid:
         #: Entries of the largest step table; ``pmf_batch`` holds this many
         #: floats per row.
         self.table_size = max(inverse.size for inverse, _ in self._steps)
+        #: The grid points as strictly increasing integers over ``denominator``.
         self.integers = sums
-        self.outcomes: tuple[Fraction, ...] = tuple(Fraction(int(v), denom) for v in sums)
+
+    @functools.cached_property
+    def outcomes(self) -> tuple[Fraction, ...]:
+        """The grid points as reduced Fractions: built on the first read, and
+        the one tuple that every pmf of this grid shares."""
+        return tuple(Fraction(v, self.denominator) for v in self.integers.tolist())
 
     def _binomials(self, t: np.ndarray) -> np.ndarray:
         """Binomial weights (B, M, width) of every setting at correlations (B, M).
@@ -353,9 +365,14 @@ class WitnessGrid:
             adjoint = (gathered * table[:, j, None, : inverse.shape[1]]).sum(axis=2)
         return adjoint[:, 0], grad
 
+    def as_pmf(self, probabilities: Sequence[float]) -> OutcomePmf:
+        """Grid probabilities (G floats) as a pmf on this grid, which it shares
+        (``OutcomePmf.on_grid``)."""
+        return OutcomePmf.on_grid(self, tuple(probabilities))
+
     def pmf(self, correlations: Sequence[float]) -> OutcomePmf:
         """Exact outcome pmf at one correlation vector."""
-        return OutcomePmf(self.outcomes, tuple(self.pmf_batch([correlations])[0].tolist()))
+        return self.as_pmf(self.pmf_batch([correlations])[0].tolist())
 
 
 def witness_pmf(settings: Sequence[CorrelationSetting], witness: Witness) -> OutcomePmf:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from entcert.pmf import (
     mix_pmfs,
     round_fraction,
 )
+from entcert.witnesses import LinearWitness, WitnessGrid
 
 F = Fraction
 
@@ -72,6 +74,25 @@ class TestInvariants:
         pmf = OutcomePmf((F(-1), F(0), F(1)), (0.0, 1.0, 0.0))
         assert pmf.outcomes == (F(-1), F(0), F(1))
         assert pmf.probability(F(-1)) == 0.0
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            OutcomePmf((F(-1), F(0), F(1)), (0.25, 0.5, 0.25)),
+            WitnessGrid(LinearWitness([F(1, 3), -1], F(1, 2)), (2, 3)).pmf([0.2, -0.4]),
+        ],
+        ids=["public", "engine"],
+    )
+    def test_immutable_hashable_and_picklable(self, pmf):
+        with pytest.raises(AttributeError):
+            pmf.probabilities = (1.0,)
+        with pytest.raises(AttributeError):
+            pmf.outcomes = (F(0),)
+        copy = pickle.loads(pickle.dumps(pmf))
+        assert copy == pmf and hash(copy) == hash(pmf)
+        assert copy.mean() == pmf.mean() and copy.variance() == pmf.variance()
+        assert len({pmf, copy}) == 1
+        assert repr(pmf) == f"OutcomePmf(outcomes={pmf.outcomes!r}, probabilities={pmf.probabilities!r})"
 
 
 class TestQueries:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting
+from entcert.pmf import OutcomePmf
+from entcert.states import TruncatedGaussianPrior, mixture_witness_pmf
 from entcert.witnesses import (
     LinearWitness,
     QuadraticWitness,
@@ -23,7 +25,7 @@ from entcert.witnesses import (
     witness_moments,
     witness_pmf,
 )
-from entcert.worst_case import FEASIBILITY_TOLERANCE, WorstCaseProblem
+from entcert.worst_case import FEASIBILITY_TOLERANCE, POLISH, WorstCaseProblem
 from oracles import setting_grid
 from sampling import sample_separable
 
@@ -187,15 +189,15 @@ class TestBruteForceEquivalence:
 
 
 @st.composite
-def witness_batches(draw, margin=0.0):
+def witness_batches(draw, margin=0.0, max_settings=4, max_denominator=6):
     """A random small witness, its copy counts and 1-3 correlation vectors
     at least ``margin`` inside [-1, 1]."""
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, max_settings))
     copies = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
     if draw(st.booleans()):
         witness = QuadraticWitness(m)
     else:
-        rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        rationals = st.fractions(min_value=-3, max_value=3, max_denominator=max_denominator)
         witness = LinearWitness(draw(st.lists(rationals, min_size=m, max_size=m)), draw(rationals))
     correlation = st.floats(-1.0 + margin, 1.0 - margin, allow_nan=False)
     rows = draw(st.lists(st.lists(correlation, min_size=m, max_size=m), min_size=1, max_size=3))
@@ -294,6 +296,78 @@ class TestGridEngine:
         assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
         assert pmf.mean() == pytest.approx(mean, abs=1e-12)
         assert pmf.variance() == pytest.approx(variance, abs=1e-12)
+
+
+class TestEnginePmfs:
+    """A pmf of the grid engine shares its grid's outcomes, which the grid
+    builds once, on their first read."""
+
+    @hypothesis_settings(max_examples=120, deadline=None)
+    @given(witness_batches(max_settings=3, max_denominator=997))
+    @example((LinearWitness([F(1, 997), F(-2, 991), F(5, 983)], F(1, 977)), [5, 4, 3], [[0.3, -0.6, 0.45]]))
+    def test_equals_the_pmf_built_from_fractions(self, case):
+        # Three settings keep the common denominator of 997ths within int64.
+        witness, copies, rows = case
+        grid = WitnessGrid(witness, copies)
+        for row in rows:
+            engine = grid.pmf(row)
+            # The engine's moments come first, before any Fraction exists.
+            mean, variance = engine.mean(), engine.variance()
+            public = OutcomePmf(grid.outcomes, engine.probabilities)
+            assert engine == public and public == engine
+            assert engine.outcomes == public.outcomes
+            assert hash(engine) == hash(public)
+            assert mean.hex() == public.mean().hex()
+            assert variance.hex() == public.variance().hex()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda witness: witness_pmf(settings([0.3, -0.6, 0.45], [3, 4, 5]), witness),
+            lambda witness: mixture_witness_pmf(
+                TruncatedGaussianPrior(0.8, 0.1, 0.2), (1, -1, 1), (3, 4, 5), witness, 0.05
+            ),
+        ],
+        ids=["witness_pmf", "mixture"],
+    )
+    def test_moments_build_no_fraction(self, make, monkeypatch):
+        witness = LinearWitness([F(1, 3), F(-2, 7), F(5, 11)], F(1, 5))
+        built = []
+        construct = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return construct(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        pmf = make(witness)
+        assert len(pmf.probabilities) == 120
+        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-12)
+        pmf.mean()
+        pmf.variance()
+        assert built == []
+        # The spy does see the grid build its outcomes on their first read.
+        assert pmf.outcomes[0] == F(-1009, 1155)
+        assert len(built) >= 120
+
+    def test_pmfs_of_one_grid_share_its_outcomes(self):
+        grid = WitnessGrid(QuadraticWitness(3), (4, 3, 2))
+        first, second = grid.pmf([0.1, 0.2, 0.3]), grid.pmf([0.5, -0.5, 0.9])
+        assert first.outcomes is second.outcomes is grid.outcomes
+        assert grid.as_pmf(first.probabilities).outcomes is grid.outcomes
+        problem = WorstCaseProblem(LinearWitness([1, -1, 2], 1), (3, 2, 2))
+        assert problem.pmf_at([0.0, 0.5, -0.5]).outcomes is problem.grid
+        assert problem.maximize_point(problem.grid[0], POLISH).dist.outcomes is problem.grid
+
+    def test_checks_its_probabilities(self):
+        grid = WitnessGrid(LinearWitness([1, -1], 1), (2, 3))
+        good = grid.pmf([0.2, 0.4]).probabilities
+        assert grid.as_pmf(good).probabilities == good
+        for bad in (good[:-1], good + (0.0,), (), tuple(0.9 * p for p in good)):
+            with pytest.raises(DomainError):
+                grid.as_pmf(bad)
+        with pytest.raises(DomainError, match="negative probability"):
+            grid.as_pmf((-0.25, 1.25) + (0.0,) * (len(good) - 2))
 
 
 @st.composite

@@ -507,6 +507,15 @@ class TestPolish:
         result = problem.maximize_point(F(107, 49), POLISH)
         assert result.objective >= 0.1676336589 - 1e-10
 
+    def test_converges_along_an_edge_of_a_general_linear_region(self):
+        # The row of outcome -5/12 once sat on the plane 5.6e-12 off the face
+        # t1 = -1, every long step left the plane, and the row ran to
+        # max_iterations unconverged.
+        problem = WorstCaseProblem(LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (4, 3, 2))
+        result = problem.maximize_point(F(-5, 12), POLISH)
+        assert result.converged
+        assert result.objective >= 0.21382930390
+
     def test_converged_means_the_chosen_row_stopped(self):
         # With no iterations only rows that start at a stationary point
         # stop, such as outcome -1's analytic start (-1/2, 1/2) at one copy
