@@ -427,7 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         cmd.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        cmd.add_argument("--workers", type=_worker_count, default=1, help="parallel worker cap")
+        cmd.add_argument(
+            "--workers",
+            type=_worker_count,
+            default=1,
+            help="parallel worker cap for plan; the other commands accept it and run serially",
+        )
     return parser
 
 

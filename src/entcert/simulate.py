@@ -20,11 +20,14 @@ is tallied on the exact rational grid.  The generator is Philox
 results do not depend on how the work is partitioned.  Seeded results are
 bit-reproducible.  They are the same as those of the floating-point CDF
 search that the integer lookup replaced, but differ from versions that
-drew the counts with ``Generator.binomial``.
+drew the counts with ``Generator.binomial``.  ``chi_square_compare`` tests
+a simulated histogram against an exact pmf, with the chi-square tail in
+closed form (``chi_square_sf``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -223,9 +226,72 @@ def chi_square_compare(
     statistic = sum(
         (obs - exp) ** 2 / exp for obs, exp in zip(observed_groups, expected_groups)
     )
-    dof = len(expected_groups) - 1
-    # The chi-square survival function itself (what ``scipy.stats.chi2.sf``
-    # evaluates), without loading ``scipy.stats``.
-    from scipy.special import chdtrc
+    # One degree of freedom fewer than groups: the observed counts sum to the
+    # trials.  The tail is summed in closed form (``chi_square_sf``).
+    p_value = chi_square_sf(statistic, len(expected_groups) - 1)
+    return ChiSquareResult(statistic, p_value, len(expected_groups), False)
 
-    return ChiSquareResult(statistic, float(chdtrc(dof, statistic)), len(expected_groups), False)
+
+def chi_square_sf(statistic: float, dof: int) -> float:
+    """P(X >= statistic) for X chi-square with an integer ``dof`` >= 1.
+
+    This is Q(dof/2, y) at y = statistic/2 in closed form (Abramowitz and
+    Stegun, section 26.4): the sum of the Poisson-like terms
+    e^-y y^s / Gamma(s + 1) at s = dof/2 - 1, dof/2 - 2, ... down to 0 or
+    1/2, plus erfc(sqrt(y)) when ``dof`` is odd.  Every term is positive.
+    The term nearest the peak s = y is computed directly (``_poisson_term``)
+    and the others from it by the ratios s/y and y/(s + 1), which shrink the
+    terms on either side of the peak, so no term overflows and the underflow
+    of a term ends its side.  Rounding may leave the sum an ulp above 1,
+    which is cut off.
+    """
+    dof = check_integer(dof, "dof", 1)
+    if math.isnan(statistic):
+        raise DomainError("the chi-square statistic must not be NaN")
+    y = statistic / 2.0
+    if y <= 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    low, top = (dof % 2) / 2.0, dof / 2.0 - 1.0
+    head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    if top < low:
+        return head
+    s = min(top, low + max(math.floor(y - low), 0))
+    peak = _poisson_term(s, y)
+    terms = [peak]
+    term, below = peak, s
+    while below >= low + 1.0 and term > 0.0:
+        term *= below / y
+        below -= 1.0
+        terms.append(term)
+    term, above = peak, s
+    while above + 1.0 <= top and term > 0.0:
+        above += 1.0
+        term *= y / above
+        terms.append(term)
+    return min(head + math.fsum(terms), 1.0)
+
+
+def _poisson_term(s: float, y: float) -> float:
+    """e^-y y^s / Gamma(s + 1) for s >= 0 and y > 0.
+
+    Below s = 15 it is that product, or its logarithm where e^-y would leave
+    the normal floats.  From s = 15 on, the exponent is taken apart as in
+    Loader's Poisson density (C. Loader, "Fast and accurate computation of
+    binomial probabilities", 2000): Stirling's error term of Gamma(s + 1)
+    and the deviance s log(s/y) + y - s, the latter by its series in
+    v = (s - y)/(s + y) near s = y, so that no large logarithms cancel.
+    """
+    if s < 15.0:
+        if y < 700.0:
+            return math.exp(-y) * y**s / math.gamma(s + 1.0)
+        return math.exp(s * math.log(y) - y - math.lgamma(s + 1.0))
+    inv = 1.0 / (s * s)
+    stirling = (1 / 12 - inv * (1 / 360 - inv * (1 / 1260 - inv * (1 / 1680 - inv / 1188)))) / s
+    if abs(s - y) < 0.1 * (s + y):
+        v = (s - y) / (s + y)  # |v| < 0.1, so the series stops past v^17
+        deviance = (s - y) * v + 2.0 * s * sum(v**j / j for j in range(3, 19, 2))
+    else:
+        deviance = s * math.log(s / y) + y - s
+    return math.exp(-stirling - deviance) / math.sqrt(2.0 * math.pi * s)

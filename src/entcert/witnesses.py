@@ -70,11 +70,12 @@ class LinearWitness:
             self.constant.denominator,
             *(a.denominator * n for a, n in zip(self.coefficients, copies)),
         )
-        values = [
-            _count_differences(n) * (a.numerator * (denom // (a.denominator * n)))
-            for a, n in zip(self.coefficients, copies)
+        scales = [
+            a.numerator * (denom // (a.denominator * n)) for a, n in zip(self.coefficients, copies)
         ]
-        return denom, self.constant.numerator * (denom // self.constant.denominator), values
+        shift = self.constant.numerator * (denom // self.constant.denominator)
+        _check_int64(shift, [abs(c) * n for c, n in zip(scales, copies)])
+        return denom, shift, [_count_differences(n) * c for c, n in zip(scales, copies)]
 
     def moments(self, settings: Sequence[CorrelationSetting]) -> tuple[float, float]:
         """Mean: the ideal witness value; variance: the coefficient-weighted
@@ -171,6 +172,7 @@ class QuadraticWitness:
     def grid_values(self, copies: Sequence[int]) -> tuple[int, int, list[np.ndarray]]:
         """Denominator, shift 0 and per-setting integer values of ((2k - n) / n)^2."""
         denom = math.lcm(*(n * n for n in copies))
+        _check_int64(0, [denom] * len(copies))
         return denom, 0, [_count_differences(n) ** 2 * (denom // (n * n)) for n in copies]
 
     def moments(self, settings: Sequence[CorrelationSetting]) -> tuple[float, float]:
@@ -216,6 +218,18 @@ Witness = LinearWitness | QuadraticWitness
 def _count_differences(n: int) -> np.ndarray:
     """Agreeing minus disagreeing products, 2k - n, for k = 0..n."""
     return 2 * np.arange(n + 1, dtype=np.int64) - n
+
+
+def _check_int64(shift: int, peaks: Sequence[int]) -> None:
+    """Refuse a grid whose integers may not fit int64.  ``peaks`` holds every
+    setting's largest |value|, so |shift| plus their sum bounds every partial
+    sum of ``WitnessGrid`` and every total that ``simulate`` tallies."""
+    bound = abs(shift) + sum(peaks)
+    if bound >= 2**63:
+        raise DomainError(
+            f"the outcome grid needs {bound.bit_length()}-bit integers over its common "
+            "denominator; at most 63 bits fit"
+        )
 
 
 def _binomial_weights(n: int, success: float) -> list[float]:

@@ -113,6 +113,19 @@ class TestDist:
         assert json.loads(text)["mean"] == pytest.approx(0.3, abs=1e-12)
 
 
+    def test_grid_past_int64_exits_2(self, tmp_path, capsys):
+        # Six coefficients 3/p: a 71-bit common denominator (test_witnesses.py).
+        coefficients = [f"3/{p}" for p in [997, 991, 983, 977, 967, 953]]
+        doc = {
+            "witness": {"kind": "linear", "coefficients": coefficients, "constant": "1/971"},
+            "correlations": [0.3] * 6,
+            "copies": [2] * 6,
+        }
+        assert main(["dist", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "63 bits" in err and "Traceback" not in err
+
+
 class TestWorstCase:
     def test_linear_threshold(self, tmp_path):
         doc = {

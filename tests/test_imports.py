@@ -1,10 +1,13 @@
-"""Import cost: ``import entcert`` loads numpy and no scipy subpackage.
+"""Import cost: ``import entcert`` loads numpy and no scipy module, and no
+command loads one either.
 
-``scipy.special`` is imported inside the one function that needs it, at the
-chi-square tail of ``chi_square_compare``.  No command loads
-``scipy.optimize``: the acceptance-set search solves its knapsacks itself.
+The acceptance-set search solves its knapsacks itself, and
+``chi_square_compare`` takes its chi-square tail from the package's own
+``chi_square_sf``.  The only scipy name left in the package is the unused
+``worst_case.minimize``, which imports ``scipy.optimize`` on call.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,17 +19,19 @@ import pytest
 from scipy.stats import chi2
 
 from entcert.pmf import OutcomePmf
-from entcert.simulate import chi_square_compare
+from entcert.simulate import chi_square_compare, chi_square_sf
 from entcert.witnesses import LinearWitness, witness_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFERRED = ("scipy.optimize", "scipy.stats", "scipy.special")
 
 
 def loaded_after(code: str) -> str:
-    """The deferred subpackages in ``sys.modules`` after ``code`` runs in a
-    fresh interpreter, as printed there."""
-    code += f"\nimport sys; print([m for m in {DEFERRED!r} if m in sys.modules])"
+    """The scipy modules (``scipy`` and ``scipy.*``) in ``sys.modules`` after
+    ``code`` runs in a fresh interpreter, as printed there."""
+    code += (
+        "\nimport sys"
+        "\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -57,6 +62,61 @@ assert found is not None
     assert loaded_after(code) == "[]"
 
 
+#: A small config of every command; ``plan`` optimizes, ``simulate`` compares.
+COMMAND_CONFIGS = {
+    "dist": {
+        "witness": {"kind": "linear", "coefficients": ["1/3", "-2/7"], "constant": "1/5"},
+        "correlations": [0.3, -0.6],
+        "copies": [3, 4],
+    },
+    "worst-case": {
+        "witness": {"kind": "linear", "coefficients": [1, -1], "constant": 1},
+        "copies": [4, 4],
+        "acceptance": {"kind": "threshold", "bound": "-1/2", "direction": "accept_low"},
+        "optimizer": {"restarts": 2, "seed": 3},
+    },
+    "test": {
+        "witness": {"kind": "quadratic", "settings": 2},
+        "copies": [3, 3],
+        "acceptance": {"kind": "threshold", "bound": 2, "direction": "accept_high"},
+        "entangled": {"purity": 0.8},
+        "priors": {"entangled": 0.5},
+        "q_bayes": 0.975,
+        "optimizer": {"restarts": 2, "seed": 5},
+    },
+    "plan": {
+        "witness_kind": "quadratic",
+        "budget": 4,
+        "max_settings": 2,
+        "min_validity": 0.7,
+        "framework": "frequentist",
+        "entangled": {"purity": 0.8},
+        "priors": {"entangled": 0.6667},
+        "optimizer": {"restarts": 2, "seed": 11},
+    },
+    "noise-curve": {"copies_per_setting": 4, "settings": 2, "step": 0.5},
+    "simulate": {
+        "witness": {"kind": "quadratic", "settings": 2},
+        "correlations": [0.75, -0.75],
+        "copies": [10, 10],
+        "trials": 10_000,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_command_loads_no_scipy_module(command, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(COMMAND_CONFIGS[command]))
+    code = f"""
+import contextlib, io
+from entcert import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main([{command!r}, "--config", {str(config)!r}, "--seed", "7"]) == 0
+"""
+    assert loaded_after(code) == "[]"
+
+
 #: Bins of the 20-copy linear report's grid, (4,)*5 copies: the most groups
 #: a comparison of the report20 scenario can keep.
 REPORT20_BINS = len(witness_grid((4,) * 5, LinearWitness([1, -1, -1, -1, -1], 1)))
@@ -72,4 +132,42 @@ def test_p_value_is_scipy_stats_chi2_sf(bins, skew):
     empirical = OutcomePmf(grid, tuple((tilted / tilted.sum()).tolist()))
     result = chi_square_compare(empirical, exact, trials=10_000)
     assert result.bins == bins
-    assert result.p_value == float(chi2.sf(result.statistic, bins - 1))
+    assert result.p_value == chi_square_sf(result.statistic, bins - 1)
+    assert result.p_value == pytest.approx(float(chi2.sf(result.statistic, bins - 1)), rel=1e-12)
+
+
+#: Degrees of freedom of the tail checks: every one to 40, then a spread
+#: to 20,000.
+TAIL_DOFS = [*range(1, 41), 50, 64, 99, 128, 200, 255, 333, 500, 512, 677, 859, 999, 1000]
+TAIL_DOFS += [1001, 2000, 4999, 10_000, 15_001, 20_000]
+#: Tail probabilities whose quantiles are checked, from 1 - 1e-12 to 1e-300.
+TAILS = [1 - 1e-12, 0.999, 0.9, 0.5, 0.1, 1e-3, 1e-10, 1e-30, 1e-100, 1e-200, 1e-300]
+
+
+def tail_points(dof):
+    """Statistics at the quantiles of ``TAILS`` and at a few fixed points,
+    those whose tail is at least 1e-300."""
+    points = [float(chi2.isf(p, dof)) for p in TAILS] + [1e-8, 0.5, float(dof), 2.0 * dof]
+    return [x for x in points if chi2.sf(x, dof) >= 1e-300]
+
+
+@pytest.mark.parametrize("dof", TAIL_DOFS)
+def test_tail_matches_scipy_stats_chi2_sf(dof):
+    bound = 1e-12 if dof <= 1000 else 1e-10
+    for x in tail_points(dof):
+        expected = float(chi2.sf(x, dof))
+        assert chi_square_sf(x, dof) == pytest.approx(expected, rel=bound, abs=0.0), x
+
+
+@pytest.mark.parametrize("dof", TAIL_DOFS)
+def test_tail_matches_thirty_digit_reference(dof):
+    # scipy's own tail is off by up to 1.1e-12 near 900 degrees of freedom,
+    # so a 30-digit incomplete gamma function checks the rest of the margin.
+    mpmath = pytest.importorskip("mpmath")
+    bound = 5e-13 if dof <= 1000 else 5e-12
+    with mpmath.workdps(30):
+        for x in tail_points(dof):
+            a, y = mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2
+            expected = mpmath.gammainc(a, y, mpmath.inf, regularized=True)
+            got = chi_square_sf(x, dof)
+            assert abs(got - expected) <= bound * expected, (x, got, expected)

@@ -1,5 +1,7 @@
 """Monte Carlo oracle: determinism, convergence, chi-square machinery."""
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from entcert.simulate import (
     _guide,
     _thresholds,
     chi_square_compare,
+    chi_square_sf,
     simulate_mixture_witness,
     simulate_witness,
 )
@@ -301,6 +304,12 @@ class TestSimulation:
         assert added.min() == 0 and added.sum() == 1
 
 
+def test_refuses_a_grid_past_int64():
+    wide = LinearWitness([F(3, p) for p in [997, 991, 983, 977, 967, 953]], F(1, 971))
+    with pytest.raises(DomainError):
+        simulate_witness(SimulationConfig([0.3] * 6, [2] * 6, 100, seed=1), wide)
+
+
 class TestChiSquare:
     def test_exact_against_itself_is_zero(self):
         exact = witness_pmf([CorrelationSetting(0.75, 10)], LinearWitness([1], 0))
@@ -339,6 +348,56 @@ class TestChiSquare:
         b = OutcomePmf((F(0), F(2)), (0.5, 0.5))
         with pytest.raises(DomainError):
             chi_square_compare(a, b, 1000)
+
+
+class TestChiSquareTail:
+    """``chi_square_sf`` at its ends and edges; ``test_imports.py`` checks it
+    against scipy and a 30-digit reference across the whole tail."""
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 17, 18, 999, 20_000])
+    def test_ends(self, dof):
+        assert chi_square_sf(0.0, dof) == 1.0
+        assert chi_square_sf(-1.0, dof) == 1.0
+        assert chi_square_sf(math.inf, dof) == 0.0
+
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    def test_one_and_two_degrees_in_closed_form(self, x):
+        assert chi_square_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert chi_square_sf(x, 2) == math.exp(-x / 2)
+
+    @given(st.floats(min_value=0.0, allow_infinity=True), st.integers(1, 20_000))
+    def test_is_a_probability(self, x, dof):
+        assert 0.0 <= chi_square_sf(x, dof) <= 1.0
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 30, 31, 999, 20_000])
+    @pytest.mark.parametrize("x", [5e3, 1e5, 1e300, sys.float_info.max])
+    def test_far_tail_is_zero_or_positive(self, dof, x):
+        p = chi_square_sf(x, dof)
+        assert p == 0.0 or p > 0.0
+
+    def test_far_tail_underflows_to_zero(self):
+        assert chi_square_sf(5e3, 3) == 0.0
+        assert 0.0 < chi_square_sf(1.3e3, 3) < 1e-280
+
+    def test_falls_with_the_statistic_and_rises_with_dof(self):
+        # Up to rounding: a tail within 1e-16 of 1 may come out two ulps below it.
+        slack = 2 * math.ulp(1.0)
+        xs = [0.01 * k for k in range(1, 400)]
+        for dof in [1, 2, 5, 40]:
+            tails = [chi_square_sf(x, dof) for x in xs]
+            assert all(a >= b - slack for a, b in zip(tails, tails[1:]))
+        tails = [chi_square_sf(3.0, d) for d in range(1, 60)]
+        assert all(a <= b + slack for a, b in zip(tails, tails[1:]))
+        assert tails[0] < tails[5] < tails[10] < 1.0
+
+    @pytest.mark.parametrize("dof", [0, -1, 2.5, True, "3"])
+    def test_refuses_a_bad_dof(self, dof):
+        with pytest.raises(DomainError):
+            chi_square_sf(1.0, dof)
+
+    def test_refuses_nan(self):
+        with pytest.raises(DomainError):
+            chi_square_sf(math.nan, 3)
 
 
 class TestMixtureSimulation:

@@ -471,6 +471,25 @@ class TestValidation:
         with pytest.raises(DomainError):
             QuadraticWitness(0)
 
+    def test_refuses_grids_past_int64(self):
+        # Six coefficients 3/p at two copies each: a 71-bit common
+        # denominator, whose int64 grid would wrap without an error.
+        primes = [997, 991, 983, 977, 967, 953]
+        wide = LinearWitness([F(3, p) for p in primes], F(1, 971))
+        with pytest.raises(DomainError):
+            WitnessGrid(wide, (2,) * 6)
+        with pytest.raises(DomainError):
+            witness_pmf(settings([0.3] * 6, [2] * 6), wide)
+        with pytest.raises(DomainError):
+            WitnessGrid(QuadraticWitness(4), (997, 991, 983, 977))
+        # Five of them need 55 bits and keep the closed-form moments.
+        five = LinearWitness([F(3, p) for p in primes[:5]], F(1, 971))
+        sts = settings([0.3] * 5, [2] * 5)
+        mean, variance = five.moments(sts)
+        pmf = witness_pmf(sts, five)
+        assert pmf.mean() == pytest.approx(mean, rel=1e-12)
+        assert pmf.variance() == pytest.approx(variance, rel=1e-12)
+
     def test_grid_is_independent_of_correlations(self):
         w = QuadraticWitness(2)
         grid = witness_grid([4, 6], w)
