@@ -34,7 +34,10 @@ class AcceptanceSet:
             raise DomainError("randomization requires a designated boundary outcome")
         if self.kind == "threshold":
             if self.bound is None or self.direction not in ("accept_low", "accept_high"):
-                raise DomainError("threshold sets need a bound and a direction")
+                raise DomainError(
+                    "a threshold takes a bound and a direction, accept_low or accept_high; "
+                    f"got bound {self.bound} and direction {self.direction!r}"
+                )
         elif self.kind == "explicit":
             if self.bound is not None or self.direction is not None:
                 raise DomainError("explicit sets take outcomes, not a bound")

@@ -196,31 +196,13 @@ def _plan_doc(plan) -> dict[str, Any]:
 
 
 def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]], int]:
-    cfg.check_keys(
-        doc,
-        "config",
-        {"witness_kind", "budget"},
-        {
-            "max_settings",
-            "min_validity",
-            "framework",
-            "allow_unused_copies",
-            "equal_allocation_only",
-            "entangled",
-            "priors",
-            "optimizer",
-            "mode",
-        },
-    )
+    mode = cfg.check_variant(doc, "config", "mode", cfg.PLAN_KEYS, default="optimize")
     kind = doc["witness_kind"]
-    if kind not in ("linear", "quadratic"):
-        raise SchemaError("witness_kind: expected 'linear' or 'quadratic'")
     budget = doc["budget"]
-    mode = doc.get("mode", "optimize")
 
     if mode == "sweep":
-        model = cfg.parse_entangled(doc["entangled"]) if "entangled" in doc else None
-        if model is None or model.purity is None:
+        model = cfg.parse_entangled(doc["entangled"])
+        if model.purity is None:
             raise SchemaError("sweep mode needs entangled.purity")
         entries = equal_split_sweep(budget, kind, model.purity)
         report = {
@@ -255,12 +237,6 @@ def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
                     ]
                 )
         return report, rows, EXIT_OK
-    if mode != "optimize":
-        raise SchemaError("mode: expected 'optimize' or 'sweep'")
-
-    for key in ("max_settings", "min_validity", "framework", "entangled", "priors"):
-        if key not in doc:
-            raise SchemaError(f"config: missing keys ['{key}'] for optimize mode")
     spec = PlanSpec(
         budget=budget,
         max_settings=doc["max_settings"],

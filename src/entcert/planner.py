@@ -177,7 +177,8 @@ class PlanEvaluator:
     """Caches per-allocation evaluations for one planning scenario.
 
     Reusing one evaluator across budgets or frameworks (the allocation sets
-    overlap) avoids repeating the worst-case searches.
+    overlap) avoids repeating the worst-case searches.  An unknown witness
+    kind raises DomainError here, before any search.
     """
 
     def __init__(
@@ -188,6 +189,8 @@ class PlanEvaluator:
         min_validity: float,
         options: SearchOptions | None = None,
     ):
+        if witness_kind not in ("linear", "quadratic"):
+            raise DomainError(f"unknown witness kind {witness_kind!r}")
         self.witness_kind = witness_kind
         self.ent_model = ent_model
         self.priors = priors

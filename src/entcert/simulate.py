@@ -47,6 +47,10 @@ CHUNK_TRIALS = 1 << 16
 #: drawing; more is refused before any draw instead of running for hours.
 MAX_TRIALS = 10**9
 
+#: Least count that each group of a chi-square comparison expects, bar a
+#: lone group; being positive, it leaves no group to divide by zero.
+MIN_EXPECTED = 5.0
+
 
 def _run_size(trials, seed) -> tuple[int, int]:
     """Validated ``(trials, seed)`` of one simulation: 1 to ``MAX_TRIALS``
@@ -193,15 +197,28 @@ class ChiSquareResult:
     degenerate: bool
 
 
-def chi_square_compare(
-    empirical: OutcomePmf, exact: OutcomePmf, trials: int, min_expected: float = 5.0
-) -> ChiSquareResult:
-    """Goodness-of-fit test of simulated frequencies against an exact pmf.
+def chi_square_compare(empirical: OutcomePmf, exact: OutcomePmf, trials: int) -> ChiSquareResult:
+    """Goodness-of-fit test of simulated frequencies against an exact pmf,
+    over the groups of ``chi_square_groups``.  A single surviving group
+    makes the comparison vacuous and is flagged."""
+    observed_groups, expected_groups = chi_square_groups(empirical, exact, trials)
+    if len(expected_groups) < 2:
+        return ChiSquareResult(0.0, 1.0, len(expected_groups), True)
+    statistic = sum(
+        (obs - exp) ** 2 / exp for obs, exp in zip(observed_groups, expected_groups)
+    )
+    # One degree of freedom fewer than groups: the observed counts sum to the
+    # trials.  The tail is summed in closed form (``chi_square_sf``).
+    p_value = chi_square_sf(statistic, len(expected_groups) - 1)
+    return ChiSquareResult(statistic, p_value, len(expected_groups), False)
 
-    Adjacent bins are merged until each group expects at least
-    ``min_expected`` counts; a leftover light tail joins the final group.
-    A single surviving group makes the comparison vacuous and is flagged.
-    """
+
+def chi_square_groups(
+    empirical: OutcomePmf, exact: OutcomePmf, trials: int
+) -> tuple[list[float], list[float]]:
+    """Observed and expected counts of adjacent bins, merged until each
+    group expects at least ``MIN_EXPECTED``; a leftover light tail joins
+    the final group, so only a lone group may expect less."""
     if empirical.outcomes != exact.outcomes:
         raise DomainError("empirical and exact pmfs must share one grid")
     observed_groups: list[float] = []
@@ -210,7 +227,7 @@ def chi_square_compare(
     for obs_p, exp_p in zip(empirical.probabilities, exact.probabilities):
         observed_acc += obs_p * trials
         expected_acc += exp_p * trials
-        if expected_acc >= min_expected:
+        if expected_acc >= MIN_EXPECTED:
             observed_groups.append(observed_acc)
             expected_groups.append(expected_acc)
             observed_acc = expected_acc = 0.0
@@ -221,15 +238,7 @@ def chi_square_compare(
         else:
             observed_groups.append(observed_acc)
             expected_groups.append(expected_acc)
-    if len(expected_groups) < 2:
-        return ChiSquareResult(0.0, 1.0, len(expected_groups), True)
-    statistic = sum(
-        (obs - exp) ** 2 / exp for obs, exp in zip(observed_groups, expected_groups)
-    )
-    # One degree of freedom fewer than groups: the observed counts sum to the
-    # trials.  The tail is summed in closed form (``chi_square_sf``).
-    p_value = chi_square_sf(statistic, len(expected_groups) - 1)
-    return ChiSquareResult(statistic, p_value, len(expected_groups), False)
+    return observed_groups, expected_groups
 
 
 def chi_square_sf(statistic: float, dof: int) -> float:

@@ -53,7 +53,8 @@ from .witnesses import _DIRECT_BINOMIAL_LIMIT, Witness, WitnessGrid
 
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on call.  No search calls it;
-    perfbench's tracer counts Nelder-Mead runs through this name."""
+    perfbench's tracer counts Nelder-Mead runs through this name.  scipy
+    is no runtime dependency: calling this needs the ``test`` extra."""
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)

@@ -23,7 +23,7 @@ from entcert.config import (
     parse_simulation,
     parse_witness,
 )
-from entcert.errors import DomainError
+from entcert.errors import DomainError, SchemaError
 from entcert.inference import PriorPair
 from entcert.planner import PlanSpec
 from entcert.pmf import format_fraction, round_fraction
@@ -1020,6 +1020,56 @@ MALFORMED_SIMULATIONS = st.one_of(
     ),
 )
 
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def not_one_of(*allowed):
+    return st.text(max_size=12).filter(lambda value: value not in allowed) | NOT_NUMBERS
+
+
+#: Any JSON value that a key of another variant may hold, valid there or not.
+ANY_VALUES = st.sampled_from(
+    [0, 2, 1.5, "nonsense", "1", "", None, True, [], [1, -1], ["1"], {}, {"restarts": 2.5}]
+)
+
+
+def with_keys_of(doc, keys):
+    """``doc`` with one or more of ``keys``, which belong to another variant."""
+    return st.dictionaries(st.sampled_from(sorted(keys)), ANY_VALUES, min_size=1).map(
+        lambda extra: {**doc, **extra}
+    )
+
+
+#: One section of each witness and acceptance kind; the sets are on the
+#: {0, 1, 2} grid of two quadratic settings of two copies.
+LINEAR = {"kind": "linear", "coefficients": [1, -1], "constant": 1}
+QUADRATIC = {"kind": "quadratic", "settings": 2}
+THRESHOLD = {"kind": "threshold", "bound": "1", "direction": "accept_high"}
+EXPLICIT = {"kind": "explicit", "outcomes": ["0", "1"]}
+
+MALFORMED_WITNESSES = st.one_of(
+    with_keys_of(LINEAR, {"settings"}),
+    with_keys_of(QUADRATIC, {"coefficients", "constant"}),
+    not_one_of("linear", "quadratic").map(lambda kind: {**QUADRATIC, "kind": kind}),
+    st.sampled_from([without(LINEAR, "coefficients"), without(QUADRATIC, "settings"),
+                     without(LINEAR, "kind"), without(QUADRATIC, "kind")]),
+)
+
+MALFORMED_ACCEPTANCES = st.one_of(
+    with_keys_of(THRESHOLD, {"outcomes"}),
+    with_keys_of(EXPLICIT, {"bound", "direction"}),
+    not_one_of("threshold", "explicit").map(lambda kind: {**THRESHOLD, "kind": kind}),
+    st.sampled_from([without(THRESHOLD, "bound"), without(THRESHOLD, "direction"),
+                     without(THRESHOLD, "kind"), without(EXPLICIT, "outcomes")]),
+    not_one_of("accept_low", "accept_high").map(lambda direction: {**THRESHOLD, "direction": direction}),
+    # A threshold's boundary is its bound.
+    st.sampled_from(["0", "2", "0.0", "2/1"]).map(
+        lambda boundary: {**THRESHOLD, "gamma": 0.5, "boundary": boundary}
+    ),
+)
+
 #: A small ``entcert test`` run that reads all three sections.
 TEST_DOC = {
     "witness": {"kind": "quadratic", "settings": 1},
@@ -1060,6 +1110,8 @@ class TestSectionRoundTrip:
             MALFORMED_OPTIMIZERS.map(lambda section: ("optimizer", section)),
             st.builds(lambda key, value: (key, value), st.sampled_from(["copies", "signs"]), NOT_ARRAYS),
             NOT_ARRAYS.map(lambda value: ("acceptance", {"kind": "explicit", "outcomes": value})),
+            MALFORMED_WITNESSES.map(lambda section: ("witness", section)),
+            MALFORMED_ACCEPTANCES.map(lambda section: ("acceptance", section)),
         )
     )
     def test_malformed_exits_2(self, case):
@@ -1110,10 +1162,6 @@ def parsed_call(target, doc, command, *flags):
     return caught.value.args
 
 
-def without(doc, key):
-    return {k: v for k, v in doc.items() if k != key}
-
-
 @st.composite
 def plan_configs(draw):
     """A valid optimize-mode ``plan`` config, with the entangled model, the
@@ -1155,10 +1203,6 @@ PLAN_KEYS = (*PLAN_DOC, "allow_unused_copies", "equal_allocation_only", "optimiz
 NOT_INTEGERS = st.integers(max_value=0) | st.floats() | NOT_NUMBERS
 
 
-def not_one_of(*allowed):
-    return st.text(max_size=12).filter(lambda value: value not in allowed) | NOT_NUMBERS
-
-
 MALFORMED_PLANS = st.one_of(
     NOT_OBJECTS,
     st.sampled_from(sorted(PLAN_DOC)).map(lambda key: without(PLAN_DOC, key)),
@@ -1181,6 +1225,10 @@ MALFORMED_PLANS = st.one_of(
     MALFORMED_ENTANGLED.map(lambda section: {**SWEEP_DOC, "entangled": section}),
     MALFORMED_PRIOR_PAIRS.map(lambda section: {**PLAN_DOC, "priors": section}),
     MALFORMED_OPTIMIZERS.map(lambda section: {**PLAN_DOC, "optimizer": section}),
+    # A sweep takes no key of optimize mode, and optimize mode none of a sweep.
+    with_keys_of(SWEEP_DOC, set(PLAN_KEYS) - set(SWEEP_DOC)),
+    st.just({**PLAN_DOC, "mode": "sweep"}),
+    not_one_of("linear", "quadratic").map(lambda kind: {**SWEEP_DOC, "witness_kind": kind}),
 )
 
 NOISE_DOC = {"copies_per_setting": 4, "settings": 5}
@@ -1273,3 +1321,69 @@ class TestNoiseCurveRoundTrip:
     @given(MALFORMED_NOISE_CURVES)
     def test_malformed_exits_2(self, doc):
         assert exit_code(doc, "noise-curve") == 2
+
+
+#: Configs whose keys belong to another variant, or whose variant field names
+#: none; each exits 2 with a one-line error.
+DIST_DOC = {"witness": QUADRATIC, "correlations": [0.5, 0.5], "copies": [2, 2]}
+WORST_CASE_DOC = {"witness": QUADRATIC, "copies": [2, 2], "acceptance": THRESHOLD}
+WRONG_VARIANT_CONFIGS = [
+    ("dist", {**DIST_DOC, "witness": {**LINEAR, "settings": "nonsense"}}),
+    ("dist", {**DIST_DOC, "witness": {**QUADRATIC, "coefficients": "junk", "constant": [1]}}),
+    ("dist", {**DIST_DOC, "witness": {**LINEAR, "kind": ["linear"]}}),
+    ("worst-case", {**WORST_CASE_DOC, "acceptance": {**THRESHOLD, "outcomes": "junk", "boundary": 3.5}}),
+    ("worst-case", {**WORST_CASE_DOC, "acceptance": {**EXPLICIT, "bound": [], "direction": 7}}),
+    ("plan", {**SWEEP_DOC, "optimizer": {"restarts": 2.5}, "priors": "garbage", "max_settings": "x",
+              "framework": "nonsense", "min_validity": 7, "allow_unused_copies": "maybe"}),
+    ("plan", {**PLAN_DOC, "witness_kind": "cubic"}),
+    ("plan", {**SWEEP_DOC, "witness_kind": "cubic"}),
+]
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("a malformed config reached a search")
+
+
+class TestVariantKeys:
+    """Each witness kind, acceptance kind and plan mode takes exactly its
+    own keys: a key of another variant, whatever its value, exits 2 before
+    any search, as does a variant field that names no variant."""
+
+    @pytest.mark.parametrize("command,doc", WRONG_VARIANT_CONFIGS)
+    def test_wrong_variant_exits_2(self, tmp_path, capsys, command, doc):
+        with mock.patch("entcert.cli.witness_pmf", no_search), mock.patch(
+            "entcert.cli.rank_allocations", no_search
+        ), mock.patch.object(WorstCaseProblem, "maximize_set", no_search):
+            assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(MALFORMED_WITNESSES)
+    def test_malformed_witness_exits_2(self, witness):
+        with mock.patch("entcert.cli.witness_pmf", no_search):
+            assert exit_code({**DIST_DOC, "witness": witness}, "dist") == 2
+
+    @hypothesis_settings(max_examples=80, deadline=None)
+    @given(MALFORMED_ACCEPTANCES)
+    def test_malformed_acceptance_exits_2(self, acceptance):
+        with mock.patch.object(WorstCaseProblem, "maximize_set", no_search):
+            assert exit_code({**WORST_CASE_DOC, "acceptance": acceptance}) == 2
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(witness_grids(), st.data())
+    def test_randomized_threshold_round_trip(self, case, data):
+        doc, copies, grid = case
+        bound = data.draw(st.sampled_from(grid))
+        direction = data.draw(st.sampled_from(["accept_low", "accept_high"]))
+        gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        acc = AcceptanceSet.threshold(bound, direction, gamma=gamma)
+        written = json_copy(acc.describe())
+        assert written["boundary"] == written["bound"]
+        assert parse_acceptance(written, grid) == acc
+        others = [g for g in grid if g != bound]
+        if others:
+            moved = {**written, "boundary": format_fraction(data.draw(st.sampled_from(others)))}
+            with pytest.raises(SchemaError, match="boundary"):
+                parse_acceptance(moved, grid)
+            assert exit_code({"witness": doc, "copies": copies, "acceptance": moved}) == 2

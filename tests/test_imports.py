@@ -1,10 +1,11 @@
 """Import cost: ``import entcert`` loads numpy and no scipy module, and no
-command loads one either.
+command loads one either, nor needs one to be installed.
 
 The acceptance-set search solves its knapsacks itself, and
 ``chi_square_compare`` takes its chi-square tail from the package's own
 ``chi_square_sf``.  The only scipy name left in the package is the unused
-``worst_case.minimize``, which imports ``scipy.optimize`` on call.
+``worst_case.minimize``, which imports ``scipy.optimize`` on call; scipy is
+a dependency of the ``test`` extra only, for the oracles of these tests.
 """
 
 import json
@@ -115,6 +116,51 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main([{command!r}, "--config", {str(config)!r}, "--seed", "7"]) == 0
 """
     assert loaded_after(code) == "[]"
+
+
+#: Run first in a fresh interpreter, this makes every scipy import fail, as
+#: where scipy is not installed.
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+SWEEP_CONFIG = {"witness_kind": "linear", "budget": 6, "mode": "sweep", "entangled": {"purity": 0.8}}
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [*((command, COMMAND_CONFIGS[command]) for command in sorted(COMMAND_CONFIGS)), ("plan", SWEEP_CONFIG)],
+)
+def test_command_runs_without_scipy(command, doc, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = BLOCK_SCIPY + f"""
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("scipy imported past the blocker")
+from entcert import cli
+sys.exit(cli.main([{command!r}, "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}, "--seed", "7"]))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "out").read_text())["command"] == command
 
 
 #: Bins of the 20-copy linear report's grid, (4,)*5 copies: the most groups

@@ -168,6 +168,11 @@ class TestWitnessFamilies:
         with pytest.raises(DomainError):
             witness_for("cubic", 2)
 
+    @pytest.mark.parametrize("kind", ["cubic", "", None, ["linear"], {"kind": "linear"}])
+    def test_evaluator_refuses_an_unknown_kind_before_any_search(self, kind):
+        with pytest.raises(DomainError, match="unknown witness kind"):
+            small_evaluator(witness_kind=kind)
+
 
 class TestOptimization:
     def test_optimum_dominates_all_alternatives(self):

@@ -17,11 +17,13 @@ from entcert.pmf import OutcomePmf
 from entcert.simulate import (
     CHUNK_TRIALS,
     MAX_TRIALS,
+    MIN_EXPECTED,
     SimulationConfig,
     _counts,
     _guide,
     _thresholds,
     chi_square_compare,
+    chi_square_groups,
     chi_square_sf,
     simulate_mixture_witness,
     simulate_witness,
@@ -348,6 +350,25 @@ class TestChiSquare:
         b = OutcomePmf((F(0), F(2)), (0.5, 0.5))
         with pytest.raises(DomainError):
             chi_square_compare(a, b, 1000)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=2, max_size=40).filter(any),
+        st.integers(1, 10**6),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_group_expects_at_least_min_expected(self, weights, trials, rng):
+        # Zero-probability bins join a neighbour's group, never one of their own.
+        grid = tuple(F(k) for k in range(len(weights)))
+        exact = OutcomePmf(grid, tuple(w / sum(weights) for w in weights))
+        drawn = [1.0 + rng.random() for _ in weights]
+        empirical = OutcomePmf(grid, tuple(d / sum(drawn) for d in drawn))
+        observed, expected = chi_square_groups(empirical, exact, trials)
+        assert sum(expected) == pytest.approx(trials) and sum(observed) == pytest.approx(trials)
+        if len(expected) > 1:
+            assert min(expected) >= MIN_EXPECTED
+        result = chi_square_compare(empirical, exact, trials)
+        assert result.bins == len(expected) and math.isfinite(result.statistic)
 
 
 class TestChiSquareTail:
