@@ -107,9 +107,6 @@ class AcceptanceSet:
         if self.boundary is not None and self.boundary not in points:
             raise DomainError(f"boundary outcome {self.boundary} not on the grid")
 
-    def is_empty_on(self, grid: Sequence[Fraction]) -> bool:
-        return not any(self.weight(o) > 0.0 for o in grid)
-
     def describe(self) -> dict:
         """JSON-friendly representation with exact fraction strings."""
         doc: dict = {"kind": self.kind, "gamma": self.gamma}

@@ -103,12 +103,13 @@ def cmd_worst_case(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list
     cfg.check_keys(
         doc, "config", {"witness", "copies"}, {"acceptance", "outcome", "optimizer"}
     )
+    # Before the grid is built: a large grid takes long to build.
+    if ("acceptance" in doc) == ("outcome" in doc):
+        raise SchemaError("config: give exactly one of acceptance and outcome")
     witness = cfg.parse_witness(doc["witness"])
     copies = cfg.array(doc["copies"], "copies")
     options = cfg.parse_optimizer(doc.get("optimizer"), args.seed)
     problem = WorstCaseProblem(witness, copies)
-    if ("acceptance" in doc) == ("outcome" in doc):
-        raise SchemaError("config: give exactly one of acceptance and outcome")
     if "acceptance" in doc:
         acc = cfg.parse_acceptance(doc["acceptance"], problem.grid)
         result = problem.maximize_set(acc, options)

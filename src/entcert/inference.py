@@ -19,7 +19,6 @@ from .acceptance import AcceptanceSet
 from .errors import DomainError, UndefinedOutcomeError
 from .finite_stats import check_real
 from .pmf import OutcomePmf
-from .witnesses import Witness
 from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
 #: Tie rule of every budget comparison: a separable mass at most this far
@@ -100,10 +99,19 @@ def posterior_map(
     pointwise: Mapping[Fraction, float],
     priors: PriorPair,
 ) -> dict[Fraction, float]:
-    """Posterior lower bounds for every grid outcome where one is defined."""
+    """Posterior lower bounds for every grid outcome where one is defined.
+
+    ``pointwise`` must hold a worst-case mass for every outcome of
+    ``ent_pmf``; a missing one raises DomainError, since no bound on its
+    separable mass means no bound on its posterior.
+    """
+    missing = [o for o in ent_pmf.outcomes if o not in pointwise]
+    if missing:
+        named = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        raise DomainError(f"no pointwise bound for grid outcomes {named}")
     out: dict[Fraction, float] = {}
     for outcome, p_ent in ent_pmf.items():
-        mass = pointwise.get(outcome, 0.0)
+        mass = pointwise[outcome]
         if p_ent <= 0.0 and mass <= 0.0:
             continue
         out[outcome] = posterior_lower_bound(outcome, ent_pmf, mass, priors)
@@ -291,15 +299,15 @@ class _FeasibilityChecker:
 
 
 def max_power_acceptance_set(
-    witness: Witness,
-    copies: Sequence[int],
+    problem: WorstCaseProblem,
     ent_pmf: OutcomePmf,
     max_sep_mass: float,
     options: SearchOptions | None = None,
-    problem: WorstCaseProblem | None = None,
     pointwise: Mapping[Fraction, WorstCaseResult] | None = None,
 ) -> SetSearchOutcome | None:
-    """Power-maximizing explicit acceptance set with worst-case mass in budget.
+    """Power-maximizing explicit acceptance set of ``problem``'s grid with
+    worst-case mass in budget.  ``pointwise``, the worst case of every grid
+    outcome, defaults to ``problem.maximize_all_points(options)``.
 
     The universe is the outcomes that add power and fit the budget alone,
     and every budget comparison allows ``TIE_TOLERANCE``.
@@ -313,7 +321,6 @@ def max_power_acceptance_set(
     feasible.
     """
     opts = options or SearchOptions()
-    problem = problem or WorstCaseProblem(witness, tuple(copies))
     if ent_pmf.outcomes != problem.grid:
         raise DomainError("entangled pmf must live on the witness outcome grid")
     if pointwise is None:

@@ -18,7 +18,7 @@ from typing import Iterator, Literal, Sequence
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
-from .finite_stats import CorrelationSetting, check_integer, check_real
+from .finite_stats import CorrelationSetting, check_copies, check_integer, check_real
 from .inference import (
     PriorPair,
     TestReport,
@@ -97,15 +97,26 @@ class PlanSpec:
 
 @dataclass(frozen=True)
 class Plan:
-    """One evaluated design; ``score`` is power (frequentist) or loss (bayesian)."""
+    """One evaluated design: its report and its set's worst case."""
 
     framework: Framework
     copies: tuple[int, ...]
-    acceptance: AcceptanceSet
     report: TestReport
     worst_case: WorstCaseResult
-    score: float
-    search_path: str | None = None
+
+    @property
+    def acceptance(self) -> AcceptanceSet:
+        return self.report.acceptance
+
+    @property
+    def score(self) -> float:
+        """Power (frequentist) or expected-loss bound (bayesian)."""
+        return self.report.power if self.framework == "frequentist" else self.report.expected_loss
+
+    @property
+    def search_path(self) -> str | None:
+        """How the set was searched: ``"exhaustive"`` for a frequentist set."""
+        return "exhaustive" if self.framework == "frequentist" else None
 
     @property
     def num_settings(self) -> int:
@@ -167,6 +178,8 @@ class _AllocationEvaluation:
     problem: WorstCaseProblem
     ent_pmf: OutcomePmf
     pointwise: dict[Fraction, WorstCaseResult]
+    #: Each outcome's pointwise worst-case mass.
+    masses: dict[Fraction, float]
     posteriors: dict[Fraction, float]
     power_bound: float
     #: Each framework's design once ``plan_for`` has made it (None if infeasible).
@@ -199,7 +212,8 @@ class PlanEvaluator:
         self._cache: dict[tuple[int, ...], _AllocationEvaluation] = {}
 
     def evaluate(self, copies: tuple[int, ...]) -> _AllocationEvaluation:
-        copies = tuple(int(n) for n in copies)
+        """The cached evaluation of ``copies``, each an integer >= 1."""
+        copies = tuple(check_copies(n) for n in copies)
         if copies in self._cache:
             return self._cache[copies]
         witness = witness_for(self.witness_kind, len(copies))
@@ -208,9 +222,8 @@ class PlanEvaluator:
         ent = self.ent_model.outcome_pmf(witness, copies, signs)
         # Single-outcome objectives are tame; a loose polish is plenty.
         pointwise = problem.maximize_all_points(POLISH)
-        posteriors = posterior_map(
-            ent, {o: r.objective for o, r in pointwise.items()}, self.priors
-        )
+        masses = {o: r.objective for o, r in pointwise.items()}
+        posteriors = posterior_map(ent, masses, self.priors)
         # Any achievable power is capped by the most powerful test against
         # each single separability-compatible point already found.
         budget = 1.0 - self.min_validity
@@ -226,26 +239,19 @@ class PlanEvaluator:
             problem=problem,
             ent_pmf=ent,
             pointwise=pointwise,
+            masses=masses,
             posteriors=posteriors,
             power_bound=power_bound,
         )
         self._cache[copies] = evaluation
         return evaluation
 
-    def _constructor_args(self):
-        return (
-            self.witness_kind,
-            self.ent_model,
-            self.priors,
-            self.min_validity,
-            self.options,
-        )
-
     def prefetch(self, allocations: list[tuple[int, ...]], workers: int = 1) -> None:
         """Fill the evaluation cache, optionally with a process pool.
 
         Evaluations are pure and seeded, so results do not depend on the
-        worker count; the cache merge is keyed by allocation.
+        worker count; the cache merge is keyed by allocation.  Workers
+        evaluate with a fresh evaluator, so no cache is sent to them.
         """
         pending = [tuple(c) for c in allocations if tuple(c) not in self._cache]
         if workers <= 1 or len(pending) < 2:
@@ -254,80 +260,53 @@ class PlanEvaluator:
             return
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(self._constructor_args(), copies) for copies in pending]
+        fresh = PlanEvaluator(
+            self.witness_kind, self.ent_model, self.priors, self.min_validity, self.options
+        )
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for copies, evaluation in pool.map(_evaluate_allocation, args, chunksize=4):
-                self._cache[copies] = evaluation
+            for evaluation in pool.map(fresh.evaluate, pending, chunksize=4):
+                self._cache[evaluation.copies] = evaluation
 
     def plan_for(self, copies: tuple[int, ...], framework: Framework) -> Plan | None:
-        """The framework's optimal design for a fixed allocation (None if infeasible)."""
-        evaluation = self.evaluate(tuple(copies))
-        if framework not in evaluation.plans:
-            design = self._frequentist_plan if framework == "frequentist" else self._bayesian_plan
-            evaluation.plans[framework] = design(evaluation)
-        return evaluation.plans[framework]
+        """The framework's optimal design for a fixed allocation (None if infeasible).
 
-    def _frequentist_plan(self, evaluation: _AllocationEvaluation) -> Plan | None:
-        witness = witness_for(self.witness_kind, len(evaluation.copies))
-        search = max_power_acceptance_set(
-            witness,
-            evaluation.copies,
-            evaluation.ent_pmf,
-            max_sep_mass=1.0 - self.min_validity,
-            options=self.options,
-            problem=evaluation.problem,
-            pointwise=evaluation.pointwise,
-        )
-        if search is None:
-            return None
-        report = build_test_report(
-            search.acceptance,
-            evaluation.ent_pmf,
-            search.worst_case.objective,
-            {o: r.objective for o, r in evaluation.pointwise.items()},
-            self.priors,
-            self.min_validity,
-        )
-        return Plan(
-            framework="frequentist",
-            copies=evaluation.copies,
-            acceptance=search.acceptance,
-            report=report,
-            worst_case=search.worst_case,
-            score=report.power,
-            search_path=search.search_path,
-        )
-
-    def _bayesian_plan(self, evaluation: _AllocationEvaluation) -> Plan | None:
-        acc = bayes_acceptance_set(self.min_validity, evaluation.posteriors)
-        if acc.is_empty_on(evaluation.problem.grid):
-            return None
-        worst = evaluation.problem.maximize_set(acc, self.options)
-        # The loss is scored with the pointwise-sum bound: the same estimates
-        # that selected the set, and a valid (weaker) interval bound.
-        loss_mass = sum(
-            evaluation.pointwise[o].objective
-            for o in evaluation.problem.grid
-            if acc.accepts(o)
-        )
-        report = build_test_report(
-            acc,
-            evaluation.ent_pmf,
-            worst.objective,
-            {o: r.objective for o, r in evaluation.pointwise.items()},
-            self.priors,
-            self.min_validity,
-            loss_mass=loss_mass,
-        )
-        return Plan(
-            framework="bayesian",
-            copies=evaluation.copies,
-            acceptance=acc,
-            report=report,
-            worst_case=worst,
-            score=report.expected_loss,
-            search_path=None,
-        )
+        A frequentist design takes the most powerful set within the
+        confidence floor; a Bayesian one accepts the outcomes whose
+        posterior bound reaches the validity target, and its loss is scored
+        with the pointwise-sum bound: the same estimates that selected the
+        set, and a valid (weaker) interval bound.
+        """
+        evaluation = self.evaluate(copies)
+        if framework in evaluation.plans:
+            return evaluation.plans[framework]
+        problem, loss_mass = evaluation.problem, None
+        if framework == "frequentist":
+            search = max_power_acceptance_set(
+                problem,
+                evaluation.ent_pmf,
+                1.0 - self.min_validity,
+                self.options,
+                evaluation.pointwise,
+            )
+            acc, worst = (search.acceptance, search.worst_case) if search else (None, None)
+        else:
+            acc = bayes_acceptance_set(self.min_validity, evaluation.posteriors)
+            worst = problem.maximize_set(acc, self.options) if acc.outcomes else None
+            loss_mass = sum(evaluation.masses[o] for o in problem.grid if acc.accepts(o))
+        plan = None
+        if worst is not None:
+            report = build_test_report(
+                acc,
+                evaluation.ent_pmf,
+                worst.objective,
+                evaluation.masses,
+                self.priors,
+                self.min_validity,
+                loss_mass=loss_mass,
+            )
+            plan = Plan(framework, evaluation.copies, report, worst)
+        evaluation.plans[framework] = plan
+        return plan
 
 
 def _plan_sort_key(plan: Plan):
@@ -337,12 +316,6 @@ def _plan_sort_key(plan: Plan):
         plan.copies_used,
         tuple(-n for n in plan.copies),
     )
-
-
-def _evaluate_allocation(args):
-    evaluator_args, copies = args
-    evaluator = PlanEvaluator(*evaluator_args)
-    return copies, evaluator.evaluate(copies)
 
 
 def rank_allocations(
@@ -359,8 +332,14 @@ def rank_allocations(
     frequentist set is an alpha-level test against each pool point); the
     returned list then omits those provably dominated allocations but still
     starts with the true optimum.  Bayesian sets are not alpha-level tests,
-    so no pruning applies to them.
+    so no pruning applies to them.  A spec whose validity target is not
+    the evaluator's raises DomainError before any search.
     """
+    if spec.min_validity != evaluator.min_validity:
+        raise DomainError(
+            f"the spec plans at validity {spec.min_validity}, "
+            f"the evaluator at {evaluator.min_validity}"
+        )
     allocations = [copies for _, copies in enumerate_allocations(spec)]
     evaluator.prefetch(allocations, workers)
 
@@ -401,7 +380,7 @@ def optimize_plan(spec: PlanSpec, evaluator: PlanEvaluator, workers: int = 1) ->
     for _, copies in enumerate_allocations(spec):
         evaluation = evaluator.evaluate(copies)
         achieved = (
-            1.0 - min(r.objective for r in evaluation.pointwise.values())
+            1.0 - min(evaluation.masses.values())
             if spec.framework == "frequentist"
             else max(evaluation.posteriors.values(), default=0.0)
         )

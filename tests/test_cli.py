@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
+from entcert import cli
 from entcert.acceptance import AcceptanceSet, snap_to_grid
 from entcert.cli import MAX_CURVE_POINTS, main, validate_report
 from entcert.config import (
@@ -189,6 +190,25 @@ class TestWorstCase:
         assert code == 4
         assert report["converged"] is False
         assert report["objective"] > 0.0
+
+
+    @pytest.mark.parametrize(
+        "target",
+        [{}, {"outcome": "1", "acceptance": {"kind": "explicit", "outcomes": ["1"]}}],
+    )
+    def test_config_checked_before_the_grid_is_built(self, tmp_path, monkeypatch, capsys, target):
+        # This grid has about a million outcomes and takes seconds to build.
+        def build(*args, **kwargs):
+            raise AssertionError("the config must be checked before the grid is built")
+
+        monkeypatch.setattr(cli, "WorstCaseProblem", build)
+        doc = {
+            "witness": {"kind": "linear", "coefficients": ["1", "1/101", "1/10201"]},
+            "copies": [100, 100, 100],
+            **target,
+        }
+        assert main(["worst-case", "--config", write_config(tmp_path, doc)]) == 2
+        assert "give exactly one of acceptance and outcome" in capsys.readouterr().err
 
 
 class TestTest:

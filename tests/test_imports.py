@@ -54,10 +54,12 @@ def test_acceptance_set_search_loads_no_scipy_optimize():
 from entcert.finite_stats import CorrelationSetting
 from entcert.inference import max_power_acceptance_set
 from entcert.witnesses import QuadraticWitness, witness_pmf
-from entcert.worst_case import SearchOptions
+from entcert.worst_case import SearchOptions, WorstCaseProblem
 witness = QuadraticWitness(2)
 ent = witness_pmf([CorrelationSetting(0.8, 4)] * 2, witness)
-found = max_power_acceptance_set(witness, (4, 4), ent, 0.2, SearchOptions(restarts=2, seed=3))
+found = max_power_acceptance_set(
+    WorstCaseProblem(witness, (4, 4)), ent, 0.2, SearchOptions(restarts=2, seed=3)
+)
 assert found is not None
 """
     assert loaded_after(code) == "[]"

@@ -115,6 +115,19 @@ class TestPosterior:
         with pytest.raises(UndefinedOutcomeError):
             posterior_lower_bound(F(0), pmf, 0.0, PriorPair(0.5))
 
+    def test_missing_pointwise_outcome_rejected(self):
+        # With no bound on an outcome's separable mass, its posterior has no
+        # lower bound; read as mass 0, each missing outcome got 1.0.
+        witness = QuadraticWitness(2)
+        ent = witness_pmf([CorrelationSetting(0.8, 3)] * 2, witness)
+        with pytest.raises(DomainError, match=r"outcomes 2/9, 10/9, 2$"):
+            posterior_map(ent, {}, PriorPair(0.5))
+        partial = {o: 0.1 for o in ent.outcomes[:-1]}
+        with pytest.raises(DomainError, match=r"outcomes 2$"):
+            build_test_report(
+                AcceptanceSet.explicit(ent.outcomes), ent, 0.5, partial, PriorPair(0.5), 0.99
+            )
+
     def test_bound_below_true_posterior_for_feasible_points(self):
         witness = QuadraticWitness(2)
         copies = (10, 10)
@@ -259,7 +272,7 @@ class TestMaxPowerSearch:
         copies = (4, 4, 4)
         model = EntangledStateModel(prior=TruncatedGaussianPrior(0.8, 0.1, 0.2))
         ent = model.outcome_pmf(witness, copies, (1, 1, 1))
-        found = max_power_acceptance_set(witness, copies, ent, 0.30, OPTS)
+        found = max_power_acceptance_set(WorstCaseProblem(witness, copies), ent, 0.30, OPTS)
         assert found.search_path == "exhaustive"
         assert found.acceptance.outcomes == {F(0), F(1), F(9, 4), F(3)}
         assert found.power == pytest.approx(0.664, abs=5e-3)
@@ -269,7 +282,7 @@ class TestMaxPowerSearch:
         witness = QuadraticWitness(2)
         copies = (4, 4)
         ent = witness_pmf([CorrelationSetting(0.8, 4)] * 2, witness)
-        found = max_power_acceptance_set(witness, copies, ent, 0.20, OPTS)
+        found = max_power_acceptance_set(WorstCaseProblem(witness, copies), ent, 0.20, OPTS)
         bound = np_power_upper_bound(0.20, found.worst_case.dist, ent)
         assert found.power <= bound + 1e-9
 
@@ -277,7 +290,7 @@ class TestMaxPowerSearch:
         witness = QuadraticWitness(1)
         ent = witness_pmf([CorrelationSetting(0.9, 2)], witness)
         # Every single outcome has a worst case above this tiny budget.
-        assert max_power_acceptance_set(witness, (2,), ent, 1e-6, OPTS) is None
+        assert max_power_acceptance_set(WorstCaseProblem(witness, (2,)), ent, 1e-6, OPTS) is None
 
     def test_exact_beyond_the_old_exhaustive_limit(self):
         # 32 outcomes in the universe: the old search fell back to
@@ -290,9 +303,7 @@ class TestMaxPowerSearch:
         pointwise = problem.maximize_all_points(OPTS)
         universe = [o for o, p in zip(problem.grid, ent.probabilities) if p > 0.0]
         assert sum(pointwise[o].objective <= 0.30 for o in universe) > 24
-        found = max_power_acceptance_set(
-            witness, copies, ent, 0.30, OPTS, problem=problem, pointwise=pointwise
-        )
+        found = max_power_acceptance_set(problem, ent, 0.30, OPTS, pointwise)
         assert found.search_path == "exhaustive"
         assert found.power > 0.7232
         assert found.worst_case.objective <= 0.30
@@ -328,9 +339,7 @@ class TestMaxPowerSearch:
         problem = WorstCaseProblem(witness, copies)
         partial = {problem.grid[0]: problem.maximize_point(problem.grid[0], OPTS)}
         with pytest.raises(DomainError):
-            max_power_acceptance_set(
-                witness, copies, ent, 0.3, OPTS, problem=problem, pointwise=partial
-            )
+            max_power_acceptance_set(problem, ent, 0.3, OPTS, partial)
 
 
 def one_at_a_time_search(order, masses, total_power, checker):
@@ -455,14 +464,8 @@ class TestConstraintGeneration:
         assert self.run(hidden, order, ent, budget) == (frozenset(), [])
         assert self.oracle(hidden, order, ent, budget)[0] == frozenset()
         problem = HiddenPoints(hidden)
-        witness = SimpleNamespace()
         pmf = SimpleNamespace(outcomes=problem.grid, probabilities=tuple(ent))
-        assert (
-            max_power_acceptance_set(
-                witness, (), pmf, budget, OPTS, problem=problem, pointwise=problem.pointwise()
-            )
-            is None
-        )
+        assert max_power_acceptance_set(problem, pmf, budget, OPTS, problem.pointwise()) is None
 
     def test_near_tie_in_power_is_ranked(self):
         # HiGHS's absolute gap of 1e-6 on the unscaled power would accept
@@ -529,9 +532,7 @@ class TestConstraintGeneration:
 
         monkeypatch.setattr(_FeasibilityChecker, "check", recorded)
         ent = OutcomePmf(problem.grid, (0.2, 0.3, 0.5))
-        found = max_power_acceptance_set(
-            SimpleNamespace(), (), ent, 0.6, OPTS, problem=problem, pointwise=pointwise
-        )
+        found = max_power_acceptance_set(problem, ent, 0.6, OPTS, pointwise)
         assert found.acceptance.outcomes == set(problem.grid)
         feasible, result, searches = checks[-1]
         assert feasible
@@ -703,10 +704,7 @@ class TestTieTolerance:
         hidden = np.array([[self.BUDGET + excess, 0.3], [0.3, 0.5]])
         problem = HiddenPoints(hidden)
         ent = OutcomePmf(problem.grid, (0.7, 0.3))
-        found = max_power_acceptance_set(
-            SimpleNamespace(), (), ent, self.BUDGET, OPTS, problem=problem,
-            pointwise=problem.pointwise(),
-        )
+        found = max_power_acceptance_set(problem, ent, self.BUDGET, OPTS, problem.pointwise())
         assert found.acceptance.outcomes == {F(winner)}
 
     @pytest.mark.parametrize("excess,randomized", [(5e-13, False), (2e-12, True)])

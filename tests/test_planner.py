@@ -1,8 +1,10 @@
 """Allocation enumeration, equal-split sweep, and plan optimization."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entcert.errors import DomainError, InfeasibleError
@@ -272,6 +274,42 @@ class TestOptimization:
             spec = PlanSpec(budget, 3, 0.70, "frequentist")
             powers.append(optimize_plan(spec, generalised_evaluator, workers=2).report.power)
         assert all(a >= b - 1e-12 for a, b in zip(powers, powers[1:]))
+
+
+class TestEvaluatorInputs:
+    @staticmethod
+    def no_search(*args, **kwargs):
+        raise AssertionError("no allocation may be evaluated")
+
+    @pytest.mark.parametrize("framework", ["frequentist", "bayesian"])
+    def test_spec_must_plan_at_the_evaluators_validity(self, framework, monkeypatch):
+        evaluator = small_evaluator(0.7)
+        monkeypatch.setattr(PlanEvaluator, "evaluate", self.no_search)
+        spec = PlanSpec(4, 2, 0.99, framework)
+        with pytest.raises(DomainError, match=r"validity 0\.99, the evaluator at 0\.7$"):
+            rank_allocations(spec, evaluator)
+        with pytest.raises(DomainError, match=r"validity 0\.99, the evaluator at 0\.7$"):
+            optimize_plan(spec, evaluator)
+
+    @pytest.mark.parametrize("copies", [(2.7, 1), (2.0, 1), (True, 1), (2, 0)])
+    def test_copies_are_integers_of_at_least_one(self, copies):
+        with pytest.raises(DomainError, match="^copies must be"):
+            small_evaluator().evaluate(copies)
+
+    def test_numpy_copies_share_one_cache_entry(self):
+        evaluator = small_evaluator()
+        assert evaluator.evaluate((np.int64(3), np.int32(2))) is evaluator.evaluate((3, 2))
+
+    @pytest.mark.parametrize(
+        "framework,score", [("frequentist", "power"), ("bayesian", "expected_loss")]
+    )
+    def test_plan_reads_its_set_and_score_from_its_report(self, framework, score):
+        plan = small_evaluator().plan_for((4, 4), framework)
+        assert [f.name for f in dataclasses.fields(plan)] == [
+            "framework", "copies", "report", "worst_case"
+        ]
+        assert plan.acceptance is plan.report.acceptance
+        assert plan.score == getattr(plan.report, score)
 
 
 class TestSpecValidation:
