@@ -191,7 +191,8 @@ class PlanEvaluator:
 
     Reusing one evaluator across budgets or frameworks (the allocation sets
     overlap) avoids repeating the worst-case searches.  An unknown witness
-    kind raises DomainError here, before any search.
+    kind, or a ``min_validity`` that is no real number in (0, 1), raises
+    DomainError here, before any search.
     """
 
     def __init__(
@@ -207,7 +208,7 @@ class PlanEvaluator:
         self.witness_kind = witness_kind
         self.ent_model = ent_model
         self.priors = priors
-        self.min_validity = min_validity
+        self.min_validity = check_real(min_validity, "min_validity", 0.0, 1.0, "()")
         self.options = options or SearchOptions(restarts=12)
         self._cache: dict[tuple[int, ...], _AllocationEvaluation] = {}
 

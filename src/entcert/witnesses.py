@@ -36,6 +36,10 @@ from .pmf import OutcomePmf, RationalLike, as_fraction
 #: Above this copy count binomial weights are assembled in log space.
 _DIRECT_BINOMIAL_LIMIT = 1000
 
+#: The box's two ends per setting, as a (2, 1) column for broadcasting.
+_BOX_ENDS = np.array([[-1.0], [1.0]])
+_BOX_ENDS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class LinearWitness:
@@ -59,6 +63,21 @@ class LinearWitness:
             raise DomainError("a linear witness needs at least one coefficient")
         object.__setattr__(self, "coefficients", tuple(as_fraction(c) for c in coefficients))
         object.__setattr__(self, "constant", as_fraction(constant))
+        # Float forms and the region test for ``project_batch``, which runs
+        # several times per ascent iteration.  They are no fields, so
+        # equality, hashing, repr and pickles see only the exact values.
+        floats = np.array([float(c) for c in self.coefficients])
+        steered = floats != 0.0
+        nonzero = floats[steered]
+        for array in (floats, steered, nonzero):
+            array.flags.writeable = False
+        object.__setattr__(self, "_floats", (floats, float(self.constant), steered, nonzero))
+        empty = self.constant + sum(abs(c) for c in self.coefficients) < 0
+        object.__setattr__(self, "_empty_region", empty)
+
+    def __reduce__(self):
+        # A pickle holds the exact values only; unpickling remakes the floats.
+        return type(self), (self.coefficients, self.constant)
 
     @property
     def num_settings(self) -> int:
@@ -107,36 +126,42 @@ class LinearWitness:
 
         Along that path the witness value is piecewise linear and
         nondecreasing in lam, with a kink wherever a setting reaches -1 or
-        1, so lam is found on the first piece whose end reaches 0.
+        1, so lam is found on the first piece whose end reaches 0.  The
+        float coefficients and the region test are the witness's own, made
+        once at construction, so no call does Fraction arithmetic; a
+        witness whose region is empty raises InfeasibleError at its first
+        point short of the half-space.
         """
         t = np.asarray(points, dtype=np.float64)
-        coeffs = np.array([float(c) for c in self.coefficients])
-        const = float(self.constant)
-        projected = np.clip(t, -1.0, 1.0)
+        coeffs, const, steered, nonzero = self._floats
+        projected = np.minimum(np.maximum(t, -1.0), 1.0)
         short = projected @ coeffs + const < 0.0
-        if not short.any():
+        if not np.logical_or.reduce(short):
             return projected
         self.check_separable_region()
         start = t[short]
-        steered = coeffs != 0.0
-        ends = (np.array([[-1.0], [1.0]]) - start[:, None, steered]) / coeffs[steered]
-        kinks = np.hstack([np.zeros((len(start), 1)), ends.reshape(len(start), -1)])
+        rows = len(start)
+        ends = (_BOX_ENDS - start[:, None, steered]) / nonzero
+        kinks = np.empty((rows, 1 + ends.shape[1] * ends.shape[2]))
+        kinks[:, 0] = 0.0
+        kinks[:, 1:] = ends.reshape(rows, -1)
         kinks = np.sort(np.maximum(kinks, 0.0), axis=1)
-        value = np.clip(start[:, None, :] + kinks[:, :, None] * coeffs, -1.0, 1.0) @ coeffs + const
+        path = start[:, None, :] + kinks[:, :, None] * coeffs
+        value = np.minimum(np.maximum(path, -1.0), 1.0) @ coeffs + const
         # Rounding may leave a single-point region below 0 at every kink;
         # the last kink, every setting at its best end, is then the answer.
-        end = np.minimum((value < 0.0).sum(axis=1), kinks.shape[1] - 1)
-        rows = np.arange(len(start))
-        low, high = value[rows, end - 1], value[rows, end]
-        share = np.ones(len(start))
+        end = np.minimum(np.add.reduce(value < 0.0, axis=1), kinks.shape[1] - 1)
+        index, before = np.arange(rows), end - 1
+        low, high = value[index, before], value[index, end]
+        share = np.ones(rows)
         np.divide(-low, high - low, out=share, where=high >= 0.0)
-        lam = kinks[rows, end - 1] + share * (kinks[rows, end] - kinks[rows, end - 1])
-        projected[short] = np.clip(start + lam[:, None] * coeffs, -1.0, 1.0)
+        lam = kinks[index, before] + share * (kinks[index, end] - kinks[index, before])
+        projected[short] = np.minimum(np.maximum(start + lam[:, None] * coeffs, -1.0), 1.0)
         return projected
 
     def check_separable_region(self) -> None:
         """Raise InfeasibleError when the witness is negative on the whole box."""
-        if self.constant + sum(abs(c) for c in self.coefficients) < 0:
+        if self._empty_region:
             raise InfeasibleError(
                 "separability constraint is empty: the witness is negative on the whole box"
             )
@@ -308,6 +333,9 @@ class WitnessGrid:
         self.table_size = max(inverse.size for inverse, _ in self._steps)
         #: The grid points as strictly increasing integers over ``denominator``.
         self.integers = sums
+        #: Step j's bincount index for ``value_and_grad``, at the most rows
+        #: asked for yet (see ``_row_index``).
+        self._indices: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def outcomes(self) -> tuple[Fraction, ...]:
@@ -326,13 +354,44 @@ class WitnessGrid:
             table[:, j, : n + 1] = [_binomial_weights(n, s) for s in q[:, j, 0]]
         return table
 
-    def _advance(self, mass: np.ndarray, table: np.ndarray, j: int) -> np.ndarray:
+    @functools.cached_property
+    def _derivative_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exponents k - 1 and n - k - 1 of the binomial weights'
+        derivatives, floored at 0, and their factor comb / 2 (see
+        ``value_and_grad``)."""
+        tables = (
+            np.maximum(self.k_table - 1.0, 0.0),
+            np.maximum(self.nk_table - 1.0, 0.0),
+            0.5 * self.comb_table,
+        )
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    def _row_index(self, j: int, rows: int) -> np.ndarray:
+        """Step j's bincount index (rows, S_j, n_j + 1): row r's pairs go to
+        the bins from r * S_j+1 on.  The index at the most rows asked for
+        yet is kept, and fewer rows take its leading rows, so every row's
+        bins and order are those of a fresh index."""
+        held = self._indices.get(j)
+        if held is None or len(held) < rows:
+            inverse, size = self._steps[j]
+            held = self._indices[j] = inverse + size * np.arange(rows)[:, None, None]
+            held.flags.writeable = False
+        return held[:rows]
+
+    def _advance(
+        self, mass: np.ndarray, table: np.ndarray, j: int, index: np.ndarray | None = None
+    ) -> np.ndarray:
         """Partial-sum masses (B, S_j+1) after step j, from those before it
-        (B, S_j) and the binomial weights (B, M, width)."""
+        (B, S_j) and the binomial weights (B, M, width).  ``index`` is the
+        step's bincount index at B rows (``_row_index``); without it a fresh
+        one is built and dropped, so that ``pmf_batch`` keeps no index."""
         inverse, size = self._steps[j]
         rows = len(mass)
         combos = mass[:, :, None] * table[:, j, None, : inverse.shape[1]]
-        index = inverse + size * np.arange(rows)[:, None, None]
+        if index is None:
+            index = inverse + size * np.arange(rows)[:, None, None]
         return np.bincount(index.ravel(), combos.ravel(), rows * size).reshape(rows, size)
 
     def pmf_batch(self, correlations) -> np.ndarray:
@@ -355,28 +414,38 @@ class WitnessGrid:
         before its step with the weights gathered after it and with the
         derivatives of its binomial weights.  Only the direct binomial
         tables are differentiated, which covers every ``WorstCaseProblem``.
+
+        Each power of q and 1 - q is taken once per call and shared by the
+        binomial weights and their derivatives, and the forward steps reuse
+        the grid's bincount index (``_row_index``); every row's numbers are
+        those of ``pmf_batch``'s binomial table and of a fresh index.
         """
         if self._log_space:
             raise DomainError(f"gradients take at most {_DIRECT_BINOMIAL_LIMIT} copies per setting")
         t = np.asarray(correlations, dtype=np.float64)
-        table = self._binomials(t)
+        rows = len(t)
         q = (1.0 + t[:, :, None]) / 2.0
+        p = 1.0 - q
+        k_less, nk_less, half_comb = self._derivative_tables
+        q_k, p_nk = q**self.k_table, p**self.nk_table
+        table = self.comb_table * q_k * p_nk
         # k q^(k-1) and (n-k) (1-q)^(n-k-1) vanish at k = 0 and k = n, where
         # the powers alone would be 1/0 at q = 0 or 1.
-        rise = self.k_table * q ** np.maximum(self.k_table - 1.0, 0.0) * (1.0 - q) ** self.nk_table
-        fall = self.nk_table * q**self.k_table * (1.0 - q) ** np.maximum(self.nk_table - 1.0, 0.0)
-        slope = 0.5 * self.comb_table * (rise - fall)
-        masses = [np.ones((len(t), 1))]
+        rise = self.k_table * q**k_less * p_nk
+        fall = self.nk_table * q_k * p**nk_less
+        slope = half_comb * (rise - fall)
+        masses = [np.ones((rows, 1))]
         for j in range(len(self.copies) - 1):
-            masses.append(self._advance(masses[-1], table, j))
+            masses.append(self._advance(masses[-1], table, j, self._row_index(j, rows)))
         adjoint = np.asarray(weights, dtype=np.float64)
         grad = np.empty(t.shape)
         for j in range(len(self.copies) - 1, -1, -1):
             inverse = self._steps[j][0]
-            gathered = adjoint[:, inverse]
-            per_count = (masses[j][:, :, None] * gathered).sum(axis=1)
-            grad[:, j] = (per_count * slope[:, j, : inverse.shape[1]]).sum(axis=1)
-            adjoint = (gathered * table[:, j, None, : inverse.shape[1]]).sum(axis=2)
+            width = inverse.shape[1]
+            gathered = adjoint.take(inverse, axis=1)
+            per_count = np.add.reduce(masses[j][:, :, None] * gathered, axis=1)
+            grad[:, j] = np.add.reduce(per_count * slope[:, j, :width], axis=1)
+            adjoint = np.add.reduce(gathered * table[:, j, None, :width], axis=2)
         return adjoint[:, 0], grad
 
     def as_pmf(self, probabilities: Sequence[float]) -> OutcomePmf:

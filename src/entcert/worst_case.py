@@ -156,7 +156,7 @@ def _best(candidates: Sequence[tuple]) -> tuple:
 
 def _largest(rows: np.ndarray) -> np.ndarray:
     """Largest absolute entry of every row, 1 for a row of zeros."""
-    largest = np.abs(rows).max(axis=1)
+    largest = np.maximum.reduce(np.abs(rows), axis=1)
     return np.where(largest > 0.0, largest, 1.0)
 
 
@@ -487,9 +487,9 @@ class WorstCaseProblem:
         point = self.witness.project_batch(start)
         value, grad = self._engine.value_and_grad(weights, point)
         reach = np.full(len(point), _FIRST_STEP)
-        direction = self._ascent_directions(point, grad, reach)
+        direction, reduced = self._ascent_directions(point, grad, reach, opts.xatol)
         step = _FIRST_STEP / _largest(direction)
-        stopped, proposal = self._settled(weights, point, grad, opts)
+        stopped, proposal = self._settled(weights, point, grad, reduced, opts)
         first, first_value = point.copy(), value.copy()
         best, best_value = point.copy(), value.copy()
         recent = np.tile(value[:, None], (1, _MEMORY))
@@ -498,60 +498,66 @@ class WorstCaseProblem:
             if not len(active):
                 break
             # A proposed move gets one trial as it stands.
-            proposed = (proposal[active] != 0.0).any(axis=1)
-            heading = np.where(proposed[:, None], proposal[active], direction[active])
-            length = np.where(proposed, 1.0, np.minimum(step[active], _MAX_STEP / _largest(heading)))
+            proposed_move, last_step = proposal[active], step[active]
+            proposed = np.logical_or.reduce(proposed_move != 0.0, axis=1)
+            heading = np.where(proposed[:, None], proposed_move, direction[active])
+            length = np.where(proposed, 1.0, np.minimum(last_step, _MAX_STEP / _largest(heading)))
             here, slope = point[active], grad[active]
             trial = self.witness.project_batch(here + length[:, None] * heading)
             trial_value, trial_grad = self._engine.value_and_grad(weights[active], trial)
             move = trial - here
-            promise = (slope * move).sum(axis=1)
-            accept = trial_value >= recent[active].min(axis=1) + _ARMIJO * promise
+            promise = np.add.reduce(slope * move, axis=1)
+            accept = trial_value >= np.minimum.reduce(recent[active], axis=1) + _ARMIJO * promise
             # Short enough, the step stays on the segment to the probe and
             # promises a gain of at least 0; below fatol it has collapsed.
-            small = (np.abs(move).max(axis=1) <= opts.xatol) & (promise <= opts.fatol)
+            small = (np.maximum.reduce(np.abs(move), axis=1) <= opts.xatol) & (promise <= opts.fatol)
             done = ~accept & ~proposed & small & (promise >= 0.0)
-            step[active] = np.where(proposed, step[active], 0.5 * length)
+            step[active] = np.where(proposed, last_step, 0.5 * length)
             proposal[active] = 0.0
 
             taken, moved = active[accept], move[accept]
-            size = np.abs(moved).max(axis=1)
-            reach[taken] = np.clip(size, opts.xatol, _FIRST_STEP)
-            turned = self._ascent_directions(trial[accept], trial_grad[accept], reach[taken])
+            there, there_grad = trial[accept], trial_grad[accept]
+            size = np.maximum.reduce(np.abs(moved), axis=1)
+            reach[taken] = np.minimum(np.maximum(size, opts.xatol), _FIRST_STEP)
+            turned, reduced = self._ascent_directions(there, there_grad, reach[taken], opts.xatol)
             # Barzilai-Borwein length where the projected gradient turned
             # against the move, a move twice as long where it did not.
-            curvature = -(moved * (turned - direction[taken])).sum(axis=1)
-            spectral = (moved * moved).sum(axis=1) / np.where(curvature > 0.0, curvature, 1.0)
+            curvature = -np.add.reduce(moved * (turned - direction[taken]), axis=1)
+            spectral = np.add.reduce(moved * moved, axis=1) / np.where(curvature > 0.0, curvature, 1.0)
             step[taken] = np.where(curvature > 0.0, spectral, 2.0 * size / _largest(turned))
             settled, proposal[taken] = self._settled(
-                weights[taken], trial[accept], trial_grad[accept], opts
+                weights[taken], there, there_grad, reduced, opts
             )
             # A step that did not move at all has collapsed.
             done[accept] = settled | (size == 0.0)
-            point[taken], value[taken] = trial[accept], trial_value[accept]
-            grad[taken], direction[taken] = trial_grad[accept], turned
-            recent[taken] = np.hstack([recent[taken, 1:], value[taken, None]])
+            point[taken], value[taken] = there, trial_value[accept]
+            grad[taken], direction[taken] = there_grad, turned
+            # The row's last _MEMORY values, oldest first.
+            recent[taken, :-1] = recent[taken, 1:]
+            recent[taken, -1] = value[taken]
             better = taken[value[taken] > best_value[taken]]
             best[better], best_value[better] = point[better], value[better]
             stopped[active[done]] = True
             active = active[~done]
         return first, first_value, best, best_value, stopped
 
-    def _settled(self, weights, points, grads, opts: SearchOptions):
+    def _settled(self, weights, points, grads, reduced, opts: SearchOptions):
         """Whether each row (B,) may stop, and a move (B, M) for the rows
         that look flat but may not (zeros elsewhere).
 
-        A row looks flat where no move of largest entry ``xatol`` gains more
-        than ``fatol`` to first order, with bounds within ``xatol`` counted
-        as active.  It may stop where, in addition, a quadratic model along
-        each setting, from a probe ``xatol`` away along that setting's
-        projected gradient, gains at most ``fatol`` in all.  Along a shallow
-        ridge the gradient is led by the steep settings, so the first test
-        alone stops a row well short of the top of the shallow ones; the
-        proposed move is the sum of every setting's model step.
+        ``reduced`` holds the rows' gradients projected at reach ``xatol``
+        (``_ascent_directions``), which ``_ascend`` makes in the same call
+        as its heading.  A row looks flat where no move of largest entry
+        ``xatol`` gains more than ``fatol`` to first order, with bounds
+        within ``xatol`` counted as active.  It may stop where, in addition,
+        a quadratic model along each setting, from a probe ``xatol`` away
+        along that setting's projected gradient, gains at most ``fatol`` in
+        all.  Along a shallow ridge the gradient is led by the steep
+        settings, so the first test alone stops a row well short of the top
+        of the shallow ones; the proposed move is the sum of every setting's
+        model step.
         """
-        reduced = self._ascent_directions(points, grads, np.full(len(points), opts.xatol))
-        settled = opts.xatol * np.abs(reduced).sum(axis=1) <= opts.fatol
+        settled = opts.xatol * np.add.reduce(np.abs(reduced), axis=1) <= opts.fatol
         proposal = np.zeros_like(points)
         near = np.flatnonzero(settled)
         if not len(near):
@@ -563,30 +569,43 @@ class WorstCaseProblem:
         offset = probes.reshape(rows, m, m) - base
         _, probe_grad = self._engine.value_and_grad(np.repeat(weights[near], m, axis=0), probes)
         slope = grads[near][:, None, :]
-        rise = (slope * offset).sum(axis=2)
-        bend = -((probe_grad.reshape(rows, m, m) - slope) * offset).sum(axis=2)
+        rise = np.add.reduce(slope * offset, axis=2)
+        bend = -np.add.reduce((probe_grad.reshape(rows, m, m) - slope) * offset, axis=2)
         # Along each offset that rises, the model peaks rise / bend offsets
         # away and gains rise**2 / (2 bend) there; one that rises without
         # bending down has no peak.
         climbs = (rise > 0.0) & (bend > 0.0)
         peak = np.divide(rise, bend, out=np.zeros_like(rise), where=climbs)
         gain = np.where(climbs, 0.5 * rise * peak, np.where(rise > 0.0, np.inf, 0.0))
-        flat = gain.sum(axis=1) <= opts.fatol
+        flat = np.add.reduce(gain, axis=1) <= opts.fatol
         settled[near] = flat
-        proposal[near[~flat]] = (peak[:, :, None] * offset).sum(axis=1)[~flat]
+        proposal[near[~flat]] = np.add.reduce(peak[:, :, None] * offset, axis=1)[~flat]
         return settled, proposal
 
     def _ascent_directions(
-        self, points: np.ndarray, grads: np.ndarray, reach: np.ndarray
-    ) -> np.ndarray:
+        self, points: np.ndarray, grads: np.ndarray, reach: np.ndarray, xatol: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Gradients (B, M) projected onto the directions that stay in the
-        region near points (B, M): a probe step of length ``reach`` (largest
-        entry) along each gradient, projected, and scaled back.  Bounds
-        within that reach count as active, so that a row near an edge
-        follows it instead of bouncing between its two faces."""
-        scale = _largest(grads) / reach
-        probe = self.witness.project_batch(points + grads / scale[:, None])
-        return (probe - points) * scale[:, None]
+        region near points (B, M), at two reaches: ``reach`` (B,) for the
+        heading and ``xatol`` for ``_settled``.  Each is a probe step of that
+        length (largest entry) along each gradient, projected, and scaled
+        back.  Bounds within a reach count as active, so that a row near an
+        edge follows it instead of bouncing between its two faces.
+
+        Both probes of several rows go through one ``project_batch`` call.
+        A lone row makes one call per reach: numpy multiplies one row by a
+        vector with another BLAS kernel than several rows, which may round
+        a linear witness's value differently, and stacking would turn one
+        row into two."""
+        largest = _largest(grads)
+        scales = [(largest / reach)[:, None], (largest / xatol)[:, None]]
+        if len(points) == 1:
+            return tuple((self.witness.project_batch(points + grads / s) - points) * s for s in scales)
+        scale = np.concatenate(scales)
+        base = np.concatenate([points, points])
+        probe = self.witness.project_batch(base + np.concatenate([grads, grads]) / scale)
+        both = (probe - base) * scale
+        return both[: len(points)], both[len(points) :]
 
     def _anneal(self, *args, **kwargs):
         """No search calls it; it stays while perfbench's tracer wraps it."""

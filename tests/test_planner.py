@@ -26,7 +26,7 @@ from entcert.planner import (
 )
 from entcert.states import EntangledStateModel, TruncatedGaussianPrior
 from entcert.witnesses import witness_pmf
-from entcert.worst_case import SearchOptions
+from entcert.worst_case import SearchOptions, WorstCaseProblem
 
 F = Fraction
 OPTS = SearchOptions(restarts=8, seed=41)
@@ -290,6 +290,12 @@ class TestEvaluatorInputs:
             rank_allocations(spec, evaluator)
         with pytest.raises(DomainError, match=r"validity 0\.99, the evaluator at 0\.7$"):
             optimize_plan(spec, evaluator)
+
+    @pytest.mark.parametrize("validity", [0.0, 1.0, True, float("nan"), "x", None, 1.5])
+    def test_evaluator_refuses_a_bad_validity_before_any_search(self, validity, monkeypatch):
+        monkeypatch.setattr(WorstCaseProblem, "maximize_all_points", self.no_search)
+        with pytest.raises(DomainError, match="^min_validity must "):
+            small_evaluator(validity)
 
     @pytest.mark.parametrize("copies", [(2.7, 1), (2.0, 1), (True, 1), (2, 0)])
     def test_copies_are_integers_of_at_least_one(self, copies):

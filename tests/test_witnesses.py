@@ -1,7 +1,9 @@
 """Witness outcome distributions: paper examples, moments, brute force."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,7 @@ from entcert.witnesses import (
     witness_pmf,
 )
 from entcert.worst_case import FEASIBILITY_TOLERANCE, POLISH, WorstCaseProblem
-from oracles import setting_grid
+from oracles import reference_value_and_grad, setting_grid
 from sampling import sample_separable
 
 F = Fraction
@@ -189,9 +191,9 @@ class TestBruteForceEquivalence:
 
 
 @st.composite
-def witness_batches(draw, margin=0.0, max_settings=4, max_denominator=6):
-    """A random small witness, its copy counts and 1-3 correlation vectors
-    at least ``margin`` inside [-1, 1]."""
+def witness_batches(draw, margin=0.0, max_settings=4, max_denominator=6, max_rows=3):
+    """A random small witness, its copy counts and 1 to ``max_rows``
+    correlation vectors at least ``margin`` inside [-1, 1]."""
     m = draw(st.integers(1, max_settings))
     copies = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
     if draw(st.booleans()):
@@ -200,8 +202,14 @@ def witness_batches(draw, margin=0.0, max_settings=4, max_denominator=6):
         rationals = st.fractions(min_value=-3, max_value=3, max_denominator=max_denominator)
         witness = LinearWitness(draw(st.lists(rationals, min_size=m, max_size=m)), draw(rationals))
     correlation = st.floats(-1.0 + margin, 1.0 - margin, allow_nan=False)
-    rows = draw(st.lists(st.lists(correlation, min_size=m, max_size=m), min_size=1, max_size=3))
+    rows = draw(st.lists(st.lists(correlation, min_size=m, max_size=m), min_size=1, max_size=max_rows))
     return witness, copies, rows
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestGridEngine:
@@ -239,6 +247,43 @@ class TestGridEngine:
             assert abs(value - objective(row)) <= 1e-14
             central = [(objective(row + e) - objective(row - e)) / (2 * h) for e in h * np.eye(len(row))]
             assert np.max(np.abs(grad - central)) <= 1e-7
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(witness_batches(), st.integers(0, 2**32 - 1))
+    @example((LinearWitness([1, -1, -1, -1, -1], 1), [4] * 5, [[-1.0, 1.0, 0.2, 0.2, 0.2]]), 0)
+    @example((QuadraticWitness(3), [4, 1, 6], [[1.0, 0.0, -1.0], [0.5, 0.5, 0.5]]), 1)
+    def test_value_and_grad_equal_the_reference_bit_for_bit(self, case, seed):
+        witness, copies, rows = case
+        grid = WitnessGrid(witness, copies)
+        weights = np.random.default_rng(seed).uniform(-1.0, 2.0, (len(rows), len(grid.outcomes)))
+        values, grads = grid.value_and_grad(weights, rows)
+        expected_values, expected_grads = reference_value_and_grad(grid, weights, rows)
+        assert same_bits(values, expected_values)
+        assert same_bits(grads, expected_grads)
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(witness_batches(max_rows=6), st.integers(0, 2**32 - 1))
+    def test_every_row_is_computed_alone_bit_for_bit(self, case, seed):
+        # The grid keeps its bincount indices between calls, so calls with
+        # more rows, then fewer, must still give each row what a fresh grid
+        # gives it alone.
+        witness, copies, rows = case
+        t = np.array(rows)
+        size = len(WitnessGrid(witness, copies).outcomes)
+        weights = np.random.default_rng(seed).uniform(-1.0, 2.0, (len(t), size))
+        alone = []
+        for i in range(len(t)):
+            fresh = WitnessGrid(witness, copies)
+            alone.append((fresh.pmf_batch(t[i : i + 1]), *fresh.value_and_grad(weights[i : i + 1], t[i : i + 1])))
+        grid = WitnessGrid(witness, copies)
+        for order in ([0], list(range(len(t))) * 2, list(range(len(t)))[::-1], [len(t) - 1]):
+            masses = grid.pmf_batch(t[order])
+            values, grads = grid.value_and_grad(weights[order], t[order])
+            for r, i in enumerate(order):
+                pmf, value, grad = alone[i]
+                assert same_bits(masses[r], pmf[0])
+                assert same_bits(values[r], value[0])
+                assert same_bits(grads[r], grad[0])
 
     @pytest.mark.parametrize(
         "witness,copies", [(QuadraticWitness(2), (4, 1)), (LinearWitness([1, -1, 2], 1), (3, 2, 5))]
@@ -443,6 +488,59 @@ class TestSeparableRegion:
         point = LinearWitness([F(1, 2), F(1, 3)], F(-5, 6))
         point.check_separable_region()
         assert point.project_batch([[0.0, 0.0]])[0] == pytest.approx((1.0, 1.0), abs=1e-12)
+
+    def test_an_empty_region_raises_at_its_first_short_row(self):
+        # Construction and a batch without rows never ask.
+        empty = LinearWitness([F(1, 100), 1], F(-102, 100))
+        assert empty.project_batch(np.empty((0, 2))).shape == (0, 2)
+        with pytest.raises(InfeasibleError):
+            empty.project_batch([[1.0, 1.0]])
+
+
+class TestLinearWitnessFloats:
+    """``LinearWitness`` holds its float coefficients and region test from
+    construction on; they are no fields of the dataclass."""
+
+    ARGS = ((F(1, 2), -1, F(2, 3)), F(-1, 4))
+    #: Rows inside the box, short of the half-space, and outside the box.
+    POINTS = [[0.5, -0.5, 0.5], [-1.0, 1.0, -1.0], [2.0, -3.0, 0.25], [0.0, 0.0, 0.0]]
+
+    def test_they_change_no_identity(self):
+        witness = LinearWitness(*self.ARGS)
+        before = (repr(witness), hash(witness), pickle.dumps(witness))
+        projected = witness.project_batch(self.POINTS)
+        assert (repr(witness), hash(witness), pickle.dumps(witness)) == before
+        twin = LinearWitness(*self.ARGS)
+        assert witness == twin and hash(witness) == hash(twin)
+        assert repr(witness) == (
+            "LinearWitness(coefficients=(Fraction(1, 2), Fraction(-1, 1), Fraction(2, 3)), "
+            "constant=Fraction(-1, 4))"
+        )
+        assert [f.name for f in dataclasses.fields(witness)] == ["coefficients", "constant"]
+        assert b"_floats" not in before[2] and b"_empty_region" not in before[2]
+        copy = pickle.loads(pickle.dumps(witness))
+        assert copy == witness and hash(copy) == hash(witness)
+        assert same_bits(copy.project_batch(self.POINTS), projected)
+
+    def test_they_are_read_only(self):
+        for array in (LinearWitness(*self.ARGS)._floats[i] for i in (0, 2, 3)):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_projection_does_no_fraction_arithmetic(self, monkeypatch):
+        witness = LinearWitness(*self.ARGS)
+        expected = witness.project_batch(self.POINTS)
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in project_batch")
+
+        for name in (
+            "__float__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+            "__truediv__", "__abs__", "__neg__", "__lt__", "__le__", "__gt__", "__ge__",
+        ):
+            monkeypatch.setattr(Fraction, name, refuse)
+        assert same_bits(witness.project_batch(self.POINTS), expected)
+        witness.check_separable_region()
 
 
 class TestValidation:

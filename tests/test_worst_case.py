@@ -530,6 +530,68 @@ class TestPolish:
         assert result.objective == pytest.approx(0.5625, abs=1e-15)
 
 
+class TestAscentDirections:
+    """``_ascent_directions`` projects the gradients at both reaches, the
+    step's and the stopping test's, and must give each what one projection
+    per reach gives, bit for bit."""
+
+    #: Single rows on a linear region's plane, with gradients along it, where
+    #: one stacked projection of both reaches rounds otherwise.
+    ON_THE_PLANE = [
+        (
+            LinearWitness([-1, F(-1, 2), F(1, 4), -3], F(-1, 3)),
+            [0.9847851623583481, 0.023915810976998797, 0.007716026870176473, -0.44271579815421225],
+            [-0.3056546456352377, -2.152634488825924, 0.3053116748793795, 0.48609993626259107],
+            1.466816726249076e-05,
+            1.674575857112041e-05,
+        ),
+        (
+            LinearWitness([2, 2, 3, F(1, 3), F(1, 4)], F(2, 3)),
+            [0.07670305421784293, 0.9006383053998327, -0.8135542582825874, -0.22748825810625772,
+             -0.41942876674201246],
+            [0.37826146773650365, -0.35496872921761324, 0.05590788401660197, 0.13423642924422394,
+             -1.0362184219936212],
+            2.168627933869541e-05,
+            0.0002372002014175466,
+        ),
+    ]
+
+    @staticmethod
+    def one_reach(witness, points, grads, reach):
+        scale = worst_case._largest(grads) / reach
+        probe = witness.project_batch(points + grads / scale[:, None])
+        return (probe - points) * scale[:, None]
+
+    def check(self, witness, points, grads, reach, xatol):
+        problem = WorstCaseProblem(witness, (2,) * witness.num_settings)
+        heading, reduced = problem._ascent_directions(points, grads, reach, xatol)
+        assert heading.tobytes() == self.one_reach(witness, points, grads, reach).tobytes()
+        expected = self.one_reach(witness, points, grads, np.full(len(points), xatol))
+        assert reduced.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(ON_THE_PLANE)))
+    def test_a_lone_row_on_the_plane(self, case):
+        witness, point, grad, reach, xatol = self.ON_THE_PLANE[case]
+        self.check(witness, np.array([point]), np.array([grad]), np.array([reach]), xatol)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_random_rows_along_the_plane(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(150):
+            m = int(rng.integers(2, 6))
+            coefficients = [F(int(a), int(b)) for a, b in zip(rng.integers(-3, 4, m), rng.integers(1, 5, m))]
+            witness = LinearWitness(coefficients, F(int(rng.integers(0, 4)), int(rng.integers(1, 4))))
+            normal = np.array([float(c) for c in coefficients])
+            if not normal.any():
+                continue
+            points = witness.project_batch(rng.uniform(-1.5, 1.5, (rows, m)))
+            grads = rng.normal(size=(rows, m))
+            grads -= (grads @ normal)[:, None] / (normal @ normal) * normal
+            grads += rng.normal(scale=1e-9, size=(rows, m))
+            reach = 10.0 ** rng.uniform(-6, -1, rows)
+            self.check(witness, points, grads, reach, float(10.0 ** rng.uniform(-6, -3)))
+
+
 class TestInvariants:
     def test_pointwise_sum_dominates_interval_dominates_feasible(self):
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 4))
