@@ -33,7 +33,6 @@ from .planner import (
     PlanEvaluator,
     PlanSpec,
     best_equal_split,
-    cross_evaluate,
     enumerate_allocations,
     equal_split_sweep,
     family_signs,

@@ -394,16 +394,6 @@ def optimize_plan(spec: PlanSpec, evaluator: PlanEvaluator, workers: int = 1) ->
     )
 
 
-def cross_evaluate(plan: Plan, framework: Framework, evaluator: PlanEvaluator) -> TestReport:
-    """Evaluate a fixed allocation under the other framework's optimal set."""
-    other = evaluator.plan_for(plan.copies, framework)
-    if other is None:
-        raise InfeasibleError(
-            f"allocation {plan.copies} is infeasible under the {framework} framework"
-        )
-    return other.report
-
-
 # -- equal-split sweep -------------------------------------------------------
 
 

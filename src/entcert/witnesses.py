@@ -135,7 +135,7 @@ class LinearWitness:
         t = np.asarray(points, dtype=np.float64)
         coeffs, const, steered, nonzero = self._floats
         projected = np.minimum(np.maximum(t, -1.0), 1.0)
-        short = projected @ coeffs + const < 0.0
+        short = np.add.reduce(projected * coeffs, axis=-1) + const < 0.0
         if not np.logical_or.reduce(short):
             return projected
         self.check_separable_region()
@@ -147,10 +147,15 @@ class LinearWitness:
         kinks[:, 1:] = ends.reshape(rows, -1)
         kinks = np.sort(np.maximum(kinks, 0.0), axis=1)
         path = start[:, None, :] + kinks[:, :, None] * coeffs
-        value = np.minimum(np.maximum(path, -1.0), 1.0) @ coeffs + const
-        # Rounding may leave a single-point region below 0 at every kink;
-        # the last kink, every setting at its best end, is then the answer.
-        end = np.minimum(np.add.reduce(value < 0.0, axis=1), kinks.shape[1] - 1)
+        value = np.add.reduce(np.minimum(np.maximum(path, -1.0), 1.0) * coeffs, axis=-1) + const
+        # lam lies on the piece ending at the first kink whose value reaches
+        # 0 (rounding need not put every negative value first), at kink 1 or
+        # later since kink 0 is the short point itself.  A single-point
+        # region may stay below 0 at every kink; the last kink, every
+        # setting at its best end, is then the answer.
+        reached = value >= 0.0
+        reached[:, -1] = True
+        end = np.maximum(np.argmax(reached, axis=1), 1)
         index, before = np.arange(rows), end - 1
         low, high = value[index, before], value[index, end]
         share = np.ones(rows)

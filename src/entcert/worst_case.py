@@ -276,9 +276,10 @@ class WorstCaseProblem:
         lattice order, so each outcome's best mass is the one over all the
         cells, and on the full lattice its point is too.  The scan runs in chunks of at most
         ``_SCAN_CALL_CAP`` lattice points, fewer where ``_SCAN_FLOATS`` asks
-        for it; ties go to the earlier point in lattice order (the first
-        within a chunk, the held one across chunks), so the result does not
-        depend on the chunk size.
+        for it.  ``project_batch`` and ``pmf_batch`` round each row as if
+        it were alone, and ties go to the earlier point in lattice order
+        (the first within a chunk, the held one across chunks), so the
+        result does not depend on the chunk size, bit for bit.
         """
         self.witness.check_separable_region()
         cells, axis = self._scan_lattice()
@@ -337,7 +338,10 @@ class WorstCaseProblem:
             screen = self.witness.project_batch(box)
             per_call = max(1, _SCAN_FLOATS // self._engine.table_size)
             chunks = range(0, _SCREEN_POINTS, per_call)
-            mass = [self._engine.pmf_batch(screen[i : i + per_call]) @ weights for i in chunks]
+            mass = [
+                np.add.reduce(self._engine.pmf_batch(screen[i : i + per_call]) * weights, axis=-1)
+                for i in chunks
+            ]
             starts.append(screen[np.argmax(np.concatenate(mass))])
 
         def rows(owner):
@@ -590,18 +594,10 @@ class WorstCaseProblem:
         heading and ``xatol`` for ``_settled``.  Each is a probe step of that
         length (largest entry) along each gradient, projected, and scaled
         back.  Bounds within a reach count as active, so that a row near an
-        edge follows it instead of bouncing between its two faces.
-
-        Both probes of several rows go through one ``project_batch`` call.
-        A lone row makes one call per reach: numpy multiplies one row by a
-        vector with another BLAS kernel than several rows, which may round
-        a linear witness's value differently, and stacking would turn one
-        row into two."""
+        edge follows it instead of bouncing between its two faces.  Both
+        probes go through one ``project_batch`` call."""
         largest = _largest(grads)
-        scales = [(largest / reach)[:, None], (largest / xatol)[:, None]]
-        if len(points) == 1:
-            return tuple((self.witness.project_batch(points + grads / s) - points) * s for s in scales)
-        scale = np.concatenate(scales)
+        scale = np.concatenate([(largest / reach)[:, None], (largest / xatol)[:, None]])
         base = np.concatenate([points, points])
         probe = self.witness.project_batch(base + np.concatenate([grads, grads]) / scale)
         both = (probe - base) * scale

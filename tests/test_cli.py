@@ -167,6 +167,21 @@ class TestWorstCase:
         assert code == 0
         assert report["outcome"] == "59/25"
 
+    def test_a_single_point_region_gives_its_point(self, tmp_path):
+        # The region is the point (1, -1, -1); the half-space test and the
+        # kink values once rounded differently, and the projection divided
+        # 0 by 0.
+        doc = {
+            "witness": {"kind": "linear", "coefficients": ["1/3", "-2/3", -1], "constant": -2},
+            "copies": [1, 3, 1],
+            "outcome": "-2/3",
+        }
+        code, text = run(tmp_path, "worst-case", doc)
+        report = json.loads(text)
+        assert code == 0
+        assert report["objective"] == 0.0
+        assert report["correlations"] == [1.0, -1.0, -1.0]
+
     def test_infeasible_constraint_exit_code(self, tmp_path):
         doc = {
             "witness": {"kind": "linear", "coefficients": [1, -1], "constant": -10},

@@ -16,7 +16,6 @@ from entcert.planner import (
     PlanEvaluator,
     PlanSpec,
     best_equal_split,
-    cross_evaluate,
     enumerate_allocations,
     equal_split_sweep,
     family_signs,
@@ -234,7 +233,7 @@ class TestOptimization:
         )
         spec = PlanSpec(6, 2, 0.7, "frequentist")
         plan = optimize_plan(spec, evaluator)
-        report = cross_evaluate(plan, "bayesian", evaluator)
+        report = evaluator.plan_for(plan.copies, "bayesian").report
         bayes_plan = evaluator.plan_for(plan.copies, "bayesian")
         assert report.acceptance.outcomes == bayes_plan.acceptance.outcomes
         assert report.expected_loss == bayes_plan.report.expected_loss

@@ -432,6 +432,28 @@ def separable_witnesses(draw, quadratic=True):
 #: Regions of tiny and of zero area: t2 >= 1 - t1/100, and the point (1, 1).
 THIN = [LinearWitness([F(1, 100), 1], -1), LinearWitness([F(1, 100), 1], F(-101, 100))]
 
+#: A single-point region, (1, -1, -1), and a row 2 ulps off it that the
+#: half-space test once found short through numpy's one-row dot kernel
+#: while every kink value, through gemv, rounded to 0; counting the
+#: negative ones then gave piece -1, and the step divided 0 by 0.
+CORNER = LinearWitness([F(1, 3), F(-2, 3), -1], -2)
+NEAR_CORNER = [0.9999999999999997, -1.0, -1.0]
+
+
+@st.composite
+def single_point_regions(draw):
+    """A linear witness with constant -sum |c_j|, whose region is one corner
+    of the box where any coefficient is nonzero, and 1 to 6 rows near that
+    corner or anywhere in [-2, 2]."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    coefficients = draw(st.lists(rationals, min_size=1, max_size=4))
+    witness = LinearWitness(coefficients, -sum(abs(c) for c in coefficients))
+    corner = [1.0 if c > 0 else -1.0 for c in coefficients]
+    offset = st.one_of(st.floats(-1e-12, 1e-12), st.floats(-2.0, 2.0))
+    row = st.lists(offset, min_size=len(corner), max_size=len(corner))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return witness, [[x + d for x, d in zip(corner, r)] for r in rows]
+
 
 class TestSeparableRegion:
     """Each witness class's region methods, over random witnesses of both classes."""
@@ -466,6 +488,26 @@ class TestSeparableRegion:
             # The nearest point of a convex region sees every other point of
             # it at an angle of at least 90 degrees from t.
             assert max(np.dot(t - p, z - p) for z in region) <= 1e-9
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(witness_batches(max_rows=6))
+    @example((CORNER, [1, 3, 1], [NEAR_CORNER, [0.5, 0.5, 0.5]]))
+    def test_every_row_is_projected_alone_bit_for_bit(self, case):
+        witness, _, rows = case
+        assume(isinstance(witness, QuadraticWitness) or not witness._empty_region)
+        projected = witness.project_batch(rows)
+        for row, batched in zip(rows, projected):
+            assert same_bits(witness.project_batch([row])[0], batched)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(single_point_regions())
+    @example((CORNER, [NEAR_CORNER]))
+    def test_a_single_point_region_gives_no_nan(self, case):
+        witness, rows = case
+        projected = witness.project_batch(rows)
+        assert not np.isnan(projected).any()
+        for p in projected:
+            assert witness.violation(p) <= FEASIBILITY_TOLERANCE
 
     def test_quadratic_projection_is_not_a_clip(self):
         # Clipping (2, 1) to the box first would give (1, 1) / sqrt(2).

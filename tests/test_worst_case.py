@@ -452,11 +452,21 @@ class TestPolish:
         (QuadraticWitness(3), (5, 4, 4)),
         (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
         (LinearWitness([F(1, 2), -1, 2], F(-1, 4)), (3, 2, 2)),
+        # A lone row's witness value once went through numpy's dot kernel and
+        # a batch's through gemv, which round differently, and outcomes -9/4
+        # and 0 of these two moved.
+        (LinearWitness([F(-3, 2), -1], -2), (4, 2)),
+        (LinearWitness([0, -1, -1, 1], 0), (1, 4, 2, 2)),
     ]
 
     @staticmethod
     def fields(result):
-        return result.objective, result.correlations, result.converged, result.restarts_used
+        return (
+            result.objective.hex(),
+            tuple(t.hex() for t in result.correlations),
+            result.converged,
+            result.restarts_used,
+        )
 
     @pytest.mark.parametrize("witness,copies", CASES)
     @pytest.mark.parametrize("rows_per_call", [None, 2])
@@ -469,6 +479,22 @@ class TestPolish:
         batch = problem.maximize_all_points(POLISH)
         for outcome, result in batch.items():
             assert self.fields(problem.maximize_point(outcome, POLISH)) == self.fields(result)
+
+    def test_one_row_per_engine_call_moves_no_linear_result(self, monkeypatch):
+        # Both searches moved here with one row per call, the set search
+        # also when only its screen's mass still rounded by row count.
+        witness = LinearWitness([-1, F(-3, 2), 0, F(-1, 2)], F(1, 2))
+        acc = AcceptanceSet.threshold(F(-5, 2), "accept_high")
+
+        def results():
+            problem = WorstCaseProblem(witness, (1, 3, 4, 4))
+            points = problem.maximize_all_points(POLISH)
+            found = problem.maximize_set(acc, SearchOptions(restarts=3, seed=2))
+            return [self.fields(r) for r in points.values()], self.fields(found)
+
+        batched = results()
+        monkeypatch.setattr(worst_case, "_SCAN_FLOATS", 1)
+        assert results() == batched
 
     def test_leaves_the_saddle_of_the_symmetric_start(self):
         # From (-1/5, 1/5, 1/5, 1/5, 1/5) the ascent stays on the symmetric
@@ -536,7 +562,8 @@ class TestAscentDirections:
     per reach gives, bit for bit."""
 
     #: Single rows on a linear region's plane, with gradients along it, where
-    #: one stacked projection of both reaches rounds otherwise.
+    #: one stacked projection of both reaches rounded otherwise while the
+    #: witness value went through ``@``.
     ON_THE_PLANE = [
         (
             LinearWitness([-1, F(-1, 2), F(1, 4), -3], F(-1, 3)),
