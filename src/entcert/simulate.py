@@ -8,16 +8,19 @@ arithmetic.  Philox's uniform is u = m 2^-53 with m the raw 64-bit draw
 shifted right by 11, so u reaches a partial sum c exactly when m reaches
 the integer threshold ceil(c 2^53).  A guide table over the top bits of m
 (indexed search: Chen and Asau 1974; Devroye 1986, section III.2.4) gives
-the count directly for every bin that holds no threshold; a draw in a bin
-that holds one falls back to a binary search of the integer thresholds, so
-the result is the same for any number of copies, log-space weights
-included.  A prior mixture first splits each chunk's trials among the
-prior's purity cells with one multinomial draw, then draws every cell's
-trials from that cell's CDFs; trials are i.i.d. and only the histogram is
-kept, so this is the exact mixture law.  The witness value of every trial
-is tallied on the exact rational grid.  The generator is Philox
-(counter-based, portable), and trials are consumed in fixed-size chunks so
-results do not depend on how the work is partitioned.  Seeded results are
+the setting's witness value for the draw's count directly, for every bin
+that holds no threshold.  A sentinel that no grid value equals marks each
+bin that holds one, and a draw there falls back to a binary search of the
+integer thresholds for its count, so the result is the same for any number
+of copies, log-space weights included.  A prior mixture first splits each
+chunk's trials among the prior's purity cells with one multinomial draw,
+then draws every cell's trials from that cell's CDFs (the cells' guides of
+a setting lie end to end, so one lookup serves them all); trials are
+i.i.d. and only the histogram is kept, so this is the exact mixture law.
+Every
+trial's total is tallied on the exact rational grid.  The generator is
+Philox (counter-based, portable), and trials are consumed in fixed-size
+chunks, each from its own jump of the seeded stream.  Seeded results are
 bit-reproducible.  They are the same as those of the floating-point CDF
 search that the integer lookup replaced, but differ from versions that
 drew the counts with ``Generator.binomial``.  ``chi_square_compare`` tests
@@ -39,13 +42,20 @@ from .pmf import OutcomePmf
 from .states import TruncatedGaussianPrior, check_signs
 from .witnesses import Witness, WitnessGrid
 
-#: Trials are drawn in fixed chunks; changing worker counts must not change results.
+#: Trials are drawn in fixed chunks, chunk i from the i-th jump of the
+#: seeded Philox stream, so a chunk's draws depend only on the seed and its
+#: index, not on the number of trials (``test_chunk_stable``).
 CHUNK_TRIALS = 1 << 16
 
 #: Most trials of one simulation.  10^7 trials of 5 settings of 4 copies
-#: take 0.8-1.0 s on a 2-vCPU machine, so the cap is under two minutes of
+#: take 0.32-0.36 s on a 2-vCPU Intel Xeon, so the cap is under a minute of
 #: drawing; more is refused before any draw instead of running for hours.
 MAX_TRIALS = 10**9
+
+#: Value-guide entry of a bin that holds a threshold.  No value looked up
+#: equals it: ``witnesses._check_int64`` keeps every setting's value, the
+#: shift added to the first setting's, above -2^63.
+_FALLBACK = np.iinfo(np.int64).min
 
 #: Least count that each group of a chi-square comparison expects, bar a
 #: lone group; being positive, it leaves no group to divide by zero.
@@ -103,14 +113,47 @@ def _guide(thresholds: np.ndarray, bits: int) -> np.ndarray:
     return np.where(first == last, first, -1)
 
 
-def _counts(thresholds: np.ndarray, guide: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The count of ``thresholds`` at or below each 53-bit draw: its bin's
-    entry in ``guide`` (2^bits entries), else a binary search."""
-    bits = len(guide).bit_length() - 1
-    k = guide[draws >> (53 - bits)]
-    slow = k < 0
-    k[slow] = np.searchsorted(thresholds, draws[slow], side="right")
-    return k
+def _value_guides(rows: np.ndarray, value: np.ndarray, bits: int) -> np.ndarray:
+    """Value guides (P, 2^bits) of a setting's threshold rows (P, n): entry
+    (r, b) is ``value[k]`` where row r's ``_guide`` gives bin b the count k,
+    or ``_FALLBACK`` where the bin holds a threshold."""
+    guides = np.array([_guide(row, bits) for row in rows])
+    return np.where(guides >= 0, value[guides], _FALLBACK)
+
+
+def _look_up(
+    rows: np.ndarray,
+    value: np.ndarray,
+    guides: np.ndarray,
+    raw: np.ndarray,
+    out: np.ndarray,
+    index: np.ndarray,
+    row_of: np.ndarray | None,
+    ends: list[int],
+) -> None:
+    """Write to ``out`` the witness value of each raw 64-bit draw, whose
+    53-bit m is ``raw >> 11``.  Draws ``ends[r - 1]`` to ``ends[r]`` are row
+    r's, as ``row_of`` lists (``None`` for one row).  A draw's value is its
+    row's ``guides`` entry for its bin, or where that is ``_FALLBACK``,
+    ``value`` at the count of the row's thresholds at or below m.
+    ``index`` is scratch space of the draws' length."""
+    bits = guides.shape[1].bit_length() - 1
+    np.right_shift(raw, 64 - bits, out=index)
+    if row_of is not None:
+        index += row_of << bits
+    # ``take`` reads the guides flattened, row after row.  Every index is
+    # below their size, so "clip" changes none; "raise" would make numpy
+    # buffer a copy of the output.
+    np.take(guides, index, out=out, mode="clip")
+    slow = np.flatnonzero(out == _FALLBACK)
+    if len(slow):
+        draws = (raw[slow] >> 11).view(np.int64)
+        # Row r's slow draws are draws[cuts[r - 1]:cuts[r]].
+        cuts = np.searchsorted(slow, ends).tolist()
+        for row, start, end in zip(rows, [0] + cuts[:-1], cuts):
+            if start < end:
+                draws[start:end] = np.searchsorted(row, draws[start:end], side="right")
+        out[slow] = value[draws]
 
 
 def _tally(
@@ -133,29 +176,41 @@ def _tally(
     # guides of a setting hold at most max(2^16, P) entries in all.
     table = _thresholds(np.cumsum(grid._binomials(correlations), axis=2))
     settings = []
-    for j, n in enumerate(copies):
+    for j, (n, value) in enumerate(zip(copies, grid.values)):
         bits = max(min(n.bit_length() + 7, 16 - (len(weights) - 1).bit_length()), 0)
         rows = table[:, j, :n]
-        settings.append((rows, [_guide(row, bits) for row in rows]))
+        # The first setting's values carry the shift, so that its lookup
+        # starts every trial's total.
+        value = value + grid.shift if j == 0 else value
+        settings.append((rows, value, _value_guides(rows, value, bits)))
     counts = np.zeros(len(grid.integers), dtype=np.int64)
+    # Scratch space of one chunk, reused by every chunk and setting.
+    index = np.empty(CHUNK_TRIALS, dtype=np.intp)
+    drawn = np.empty(CHUNK_TRIALS, dtype=np.int64)
+    totals = np.empty(CHUNK_TRIALS, dtype=np.int64)
     base = np.random.Philox(key=seed)
     chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     for i in range(chunks):
         size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
         rng = np.random.Generator(base.jumped(i))
         # Row r's trials are the r-th slice of the chunk.
-        edges = [] if len(weights) == 1 else np.cumsum(rng.multinomial(size, weights))[:-1]
-        total = np.full(size, grid.shift, dtype=np.int64)
-        parts = np.split(total, edges)
-        for (rows, guides), value in zip(settings, grid.values):
-            # The 53-bit integers behind ``rng.random(size)``, from the same state.
-            draws = rng.bit_generator.random_raw(size)
-            draws >>= 11
-            draws = draws.view(np.int64)
-            for row, guide, row_draws, part in zip(rows, guides, np.split(draws, edges), parts):
-                part += value[_counts(row, guide, row_draws)]
-        values, tallies = np.unique(total, return_counts=True)
-        counts[np.searchsorted(grid.integers, values)] += tallies
+        if len(weights) == 1:
+            row_of, ends = None, [size]
+        else:
+            split = rng.multinomial(size, weights)
+            row_of, ends = np.repeat(np.arange(len(weights)), split), np.cumsum(split).tolist()
+        total = totals[:size]
+        for j, (rows, value, guides) in enumerate(settings):
+            # The raw draws behind ``rng.random(size)``, from the same state.
+            raw = rng.bit_generator.random_raw(size)
+            out = total if j == 0 else drawn[:size]
+            _look_up(rows, value, guides, raw, out, index[:size], row_of, ends)
+            if j:
+                np.add(total, out, out=total)
+        # Sorted in place, the totals fall into runs, one per grid point.
+        total.sort()
+        starts = np.concatenate(([0], np.flatnonzero(total[1:] != total[:-1]) + 1))
+        counts[np.searchsorted(grid.integers, total[starts])] += np.diff(starts, append=size)
     return grid.as_pmf((counts / trials).tolist())
 
 

@@ -1,12 +1,16 @@
 """Exact per-setting laws for the brute-force oracles, built without the
-grid engine they check: each weight is ``scipy.stats.binom.pmf``.  Also a
-reference formulation of the engine's gradient pass, which the engine must
-match bit for bit."""
+grid engine they check: each weight is ``scipy.stats.binom.pmf``.  Also
+reference formulations of the engine's gradient pass and of the Monte Carlo
+tally, which the package must match bit for bit."""
 
 from fractions import Fraction
 
 import numpy as np
 from scipy.stats import binom
+
+from entcert.pmf import OutcomePmf
+from entcert.simulate import CHUNK_TRIALS, _guide, _thresholds
+from entcert.witnesses import WitnessGrid
 
 
 def setting_grid(setting, scale=1, shift=0, square=False) -> dict[Fraction, float]:
@@ -51,3 +55,40 @@ def reference_value_and_grad(grid, weights, correlations) -> tuple[np.ndarray, n
         grad[:, j] = (per_count * slope[:, j, : inverse.shape[1]]).sum(axis=1)
         adjoint = (gathered * table[:, j, None, : inverse.shape[1]]).sum(axis=2)
     return adjoint[:, 0], grad
+
+
+def reference_tally(witness, copies, trials, seed, correlations, weights) -> OutcomePmf:
+    """``simulate._tally`` in its plain formulation: each draw's count k
+    from the guide table or a binary search of the thresholds, then the
+    setting's value ``value[k]`` added to the trial's total.  The package
+    maps a guide bin straight to the value, from the same Philox stream in
+    the same order, so the two agree bit for bit."""
+    grid = WitnessGrid(witness, copies)
+    table = _thresholds(np.cumsum(grid._binomials(correlations), axis=2))
+    settings = []
+    for j, n in enumerate(copies):
+        bits = max(min(n.bit_length() + 7, 16 - (len(weights) - 1).bit_length()), 0)
+        rows = table[:, j, :n]
+        settings.append((rows, [_guide(row, bits) for row in rows]))
+    counts = np.zeros(len(grid.integers), dtype=np.int64)
+    base = np.random.Philox(key=seed)
+    chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    for i in range(chunks):
+        size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
+        rng = np.random.Generator(base.jumped(i))
+        edges = [] if len(weights) == 1 else np.cumsum(rng.multinomial(size, weights))[:-1]
+        total = np.full(size, grid.shift, dtype=np.int64)
+        parts = np.split(total, edges)
+        for (rows, guides), value in zip(settings, grid.values):
+            draws = rng.bit_generator.random_raw(size)
+            draws >>= 11
+            draws = draws.view(np.int64)
+            for row, guide, row_draws, part in zip(rows, guides, np.split(draws, edges), parts):
+                bits = len(guide).bit_length() - 1
+                k = guide[row_draws >> (53 - bits)]
+                slow = k < 0
+                k[slow] = np.searchsorted(row, row_draws[slow], side="right")
+                part += value[k]
+        values, tallies = np.unique(total, return_counts=True)
+        counts[np.searchsorted(grid.integers, values)] += tallies
+    return grid.as_pmf((counts / trials).tolist())

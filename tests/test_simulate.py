@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 from scipy.stats import binom
@@ -19,9 +19,10 @@ from entcert.simulate import (
     MAX_TRIALS,
     MIN_EXPECTED,
     SimulationConfig,
-    _counts,
-    _guide,
+    _look_up,
+    _tally,
     _thresholds,
+    _value_guides,
     chi_square_compare,
     chi_square_groups,
     chi_square_sf,
@@ -30,6 +31,7 @@ from entcert.simulate import (
 )
 from entcert.states import TruncatedGaussianPrior, mixture_witness_pmf
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
+from oracles import reference_tally
 
 F = Fraction
 
@@ -142,9 +144,10 @@ def threshold_rows(draw):
 
 
 class TestIntegerLookup:
-    """The counts come from integer thresholds and a guide table, on the raw
-    draws behind ``Generator.random``; both must give the same count as a
-    binary search of the floating-point CDF row on the uniforms."""
+    """The values come from integer thresholds and a value guide table, on
+    the raw draws behind ``Generator.random``; both must give the value at
+    the count that a binary search of the floating-point CDF row finds on
+    the uniforms."""
 
     @pytest.mark.parametrize("chunk", [0, 3])
     def test_raw_draws_are_the_uniform_stream(self, chunk):
@@ -165,11 +168,101 @@ class TestIntegerLookup:
     @given(threshold_rows())
     def test_guide_lookup_equals_the_float_search(self, case):
         row, bits, draws = case
-        thresholds = _thresholds(row)
-        guide = _guide(thresholds, bits)
-        assert len(guide) == 2**bits
-        expected = np.searchsorted(row, draws * 2.0**-53, side="right")
-        np.testing.assert_array_equal(_counts(thresholds, guide, draws), expected)
+        thresholds = _thresholds(row)[None]
+        # Distinct values from one above the fallback marker to near 2^63.
+        n = len(row)
+        values = np.array([-(2**63 - 1) + k * ((2**64 - 2) // n) for k in range(n + 1)])
+        guides = _value_guides(thresholds, values, bits)
+        assert guides.shape == (1, 2**bits)
+        # The lookup reads the top 53 of the 64 raw bits; the low 11 vary.
+        low = np.arange(len(draws), dtype=np.uint64) * np.uint64(1031) % np.uint64(2048)
+        raw = (draws.astype(np.uint64) << np.uint64(11)) | low
+        out = np.empty(len(raw), dtype=np.int64)
+        index = np.empty(len(raw), dtype=np.intp)
+        _look_up(thresholds, values, guides, raw, out, index, None, [len(raw)])
+        expected = values[np.searchsorted(row, draws * 2.0**-53, side="right")]
+        np.testing.assert_array_equal(out, expected)
+
+
+RATIONALS = [F(1, 2), F(-1), F(2, 3), F(-3, 4), F(5, 7), F(2)]
+
+
+@st.composite
+def tally_cases(draw):
+    """Arguments of ``_tally``: 1 to 3 settings of 1 to 12 copies, a
+    quadratic witness or a linear one with rational coefficients and a
+    nonzero constant, 1 to 3,000 prior rows (zero weights included) with
+    correlations that include -1, 0 and 1, and up to one trial past a
+    chunk."""
+    m = draw(st.integers(1, 3))
+    copies = tuple(draw(st.lists(st.integers(1, 12), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        witness = QuadraticWitness(m)
+    else:
+        coefficients = draw(st.lists(st.sampled_from(RATIONALS), min_size=m, max_size=m))
+        witness = LinearWitness(coefficients, draw(st.sampled_from(RATIONALS)))
+    rows = draw(st.sampled_from([1, 1, 2, 7, 300, 3000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drawn = rng.uniform(-1.0, 1.0, (rows, m))
+    ends = rng.choice([-1.0, 0.0, 1.0], (rows, m))
+    correlations = np.where(rng.random((rows, m)) < 0.6, drawn, ends)
+    weights = rng.random(rows) * (rng.random(rows) < 0.9)
+    weights[0] += 0.01
+    trials = draw(st.sampled_from([1, 2, 999, CHUNK_TRIALS, CHUNK_TRIALS + 1]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return witness, copies, trials, seed, correlations, weights / weights.sum()
+
+
+class TestTallyReference:
+    """``_tally`` looks every draw's witness value up directly; the oracle
+    looks up its count, then the value.  Both read one Philox stream in one
+    order, so their counts agree exactly."""
+
+    @staticmethod
+    def assert_matches(witness, copies, trials, seed, correlations, weights):
+        args = (witness, copies, trials, seed, np.asarray(correlations, dtype=np.float64), weights)
+        got, expected = _tally(*args), reference_tally(*args)
+        assert got.outcomes == expected.outcomes
+        assert got.probabilities == expected.probabilities
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(tally_cases())
+    # Log space: 1,001 copies or more take ``_binomial_weights``.
+    @example((LinearWitness([1], 0), (1100,), 5000, 9, [[0.3]], np.ones(1)))
+    @example(
+        (QuadraticWitness(2), (1001, 3), 999, 4, [[-0.2, 0.5], [0.7, 1.0]], np.array([0.4, 0.6]))
+    )
+    # One trial past a chunk, on a linear witness whose values are negative
+    # and whose shift is nonzero.
+    @example((LinearWitness([F(1, 2), -1, F(2, 3)], F(-1, 4)), (5, 3, 7), CHUNK_TRIALS + 1, 11,
+              [[0.6, -0.3, 0.9]], np.ones(1)))
+    def test_counts_equal_the_reference(self, case):
+        self.assert_matches(*case)
+
+    def test_one_guide_bin_per_row(self):
+        # 2^15 + 1 rows leave every row's guide one bin, which holds every
+        # threshold, so every draw falls back to the binary search.
+        rows = 2**15 + 1
+        correlations = np.linspace(-0.9, 0.9, rows)[:, None]
+        weights = np.full(rows, 1 / rows)
+        self.assert_matches(LinearWitness([F(3, 2)], F(1, 3)), (2,), 5000, 3, correlations, weights)
+
+    @pytest.mark.parametrize(
+        "witness, copies",
+        [
+            # Values +-(2^63 - 1): the lower is one above the fallback marker.
+            (LinearWitness([2**63 - 1], 0), (1,)),
+            # Totals down to -(2^63 - 4) and values of +-2^62 over 6.
+            (LinearWitness([F(2**61, 3), F(-1, 2)], F(-1537228672809129299, 2)), (2, 1)),
+        ],
+    )
+    def test_values_next_to_the_int64_bound(self, witness, copies):
+        cfg = SimulationConfig([0.2] * len(copies), copies, 20_000, seed=5)
+        got = simulate_witness(cfg, witness)
+        correlations = np.array([cfg.correlations])
+        expected = reference_tally(witness, copies, 20_000, 5, correlations, np.ones(1))
+        assert got.probabilities == expected.probabilities
+        assert min(got.probabilities) > 0.0
 
 
 def histogram(pmf, trials) -> list[int]:
