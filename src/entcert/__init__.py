@@ -23,10 +23,10 @@ from .inference import (
     expected_loss_bound,
     max_power_acceptance_set,
     neyman_pearson_test,
-    np_power_upper_bound,
     posterior_lower_bound,
     posterior_map,
     power,
+    power_ceiling,
 )
 from .planner import (
     Plan,

@@ -24,9 +24,9 @@ from .pmf import OutcomePmf, format_fraction
 from .planner import (
     PlanEvaluator,
     PlanSpec,
+    _infeasible,
     equal_split_sweep,
     family_signs,
-    optimize_plan,
     rank_allocations,
 )
 from .simulate import chi_square_compare, simulate_witness
@@ -255,7 +255,7 @@ def cmd_plan(doc: dict[str, Any], args) -> tuple[dict[str, Any], list[list[Any]]
     )
     ranked = rank_allocations(spec, evaluator, prune=True, workers=args.workers)
     if not ranked:
-        optimize_plan(spec, evaluator, workers=args.workers)  # raises InfeasibleError
+        raise _infeasible(spec, evaluator)
     report = {
         "command": "plan",
         "mode": "optimize",

@@ -83,8 +83,12 @@ def posterior_lower_bound(
     ``pointwise_mass`` is the worst case of P(outcome | sep); plugging it into
     Bayes' rule can only decrease the posterior, so the bound is safe.
     """
-    p_ent_outcome = ent_pmf.probability(outcome)
-    numerator = p_ent_outcome * priors.p_ent
+    return _posterior(outcome, ent_pmf.probability(outcome), pointwise_mass, priors)
+
+
+def _posterior(outcome: Fraction, p_ent: float, pointwise_mass: float, priors: PriorPair) -> float:
+    """``posterior_lower_bound`` given the outcome's entangled probability."""
+    numerator = p_ent * priors.p_ent
     denominator = pointwise_mass * priors.p_sep + numerator
     if denominator <= 0.0:
         raise UndefinedOutcomeError(
@@ -114,7 +118,7 @@ def posterior_map(
         mass = pointwise[outcome]
         if p_ent <= 0.0 and mass <= 0.0:
             continue
-        out[outcome] = posterior_lower_bound(outcome, ent_pmf, mass, priors)
+        out[outcome] = _posterior(outcome, p_ent, mass, priors)
     return out
 
 
@@ -145,17 +149,6 @@ def expected_loss_bound(
     q_bayes = check_q_bayes(q_bayes)
     reject_mass = 1.0 - acc.weighted_mass(ent_pmf)
     return q_bayes * worst_case_mass * priors.p_sep + (1.0 - q_bayes) * reject_mass * priors.p_ent
-
-
-def np_power_upper_bound(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) -> float:
-    """Power of the most powerful alpha-level test against ``sep_pmf``.
-
-    By the fundamental lemma this bounds the power of every acceptance set
-    whose worst-case separable mass stays within alpha, because such a set is
-    an alpha-level test against any single separability-compatible point.
-    """
-    acc = neyman_pearson_test(alpha, sep_pmf, ent_pmf)
-    return acc.weighted_mass(ent_pmf)
 
 
 def neyman_pearson_test(alpha: float, sep_pmf: OutcomePmf, ent_pmf: OutcomePmf) -> AcceptanceSet:
@@ -205,6 +198,28 @@ def _ratio_key(index: int, ent: float, sep: float) -> tuple:
     return (1, -ent / sep, -index)
 
 
+def power_ceiling(
+    ent_pmf: OutcomePmf, pointwise: Mapping[Fraction, WorstCaseResult], budget: float
+) -> float:
+    """Bound on the power of every set, randomized or not, whose worst case is
+    within ``budget``: the least Neyman-Pearson power against a distinct point of
+    ``pointwise``, as Dantzig's fractional-knapsack bound at budget + TIE_TOLERANCE."""
+    if next(iter(pointwise.values())).dist.outcomes != ent_pmf.outcomes:
+        raise DomainError("both hypotheses must share one outcome grid")
+    table = np.column_stack(_pointwise_pool(pointwise)[1])
+    caps = np.full(table.shape[1], budget + TIE_TOLERANCE)
+    bound = _FractionalBound(np.array(ent_pmf.probabilities), table, caps)
+    return min(1.0, bound(np.zeros(len(caps)), np.arange(len(table))))
+
+
+def _pointwise_pool(pointwise: Mapping[Fraction, WorstCaseResult]) -> tuple[list, list[np.ndarray]]:
+    """The distinct points of ``pointwise``, first seen first, and their outcome masses."""
+    pool = {}
+    for result in pointwise.values():
+        pool.setdefault(result.correlations, result.dist)
+    return list(pool), [np.array(dist.probabilities) for dist in pool.values()]
+
+
 # -- acceptance-set construction -------------------------------------------
 
 @dataclass
@@ -245,14 +260,8 @@ class _FeasibilityChecker:
         self.problem = problem
         self.budget = budget
         self.options = options
-        self._points: list[tuple[float, ...]] = []
-        self._columns: list[np.ndarray] = []
+        self._points, self._columns = _pointwise_pool(pointwise)
         self._table: np.ndarray | None = None
-        seen = set()
-        for result in pointwise.values():
-            if result.correlations not in seen:
-                seen.add(result.correlations)
-                self._add_pool(result.correlations, result.dist)
 
     def _add_pool(self, point: tuple[float, ...], dist: OutcomePmf) -> None:
         self._points.append(point)

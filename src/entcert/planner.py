@@ -25,8 +25,8 @@ from .inference import (
     bayes_acceptance_set,
     build_test_report,
     max_power_acceptance_set,
-    np_power_upper_bound,
     posterior_map,
+    power_ceiling,
 )
 from .pmf import OutcomePmf
 from .states import EntangledStateModel
@@ -181,6 +181,8 @@ class _AllocationEvaluation:
     #: Each outcome's pointwise worst-case mass.
     masses: dict[Fraction, float]
     posteriors: dict[Fraction, float]
+    #: ``power_ceiling`` at the validity floor: no frequentist set of the
+    #: allocation has more power.
     power_bound: float
     #: Each framework's design once ``plan_for`` has made it (None if infeasible).
     plans: dict[Framework, Plan | None] = field(default_factory=dict)
@@ -224,25 +226,14 @@ class PlanEvaluator:
         # Single-outcome objectives are tame; a loose polish is plenty.
         pointwise = problem.maximize_all_points(POLISH)
         masses = {o: r.objective for o, r in pointwise.items()}
-        posteriors = posterior_map(ent, masses, self.priors)
-        # Any achievable power is capped by the most powerful test against
-        # each single separability-compatible point already found.
-        budget = 1.0 - self.min_validity
-        seen: set[tuple[float, ...]] = set()
-        power_bound = 1.0
-        for result in pointwise.values():
-            if result.correlations in seen:
-                continue
-            seen.add(result.correlations)
-            power_bound = min(power_bound, np_power_upper_bound(budget, result.dist, ent))
         evaluation = _AllocationEvaluation(
             copies=copies,
             problem=problem,
             ent_pmf=ent,
             pointwise=pointwise,
             masses=masses,
-            posteriors=posteriors,
-            power_bound=power_bound,
+            posteriors=posterior_map(ent, masses, self.priors),
+            power_bound=power_ceiling(ent, pointwise, 1.0 - self.min_validity),
         )
         self._cache[copies] = evaluation
         return evaluation
@@ -327,14 +318,13 @@ def rank_allocations(
 ) -> list[Plan]:
     """Feasible designs ranked best first.
 
-    With ``prune`` enabled, frequentist allocations whose Neyman-Pearson
-    power bound is already beaten by the best design found so far skip the
-    expensive acceptance-set construction (the bound is valid because every
-    frequentist set is an alpha-level test against each pool point); the
-    returned list then omits those provably dominated allocations but still
-    starts with the true optimum.  Bayesian sets are not alpha-level tests,
-    so no pruning applies to them.  A spec whose validity target is not
-    the evaluator's raises DomainError before any search.
+    Frequentist allocations are designed in descending ``power_bound``,
+    their ``power_ceiling``.  With ``prune`` enabled, one whose ceiling is
+    below the best power found so far skips its acceptance-set search; the
+    returned list then omits those dominated designs but still starts with
+    the true optimum.  Bayesian sets are not tests at a fixed level, so no
+    pruning applies to them.  A spec whose validity target is not the
+    evaluator's raises DomainError before any search.
     """
     if spec.min_validity != evaluator.min_validity:
         raise DomainError(
@@ -374,8 +364,13 @@ def rank_allocations(
 def optimize_plan(spec: PlanSpec, evaluator: PlanEvaluator, workers: int = 1) -> Plan:
     """Best design under the spec; raises InfeasibleError when none qualifies."""
     ranked = rank_allocations(spec, evaluator, prune=True, workers=workers)
-    if ranked:
-        return ranked[0]
+    if not ranked:
+        raise _infeasible(spec, evaluator)
+    return ranked[0]
+
+
+def _infeasible(spec: PlanSpec, evaluator: PlanEvaluator) -> InfeasibleError:
+    """The error of an empty ranking: the best validity an allocation reaches."""
     best_validity = 0.0
     best_copies: tuple[int, ...] | None = None
     for _, copies in enumerate_allocations(spec):
@@ -387,7 +382,7 @@ def optimize_plan(spec: PlanSpec, evaluator: PlanEvaluator, workers: int = 1) ->
         )
         if achieved > best_validity:
             best_validity, best_copies = achieved, copies
-    raise InfeasibleError(
+    return InfeasibleError(
         f"no allocation reaches validity {spec.min_validity}; "
         f"best achievable is {best_validity:.6f} with copies {best_copies}",
         payload={"best_validity": best_validity, "copies": best_copies},

@@ -1,13 +1,15 @@
 """Exact per-setting laws for the brute-force oracles, built without the
 grid engine they check: each weight is ``scipy.stats.binom.pmf``.  Also
 reference formulations of the engine's gradient pass and of the Monte Carlo
-tally, which the package must match bit for bit."""
+tally, which the package must match bit for bit, and of the planner's power
+ceiling, which it must match to float noise."""
 
 from fractions import Fraction
 
 import numpy as np
 from scipy.stats import binom
 
+from entcert.inference import neyman_pearson_test, power
 from entcert.pmf import OutcomePmf
 from entcert.simulate import CHUNK_TRIALS, _guide, _thresholds
 from entcert.witnesses import WitnessGrid
@@ -92,3 +94,18 @@ def reference_tally(witness, copies, trials, seed, correlations, weights) -> Out
         values, tallies = np.unique(total, return_counts=True)
         counts[np.searchsorted(grid.integers, values)] += tallies
     return grid.as_pmf((counts / trials).tolist())
+
+
+def reference_power_bound(ent_pmf, pointwise, budget) -> float:
+    """``inference.power_ceiling`` in its single-point formulation: the
+    least power, at 1 at most, of the randomized Neyman-Pearson test at
+    level ``budget`` against each distinct point of ``pointwise``, each
+    test built as a Fraction-keyed acceptance set.  The package bounds
+    every point at once with the fractional knapsack at the cap ``budget +
+    TIE_TOLERANCE``, so the two agree to float noise, not bit for bit."""
+    bound, seen = 1.0, set()
+    for result in pointwise.values():
+        if result.correlations not in seen:
+            seen.add(result.correlations)
+            bound = min(bound, power(neyman_pearson_test(budget, result.dist, ent_pmf), ent_pmf))
+    return bound

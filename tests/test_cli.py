@@ -355,6 +355,34 @@ class TestPlan:
         config = write_config(tmp_path, doc)
         assert main(["plan", "--config", config]) == 3
 
+    def test_infeasible_plan_ranks_once(self, tmp_path, capsys):
+        doc = {
+            "witness_kind": "quadratic",
+            "budget": 2,
+            "max_settings": 2,
+            "min_validity": 0.999,
+            "framework": "frequentist",
+            "entangled": {"purity": 0.9},
+            "priors": {"entangled": 0.5},
+            "optimizer": {"restarts": 4, "seed": 1},
+        }
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rank(*args, **kwargs)
+
+        rank = cli.rank_allocations
+        with mock.patch("entcert.cli.rank_allocations", counted), mock.patch(
+            "entcert.planner.rank_allocations", counted
+        ):
+            assert main(["plan", "--config", write_config(tmp_path, doc)]) == 3
+        assert len(calls) == 1
+        assert capsys.readouterr().err == (
+            "infeasible: no allocation reaches validity 0.999; "
+            "best achievable is 0.500000 with copies (2,)\n"
+        )
+
     def test_budget_with_too_many_allocations_exits_2(self, tmp_path, capsys):
         doc = {
             "witness_kind": "quadratic",

@@ -7,6 +7,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from entcert import inference
 from entcert.acceptance import AcceptanceSet
@@ -22,15 +25,16 @@ from entcert.inference import (
     expected_loss_bound,
     max_power_acceptance_set,
     neyman_pearson_test,
-    np_power_upper_bound,
     posterior_lower_bound,
     posterior_map,
     power,
+    power_ceiling,
 )
 from entcert.pmf import OutcomePmf
 from entcert.states import EntangledStateModel, TruncatedGaussianPrior
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
 from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem
+from oracles import reference_power_bound
 from sampling import sample_separable
 
 F = Fraction
@@ -114,6 +118,17 @@ class TestPosterior:
         pmf = OutcomePmf((F(0), F(1)), (0.0, 1.0))
         with pytest.raises(UndefinedOutcomeError):
             posterior_lower_bound(F(0), pmf, 0.0, PriorPair(0.5))
+
+    def test_map_holds_each_outcomes_bound_bit_for_bit(self):
+        witness = LinearWitness([F(1, 2), -1, F(2, 3)], F(-1, 4))
+        ent = witness_pmf([CorrelationSetting(t, n) for t, n in [(0.6, 5), (-0.3, 3), (0.9, 4)]], witness)
+        rng = np.random.default_rng(3)
+        masses = {o: float(m) for o, m in zip(ent.outcomes, rng.random(len(ent.outcomes)))}
+        priors = PriorPair(0.3)
+        posteriors = posterior_map(ent, masses, priors)
+        assert len(posteriors) == len(ent.outcomes)
+        for outcome, bound in posteriors.items():
+            assert bound == posterior_lower_bound(outcome, ent, masses[outcome], priors)
 
     def test_missing_pointwise_outcome_rejected(self):
         # With no bound on an outcome's separable mass, its posterior has no
@@ -263,7 +278,57 @@ class TestNeymanPearson:
     def test_power_upper_bound_matches_construction(self):
         sep = OutcomePmf((F(0), F(1)), (0.9, 0.1))
         ent = OutcomePmf((F(0), F(1)), (0.2, 0.8))
-        assert np_power_upper_bound(0.05, sep, ent) == pytest.approx(0.4)
+        pointwise = {o: SimpleNamespace(correlations=(0.0,), dist=sep) for o in sep.outcomes}
+        assert power_ceiling(ent, pointwise, 0.05) == pytest.approx(0.4)
+
+
+COEFFICIENTS = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(2), F(0)])
+#: Nonnegative constants, so that the witness is nonnegative at t = 0 and
+#: its separable region is not empty.
+CONSTANTS = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
+
+
+@st.composite
+def ceiling_problems(draw):
+    """A witness of either kind over 1 to 3 settings of 1 to 4 copies, and
+    the correlations of an entangled point."""
+    settings = draw(st.integers(1, 3))
+    copies = draw(st.lists(st.integers(1, 4), min_size=settings, max_size=settings))
+    if draw(st.booleans()):
+        witness = QuadraticWitness(settings)
+    else:
+        coefficients = draw(st.lists(COEFFICIENTS, min_size=settings, max_size=settings))
+        witness = LinearWitness(coefficients, draw(CONSTANTS))
+    correlations = draw(st.lists(st.floats(-0.95, 0.95), min_size=settings, max_size=settings))
+    return witness, tuple(copies), correlations
+
+
+class TestPowerCeiling:
+    """``power_ceiling`` bounds every pointwise point at once as a
+    fractional knapsack; the single-point Neyman-Pearson reference builds
+    one test per point."""
+
+    @hypothesis_settings(max_examples=40, deadline=None)
+    @given(ceiling_problems())
+    def test_between_the_single_point_references(self, case):
+        # The ceiling takes the knapsack's cap, budget + TIE_TOLERANCE, so
+        # it lies between the reference at the budget and at that cap; the
+        # two ends differ by TIE_TOLERANCE times the likelihood ratio of the
+        # outcome that splits, which can pass 1e-11 at an arbitrary point.
+        witness, copies, correlations = case
+        ent = witness_pmf([CorrelationSetting(t, n) for t, n in zip(correlations, copies)], witness)
+        pointwise = WorstCaseProblem(witness, copies).maximize_all_points(POLISH)
+        for budget in (0.01, 0.05, 0.2, 0.3, 0.6, 0.95):
+            ceiling = power_ceiling(ent, pointwise, budget)
+            assert reference_power_bound(ent, pointwise, budget) - 1e-12 <= ceiling
+            assert ceiling <= reference_power_bound(ent, pointwise, budget + inference.TIE_TOLERANCE) + 1e-12
+
+    def test_refuses_another_grid(self):
+        witness = QuadraticWitness(2)
+        pointwise = WorstCaseProblem(witness, (2, 2)).maximize_all_points(POLISH)
+        ent = witness_pmf([CorrelationSetting(0.8, 4)] * 2, witness)
+        with pytest.raises(DomainError, match="one outcome grid"):
+            power_ceiling(ent, pointwise, 0.3)
 
 
 class TestMaxPowerSearch:
@@ -282,9 +347,12 @@ class TestMaxPowerSearch:
         witness = QuadraticWitness(2)
         copies = (4, 4)
         ent = witness_pmf([CorrelationSetting(0.8, 4)] * 2, witness)
-        found = max_power_acceptance_set(WorstCaseProblem(witness, copies), ent, 0.20, OPTS)
-        bound = np_power_upper_bound(0.20, found.worst_case.dist, ent)
+        problem = WorstCaseProblem(witness, copies)
+        pointwise = problem.maximize_all_points(OPTS)
+        found = max_power_acceptance_set(problem, ent, 0.20, OPTS, pointwise)
+        bound = power(neyman_pearson_test(0.20, found.worst_case.dist, ent), ent)
         assert found.power <= bound + 1e-9
+        assert found.power <= power_ceiling(ent, pointwise, 0.20) + 1e-12
 
     def test_infeasible_budget_returns_none(self):
         witness = QuadraticWitness(1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entcert import planner
 from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting
 from entcert.inference import PriorPair
@@ -26,6 +27,7 @@ from entcert.planner import (
 from entcert.states import EntangledStateModel, TruncatedGaussianPrior
 from entcert.witnesses import witness_pmf
 from entcert.worst_case import SearchOptions, WorstCaseProblem
+from oracles import reference_power_bound
 
 F = Fraction
 OPTS = SearchOptions(restarts=8, seed=41)
@@ -273,6 +275,37 @@ class TestOptimization:
             spec = PlanSpec(budget, 3, 0.70, "frequentist")
             powers.append(optimize_plan(spec, generalised_evaluator, workers=2).report.power)
         assert all(a >= b - 1e-12 for a, b in zip(powers, powers[1:]))
+
+
+class TestPowerCeiling:
+    """Pruning with ``power_ceiling`` ranks what pruning with the
+    single-point Neyman-Pearson reference ranks."""
+
+    # Random small scenarios in which pruning skips designs.
+    @pytest.mark.parametrize("seed", [2, 4, 5, 6, 8])
+    def test_pruned_ranking_is_the_references(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        kind = ["linear", "quadratic"][seed % 2]
+        budget, max_settings = int(rng.integers(4, 8)), int(rng.integers(2, 4))
+        validity, purity = float(rng.choice([0.6, 0.7, 0.8])), float(rng.choice([0.7, 0.8, 0.9]))
+        spec = PlanSpec(budget, max_settings, validity, "frequentist")
+
+        def ranking():
+            model = EntangledStateModel(purity=purity)
+            evaluator = PlanEvaluator(kind, model, PriorPair(2 / 3), validity, options=OPTS)
+            ranked = rank_allocations(spec, evaluator, prune=True)
+            for _, copies in enumerate_allocations(spec):
+                evaluation = evaluator.evaluate(copies)
+                reference = reference_power_bound(evaluation.ent_pmf, evaluation.pointwise, 1 - validity)
+                assert evaluation.power_bound == pytest.approx(reference, rel=0.0, abs=1e-11)
+            for plan in ranked:
+                assert plan.report.power <= evaluator.evaluate(plan.copies).power_bound + 1e-12
+            return [(plan.copies, plan.acceptance, plan.report.power) for plan in ranked]
+
+        ranked = ranking()
+        assert ranked
+        monkeypatch.setattr(planner, "power_ceiling", reference_power_bound)
+        assert ranking() == ranked
 
 
 class TestEvaluatorInputs:
