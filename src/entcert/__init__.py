@@ -32,7 +32,6 @@ from .planner import (
     Plan,
     PlanEvaluator,
     PlanSpec,
-    best_equal_split,
     enumerate_allocations,
     equal_split_sweep,
     family_signs,
@@ -50,10 +49,8 @@ from .simulate import (
 )
 from .states import (
     EntangledStateModel,
-    NoisyPureFamily,
     TruncatedGaussianPrior,
     entanglement_threshold,
-    family_correlations,
     mixture_witness_pmf,
     natural_prior,
     white_noise_success_probability,

@@ -22,7 +22,7 @@ from .errors import SchemaError
 from .inference import PriorPair
 from .pmf import format_fraction
 from .simulate import SimulationConfig
-from .states import EntangledStateModel, TruncatedGaussianPrior, check_signs
+from .states import PRIOR_GRID_STEP, EntangledStateModel, TruncatedGaussianPrior, check_signs
 from .witnesses import LinearWitness, QuadraticWitness, Witness
 from .worst_case import SearchOptions
 
@@ -121,7 +121,7 @@ def parse_entangled(doc: Any, where: str = "entangled") -> EntangledStateModel:
     # A purity beside a prior is an unknown key, not one of two sources.
     source = "prior" if isinstance(doc, Mapping) and "prior" in doc else "purity"
     check_keys(doc, where, set(), {source, "grid_step"})
-    grid_step = doc.get("grid_step", 0.01)
+    grid_step = doc.get("grid_step", PRIOR_GRID_STEP)
     if source == "purity":
         return EntangledStateModel(purity=doc.get("purity"), grid_step=grid_step)
     check_keys(doc["prior"], f"{where}.prior", {"mean", "std", "p_min"})

@@ -18,7 +18,7 @@ from typing import Iterator, Literal, Sequence
 
 from .acceptance import AcceptanceSet
 from .errors import DomainError, InfeasibleError
-from .finite_stats import CorrelationSetting, check_copies, check_integer, check_real
+from .finite_stats import check_copies, check_integer, check_real
 from .inference import (
     PriorPair,
     TestReport,
@@ -29,7 +29,7 @@ from .inference import (
     power_ceiling,
 )
 from .pmf import OutcomePmf
-from .states import EntangledStateModel
+from .states import EntangledStateModel, check_purity
 from .witnesses import LinearWitness, QuadraticWitness, Witness, WitnessGrid
 from .worst_case import POLISH, SearchOptions, WorstCaseProblem, WorstCaseResult
 
@@ -417,25 +417,23 @@ def equal_split_sweep(
     the outcome grid yields a false-positive and a false-negative
     probability, and the split is scored by the best achievable maximum of
     the two.  The returned list is sorted by (score, M).  A budget above
-    ``MAX_SWEEP_BUDGET`` raises DomainError.
+    ``MAX_SWEEP_BUDGET``, or a purity outside [0, 1], raises DomainError
+    before any grid is built.
     """
     budget = check_integer(budget, "budget", 1)
     if budget > MAX_SWEEP_BUDGET:
         raise DomainError(f"a sweep's budget must lie in [1, {MAX_SWEEP_BUDGET}], got {budget}")
+    purity = check_purity(purity)
     entries = []
     for m in range(1, budget + 1):
         if budget % m:
             continue
         n = budget // m
         witness = witness_for(witness_kind, m)
-        signs = family_signs(witness_kind, m)
-        ent_settings = [CorrelationSetting(s * purity, n) for s in signs]
-        sep_settings = [CorrelationSetting(t, n) for t in witness.analytic_worst_case()]
+        ent_correlations = [s * purity for s in family_signs(witness_kind, m)]
         # One grid for both sides: pmf_batch computes each row on its own.
         grid = WitnessGrid(witness, [n] * m)
-        ent_row, sep_row = grid.pmf_batch(
-            [[s.correlation for s in ent_settings], [s.correlation for s in sep_settings]]
-        )
+        ent_row, sep_row = grid.pmf_batch([ent_correlations, witness.analytic_worst_case()])
         ent, sep = grid.as_pmf(ent_row.tolist()), grid.as_pmf(sep_row.tolist())
         accept_low = witness_kind == "linear"
         # Both pmfs live on one grid; threshold k splits it before point k
@@ -465,7 +463,3 @@ def equal_split_sweep(
             )
         )
     return sorted(entries, key=lambda e: (e.score, e.num_settings))
-
-
-def best_equal_split(budget: int, witness_kind: WitnessKind, purity: float) -> SweepEntry:
-    return equal_split_sweep(budget, witness_kind, purity)[0]

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DomainError
 from .finite_stats import check_copies, check_correlation, check_integer
 from .pmf import OutcomePmf
-from .states import TruncatedGaussianPrior, check_signs
+from .states import PRIOR_GRID_STEP, TruncatedGaussianPrior, check_signs
 from .witnesses import Witness, WitnessGrid
 
 #: Trials are drawn in fixed chunks, chunk i from the i-th jump of the
@@ -227,7 +227,7 @@ def simulate_mixture_witness(
     witness: Witness,
     trials: int,
     seed: int,
-    grid_step: float = 0.01,
+    grid_step: float = PRIOR_GRID_STEP,
 ) -> OutcomePmf:
     """Empirical distribution with the purity drawn per trial from the prior.
 

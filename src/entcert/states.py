@@ -25,6 +25,10 @@ from .witnesses import Witness, WitnessGrid, witness_pmf
 #: every cell's pmf at once, as a cells x grid-points array of floats.
 MAX_PRIOR_CELLS = 10_000
 
+#: Default width of a prior cell: the exact mixture, the Monte Carlo
+#: mixture and the ``entangled`` config section all discretize with it.
+PRIOR_GRID_STEP = 0.01
+
 
 def check_signs(signs: Sequence[int], settings: int | None = None) -> tuple[int, ...]:
     """Ideal correlation signs as ints: each +1 or -1 (bools refused), one
@@ -50,33 +54,6 @@ def entanglement_threshold(num_qubits: int) -> float:
     """Pure-state weight above which the noisy family is entangled."""
     num_qubits = check_integer(num_qubits, "num_qubits", 2)
     return 1.0 / (2 ** (num_qubits - 1) + 1)
-
-
-@dataclass(frozen=True)
-class NoisyPureFamily:
-    """Pure state mixed with white noise at weight ``purity``.
-
-    ``signs`` are the ideal perfect-correlation signs of the pure state for
-    the declared settings; the mixed state's correlations are sign * purity.
-    """
-
-    purity: float
-    num_qubits: int
-    signs: tuple[int, ...]
-
-    def __init__(self, purity: float, num_qubits: int, signs: Sequence[int]):
-        object.__setattr__(self, "purity", check_purity(purity))
-        object.__setattr__(self, "num_qubits", check_integer(num_qubits, "num_qubits", 2))
-        object.__setattr__(self, "signs", check_signs(signs))
-
-    @property
-    def is_entangled(self) -> bool:
-        return self.purity > entanglement_threshold(self.num_qubits)
-
-
-def family_correlations(family: NoisyPureFamily) -> tuple[float, ...]:
-    """Correlations of the noisy family: each ideal sign scaled by purity."""
-    return tuple(s * family.purity for s in family.signs)
 
 
 @dataclass(frozen=True)
@@ -123,7 +100,7 @@ def mixture_witness_pmf(
     signs: Sequence[int],
     copies: Sequence[int],
     witness: Witness,
-    grid_step: float = 0.01,
+    grid_step: float = PRIOR_GRID_STEP,
 ) -> OutcomePmf:
     """Outcome distribution averaged over the purity prior.
 
@@ -179,7 +156,7 @@ class EntangledStateModel:
 
     purity: float | None = None
     prior: TruncatedGaussianPrior | None = None
-    grid_step: float = 0.01
+    grid_step: float = PRIOR_GRID_STEP
 
     def __post_init__(self):
         if (self.purity is None) == (self.prior is None):

@@ -29,7 +29,6 @@ from entcert.inference import (
 )
 from entcert.planner import (
     PlanSpec,
-    best_equal_split,
     equal_split_sweep,
     optimize_plan,
 )
@@ -130,12 +129,11 @@ def test_criterion_02_limited_significance_quadratic():
 
 def test_criterion_03_equal_split_sweep_quadratic():
     with Criterion(3, "20-copy equal-split sweep, quadratic witness") as c:
-        best = best_equal_split(20, "quadratic", 0.75)
+        best, runner_up = equal_split_sweep(20, "quadratic", 0.75)[:2]
         c.check(
             f"best quadratic split {(best.num_settings, best.copies_per_setting)} != (5, 4)",
             (best.num_settings, best.copies_per_setting) == (5, 4),
         )
-        runner_up = equal_split_sweep(20, "quadratic", 0.75)[1]
         c.check("(5,4) must win strictly", best.score < runner_up.score - 1e-9)
 
 
@@ -151,7 +149,7 @@ def test_criterion_03_equal_split_sweep_quadratic():
 )
 def test_criterion_03_equal_split_sweep_linear():
     with Criterion(3, "20-copy equal-split sweep, linear witness") as c:
-        best = best_equal_split(20, "linear", 0.75)
+        best = equal_split_sweep(20, "linear", 0.75)[0]
         c.check(
             f"best linear split {(best.num_settings, best.copies_per_setting)} != (5, 4)",
             (best.num_settings, best.copies_per_setting) == (5, 4),

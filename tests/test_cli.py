@@ -26,7 +26,7 @@ from entcert.config import (
 )
 from entcert.errors import DomainError, SchemaError
 from entcert.inference import PriorPair
-from entcert.planner import PlanSpec
+from entcert.planner import PlanEvaluator, PlanSpec
 from entcert.pmf import format_fraction, round_fraction
 from entcert.simulate import MAX_TRIALS
 from entcert.states import (
@@ -1336,6 +1336,16 @@ class TestPlanRoundTrip:
         )
         assert (evaluator.min_validity, evaluator.options) == (doc["min_validity"], SearchOptions(**options))
         assert kwargs == {"prune": True, "workers": 1}
+
+    def test_default_search_effort_depends_on_the_entry_point(self):
+        # Pinned so that unifying the two defaults is a deliberate output
+        # change: a config without an ``optimizer`` section plans with
+        # SearchOptions() and its 32 restarts, a library PlanEvaluator
+        # given no options with 12.
+        (_, evaluator), _ = parsed_call("entcert.cli.rank_allocations", PLAN_DOC, "plan")
+        assert evaluator.options == SearchOptions() and evaluator.options.restarts == 32
+        library = PlanEvaluator("quadratic", EntangledStateModel(purity=0.8), PriorPair(0.6667), 0.7)
+        assert library.options == SearchOptions(restarts=12)
 
     @hypothesis_settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["linear", "quadratic"]), st.integers(1, 10**6), UNIT,

@@ -20,7 +20,6 @@ from entcert.pmf import OutcomePmf, as_fraction
 from entcert.simulate import MAX_TRIALS, SimulationConfig, simulate_mixture_witness
 from entcert.states import (
     EntangledStateModel,
-    NoisyPureFamily,
     TruncatedGaussianPrior,
     entanglement_threshold,
     white_noise_success_probability,
@@ -39,6 +38,13 @@ def plan_spec(**changes):
     return PlanSpec(**{**args, **changes})
 
 
+def noisy_pure_member(purity, num_qubits):
+    """A fixed member of the noisy pure family as the package models it:
+    ``EntangledStateModel(purity=p)``, entangled when p exceeds
+    ``entanglement_threshold(N)``.  Gives back the purity and threshold."""
+    return EntangledStateModel(purity=purity).purity, entanglement_threshold(num_qubits)
+
+
 #: Owners of integers: how each takes a value and gives back what it made
 #: of it, the least value it accepts and the largest (None: no cap).
 INTEGERS = {
@@ -52,7 +58,7 @@ INTEGERS = {
     "equal_split_sweep": (
         lambda v: max(e.num_settings for e in equal_split_sweep(v, "linear", 0.8)), 1, MAX_SWEEP_BUDGET
     ),
-    "NoisyPureFamily.num_qubits": (lambda v: NoisyPureFamily(0.8, v, (1,)).num_qubits, 2, None),
+    "NoisyPureFamily.num_qubits": (lambda v: noisy_pure_member(0.8, v), 2, None),
     "entanglement_threshold": (entanglement_threshold, 2, None),
     "QuadraticWitness": (lambda v: QuadraticWitness(v).num_settings, 1, None),
     "CorrelationSetting.copies": (lambda v: CorrelationSetting(0.5, v).copies, 1, None),
@@ -100,7 +106,7 @@ REALS = {
         lambda v: EntangledStateModel(purity=0.8, grid_step=v).grid_step, 0.0, math.inf, "()", 0.1
     ),
     "EntangledStateModel.purity": (lambda v: EntangledStateModel(purity=v).purity, 0.0, 1.0, "[]", 0.8),
-    "NoisyPureFamily.purity": (lambda v: NoisyPureFamily(v, 2, (1,)).purity, 0.0, 1.0, "[]", 0.8),
+    "NoisyPureFamily.purity": (lambda v: noisy_pure_member(v, 2), 0.0, 1.0, "[]", 0.8),
     "CorrelationSetting.correlation": (
         lambda v: CorrelationSetting(v, 2).correlation, -1.0, 1.0, "[]", -0.25
     ),

@@ -16,7 +16,6 @@ from entcert.planner import (
     MAX_SWEEP_BUDGET,
     PlanEvaluator,
     PlanSpec,
-    best_equal_split,
     enumerate_allocations,
     equal_split_sweep,
     family_signs,
@@ -104,7 +103,7 @@ class TestEnumeration:
 
 class TestSweep:
     def test_twenty_copies_best_quadratic_split(self):
-        best = best_equal_split(20, "quadratic", 0.75)
+        best = equal_split_sweep(20, "quadratic", 0.75)[0]
         assert (best.num_settings, best.copies_per_setting) == (5, 4)
 
     def test_linear_sweep_favors_fine_splits(self):
@@ -122,6 +121,17 @@ class TestSweep:
             with pytest.raises(DomainError, match="budget"):
                 equal_split_sweep(budget, "quadratic", 0.75)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("purity", [-0.5, 1.5])
+    def test_purity_checked_before_any_grid(self, purity, monkeypatch):
+        # Checked only as a correlation, -0.5 gave a sweep and 1.5 was
+        # reported as correlation -1.5.
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(planner, "WitnessGrid", no_grid)
+        with pytest.raises(DomainError, match="purity must lie in"):
+            equal_split_sweep(8, "linear", purity)
 
     def test_sweep_scores_are_minimax(self):
         entries = equal_split_sweep(20, "quadratic", 0.75)

@@ -1,55 +1,66 @@
 """State models: noisy family, purity priors, noise curve, natural priors."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from entcert.config import parse_entangled
 from entcert.errors import DomainError
 from entcert.finite_stats import CorrelationSetting
+from entcert.planner import equal_split_sweep
 from entcert.simulate import simulate_mixture_witness
 from entcert.states import (
     MAX_PRIOR_CELLS,
+    PRIOR_GRID_STEP,
     EntangledStateModel,
-    NoisyPureFamily,
     TruncatedGaussianPrior,
     check_purity,
     check_signs,
     entanglement_threshold,
-    family_correlations,
     mixture_witness_pmf,
     natural_prior,
     white_noise_success_probability,
 )
-from entcert.witnesses import QuadraticWitness, witness_pmf
+from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
 
 
 class TestNoisyFamily:
+    # A fixed member of the family is EntangledStateModel(purity=p): each
+    # setting's correlation is its ideal sign scaled by p.
     def test_correlations_scale_with_purity(self):
-        family = NoisyPureFamily(0.75, 3, (-1, 1))
-        assert family_correlations(family) == pytest.approx((-0.75, 0.75))
+        pmf = EntangledStateModel(purity=0.75).outcome_pmf(LinearWitness([1, 2]), (4, 4), (-1, 1))
+        assert pmf.mean() == pytest.approx(-0.75 + 2 * 0.75)
 
     def test_pure_and_fully_mixed_limits(self):
-        assert family_correlations(NoisyPureFamily(1.0, 3, (1, -1, 1))) == (1.0, -1.0, 1.0)
-        assert family_correlations(NoisyPureFamily(0.0, 3, (1, -1, 1))) == (0.0, 0.0, 0.0)
+        witness = LinearWitness([1, 1, 1])
+        pure = EntangledStateModel(purity=1.0).outcome_pmf(witness, (3, 3, 3), (1, -1, 1))
+        assert pure.probability(1) == 1.0
+        mixed = EntangledStateModel(purity=0.0).outcome_pmf(witness, (3, 3, 3), (1, -1, 1))
+        assert mixed.probabilities == witness_pmf([CorrelationSetting(0.0, 3)] * 3, witness).probabilities
 
     def test_entanglement_threshold(self):
+        # A member is entangled when its purity exceeds the threshold.
         assert entanglement_threshold(3) == pytest.approx(0.2)
-        assert NoisyPureFamily(0.21, 3, (1,)).is_entangled
-        assert not NoisyPureFamily(0.2, 3, (1,)).is_entangled
+        assert 0.21 > entanglement_threshold(3)
+        assert not 0.2 > entanglement_threshold(3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            NoisyPureFamily(1.5, 3, (1,))
+            EntangledStateModel(purity=1.5)
         with pytest.raises(DomainError):
-            NoisyPureFamily(0.5, 3, (2,))
+            EntangledStateModel(purity=0.5).outcome_pmf(QuadraticWitness(1), (3,), (2,))
         with pytest.raises(DomainError):
-            NoisyPureFamily(0.5, 1, (1,))
+            entanglement_threshold(1)
 
 
+#: "NoisyPureFamily" is a fixed member of the family: its model, and
+#: whether it is entangled at three qubits.
 _PURITY_ENTRY_POINTS = {
-    "NoisyPureFamily": lambda p: NoisyPureFamily(p, 3, (1,)).purity,
+    "NoisyPureFamily": lambda p: EntangledStateModel(purity=p).purity > entanglement_threshold(3),
     "EntangledStateModel": lambda p: EntangledStateModel(purity=p).purity,
     "white_noise_success_probability": lambda p: white_noise_success_probability(p, 4, 5),
+    "equal_split_sweep": lambda p: equal_split_sweep(4, "linear", p),
 }
 
 
@@ -69,7 +80,6 @@ class TestPurityCheck:
 
     def test_purity_becomes_a_float(self):
         assert type(check_purity(np.float32(0.5))) is float
-        assert type(NoisyPureFamily(1, 3, (1,)).purity) is float
         assert type(EntangledStateModel(purity=np.int64(0)).purity) is float
 
 
@@ -228,6 +238,15 @@ class TestNaturalPrior:
 
 
 class TestEntangledModel:
+    def test_one_default_grid_step(self):
+        # The model, both mixtures and the config reader discretize a prior
+        # with the same default cell width.
+        for entry in (mixture_witness_pmf, simulate_mixture_witness):
+            assert inspect.signature(entry).parameters["grid_step"].default == PRIOR_GRID_STEP
+        assert EntangledStateModel(purity=0.5).grid_step == PRIOR_GRID_STEP
+        assert parse_entangled({"purity": 0.5}).grid_step == PRIOR_GRID_STEP
+        assert PRIOR_GRID_STEP == 0.01
+
     def test_exactly_one_source(self):
         with pytest.raises(DomainError):
             EntangledStateModel()
@@ -289,11 +308,11 @@ class TestSignCheck:
     @pytest.mark.parametrize("sign", [0.5, True, "a", 2, np.True_])
     def test_family_rejects_bad_signs(self, sign):
         with pytest.raises(DomainError):
-            NoisyPureFamily(0.5, 3, (1, sign))
+            EntangledStateModel(purity=0.5).outcome_pmf(QuadraticWitness(2), (4, 4), (1, sign))
 
     def test_numpy_and_float_signs_become_ints(self):
         signs = check_signs((np.int64(1), -1.0, np.float64(1.0)), 3)
         assert signs == (1, -1, 1)
         assert all(type(s) is int for s in signs)
-        assert NoisyPureFamily(0.5, 3, (np.int8(-1),)).signs == (-1,)
+        assert check_signs((np.int8(-1),)) == (-1,)
 
