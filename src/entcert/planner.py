@@ -211,7 +211,7 @@ class PlanEvaluator:
         self.ent_model = ent_model
         self.priors = priors
         self.min_validity = check_real(min_validity, "min_validity", 0.0, 1.0, "()")
-        self.options = options or SearchOptions(restarts=12)
+        self.options = options or SearchOptions()
         self._cache: dict[tuple[int, ...], _AllocationEvaluation] = {}
 
     def evaluate(self, copies: tuple[int, ...]) -> _AllocationEvaluation:

@@ -10,9 +10,10 @@ class supplies its region's violation and exact projection.
 
 Every search takes one path: ``_search`` climbs groups of starts by one
 batched projected-gradient ascent on the grid engine's exact gradients
-(``WitnessGrid.value_and_grad``), one row per start, and ``_result`` checks
-the point of the best candidate and re-evaluates it exactly.  The ascent
-projects every start onto the region, so starts may lie outside it.
+(``WitnessGrid.value_and_grad``), one row per start, and ``_exact`` checks
+the points of the best candidates and re-evaluates them exactly, all in one
+engine call where they fit.  The ascent projects every start onto the
+region, so starts may lie outside it.
 Acceptance-set searches climb the set's weighted mass from the analytic
 point, any seed points and random points of the box, all drawn from one
 generator, and, with restarts, from the projected box point of largest mass
@@ -21,9 +22,10 @@ one deterministic scan of the feasible region per problem: a capped lattice
 of the box, one cell for each orbit of swaps of exchangeable settings, each
 point projected onto the region and evaluated in chunks with the batched
 grid engine, keeps the best point of every outcome, and every outcome
-climbs from that seed at once.  Symmetric threshold problems
-additionally have known analytic solutions; as the first start of every
-search, they floor its result.
+climbs from that seed alone, all outcomes at once, so the seed's mass floors
+its result.  Symmetric threshold problems additionally have known analytic
+solutions; as the first start of every acceptance-set search, they floor its
+result.
 
 A setting whose grid values are all equal has an outcome law that does not
 depend on its correlation: a 1-copy setting of the quadratic witness or a
@@ -113,7 +115,7 @@ class SearchOptions:
     the analytic point and any seed points until there are ``restarts``
     starts, and one screened start from the same generator where
     ``restarts`` is above 0 (see ``maximize_set``).  Pointwise searches
-    start from the analytic point and the best scan point, and use only
+    start from the outcome's best scan point alone, and use only
     ``max_iterations``, ``xatol`` and ``fatol``.
     """
 
@@ -130,9 +132,10 @@ class SearchOptions:
             object.__setattr__(self, name, check_real(getattr(self, name), name, 0.0, ends="()"))
 
 
-#: One loose ascent from each seed point and from the analytic start, without
-#: random restarts or a screened start.  The planner's pointwise searches and
-#: the feasibility probes of the acceptance-set search use it.
+#: One loose ascent from each start, without random restarts or a screened
+#: start: from each outcome's scan point in the planner's pointwise searches,
+#: and from the analytic start and the seed points in the feasibility probes
+#: of the acceptance-set search.
 POLISH = SearchOptions(restarts=0, max_iterations=300, xatol=1e-4, fatol=1e-10)
 
 
@@ -350,9 +353,11 @@ class WorstCaseProblem:
         (candidates,) = self._search(rows, [starts], opts)
         best_value, chosen, _ = _best(candidates)
         near_best = sum(1 for value, _, _ in candidates if value >= best_value - 1e-3)
-        return self._result(
+        (dist,) = self._exact([chosen])
+        return WorstCaseResult(
             chosen,
-            lambda dist: float(np.dot(weights, np.array(dist.probabilities))),
+            float(np.dot(weights, np.array(dist.probabilities))),
+            dist,
             restarts_used,
             near_best >= min(3, len(candidates)),
         )
@@ -379,35 +384,31 @@ class WorstCaseProblem:
     ) -> list[WorstCaseResult]:
         """Worst cases of the outcomes at ``indices``, one result each.
 
-        Every outcome is one group of ``_search``, whose starts are the
-        analytic worst case where one applies and its best scan point, and
-        every row is computed on its own, so an outcome's result does not
-        depend on the others searched with it.  Only ``max_iterations``,
-        ``xatol`` and ``fatol`` of the options apply.  An outcome's result is
-        its best candidate (``_best``), and it is ``converged`` when the row
-        that gave its point met its stopping test within ``max_iterations``.
+        Every outcome is one group of ``_search`` with one start, its best
+        scan point (``_scan``), so the scan point's mass is its result's
+        floor and ``restarts_used`` is 1.  Every row is computed on its own,
+        so an outcome's result does not depend on the others searched with
+        it.  Only ``max_iterations``, ``xatol`` and ``fatol`` of the options
+        apply.  An outcome's result is its best candidate (``_best``), and
+        it is ``converged`` when the row that gave its point met its
+        stopping test within ``max_iterations``.  The chosen points are
+        re-evaluated exactly together (``_exact``).
         """
         opts = options or SearchOptions()
         _, where = self._scan
-        analytic = self._analytic_start()
-        groups = [analytic + [where[index]] for index in indices]
         owners = np.asarray(indices, dtype=np.int64)
         grid = np.arange(len(self.grid))
         found = self._search(
-            lambda owner: (owners[owner][:, None] == grid).astype(np.float64), groups, opts
+            lambda owner: (owners[owner][:, None] == grid).astype(np.float64),
+            [[where[index]] for index in indices],
+            opts,
         )
-        results = []
-        for index, starts, candidates in zip(indices, groups, found):
-            _, chosen, unfinished = _best(candidates)
-            results.append(
-                self._result(
-                    chosen,
-                    lambda dist: float(dist.probabilities[index]),
-                    len(starts),
-                    not unfinished,
-                )
-            )
-        return results
+        chosen = [_best(candidates) for candidates in found]
+        dists = self._exact([point for _, point, _ in chosen])
+        return [
+            WorstCaseResult(point, float(dist.probabilities[index]), dist, 1, not unfinished)
+            for index, (_, point, unfinished), dist in zip(indices, chosen, dists)
+        ]
 
     def _analytic_start(self) -> list[tuple[float, ...]]:
         """The witness's analytic worst case as the only start of a list,
@@ -455,14 +456,21 @@ class WorstCaseProblem:
             for count, end in zip(counts, ends)
         ]
 
-    def _result(self, point, objective, restarts_used: int, converged: bool) -> WorstCaseResult:
-        """The result at ``point``, re-evaluated exactly with ``pmf_at``;
-        ``objective(dist)`` gives its value from that outcome distribution.
-        Raises InfeasibleError where the point lies outside the region."""
-        if self.witness.violation(point) > FEASIBILITY_TOLERANCE:
+    def _exact(self, points: Sequence[tuple[float, ...]]) -> list[OutcomePmf]:
+        """Exact outcome pmfs at ``points``: ``pmf_batch`` calls of at most
+        ``_SCAN_FLOATS`` table floats each, one call for most problems.
+        ``pmf_batch`` rounds each row as if it were alone, so every pmf is
+        ``pmf_at``'s, bit for bit.  Raises InfeasibleError where a point
+        lies outside the region."""
+        if any(self.witness.violation(point) > FEASIBILITY_TOLERANCE for point in points):
             raise InfeasibleError("worst-case search returned an infeasible point")
-        dist = self.pmf_at(point)
-        return WorstCaseResult(point, objective(dist), dist, restarts_used, converged)
+        per_call = max(1, _SCAN_FLOATS // self._engine.table_size)
+        rows = np.array(points, dtype=np.float64).reshape(len(points), len(self.copies))
+        return [
+            self._engine.as_pmf(mass.tolist())
+            for i in range(0, len(rows), per_call)
+            for mass in self._engine.pmf_batch(rows[i : i + per_call])
+        ]
 
     def _ascend(self, weights: np.ndarray, start: np.ndarray, opts: SearchOptions):
         """Projected-gradient ascent of the expected weight ``weights[i]``

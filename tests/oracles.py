@@ -1,8 +1,10 @@
 """Exact per-setting laws for the brute-force oracles, built without the
 grid engine they check: each weight is ``scipy.stats.binom.pmf``.  Also
 reference formulations of the engine's gradient pass and of the Monte Carlo
-tally, which the package must match bit for bit, and of the planner's power
-ceiling, which it must match to float noise."""
+tally, which the package must match bit for bit, of the planner's power
+ceiling, which it must match to float noise, and of the two-start pointwise
+search, which the one-start search must not fall below by more than search
+noise."""
 
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from entcert.inference import neyman_pearson_test, power
 from entcert.pmf import OutcomePmf
 from entcert.simulate import CHUNK_TRIALS, _guide, _thresholds
 from entcert.witnesses import WitnessGrid
+from entcert.worst_case import WorstCaseResult, _best
 
 
 def setting_grid(setting, scale=1, shift=0, square=False) -> dict[Fraction, float]:
@@ -109,3 +112,24 @@ def reference_power_bound(ent_pmf, pointwise, budget) -> float:
             seen.add(result.correlations)
             bound = min(bound, power(neyman_pearson_test(budget, result.dist, ent_pmf), ent_pmf))
     return bound
+
+
+def reference_two_start_polish(problem, options) -> dict[Fraction, WorstCaseResult]:
+    """``WorstCaseProblem.maximize_all_points`` with two starts per outcome:
+    the witness's analytic worst case, where it has one, then the outcome's
+    best scan point, one ``_search`` group each.  Every chosen point is
+    re-evaluated with ``pmf_at``, and ``restarts_used`` counts the starts."""
+    _, where = problem._scan
+    analytic = problem._analytic_start()
+    groups = [analytic + [where[index]] for index in range(len(problem.grid))]
+    grid = np.arange(len(problem.grid))
+    found = problem._search(
+        lambda owner: (owner[:, None] == grid).astype(np.float64), groups, options
+    )
+    results = {}
+    for index, (outcome, starts, candidates) in enumerate(zip(problem.grid, groups, found)):
+        _, point, unfinished = _best(candidates)
+        dist = problem.pmf_at(point)
+        objective = float(dist.probabilities[index])
+        results[outcome] = WorstCaseResult(point, objective, dist, len(starts), not unfinished)
+    return results

@@ -317,6 +317,15 @@ class TestPowerCeiling:
         monkeypatch.setattr(planner, "power_ceiling", reference_power_bound)
         assert ranking() == ranked
 
+    def test_skip_of_522_in_the_13_copy_scenario_is_valid(self, generalised_evaluator):
+        # (5,2,2)'s scan-seeded pointwise points give a ceiling of 0.620904,
+        # below the optimum's power, so pruning skips it; the ceiling still
+        # bounds the power of its own design, 0.4428.
+        ceiling = generalised_evaluator.evaluate((5, 2, 2)).power_bound
+        optimum = generalised_evaluator.plan_for((4, 4, 4), "frequentist").report.power
+        assert ceiling < optimum
+        assert ceiling >= generalised_evaluator.plan_for((5, 2, 2), "frequentist").report.power
+
 
 class TestEvaluatorInputs:
     @staticmethod

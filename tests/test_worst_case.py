@@ -13,10 +13,11 @@ from entcert import worst_case
 from entcert.acceptance import AcceptanceSet
 from entcert.errors import DomainError, InfeasibleError
 from entcert.finite_stats import CorrelationSetting
+from entcert.planner import witness_for
 from entcert.pmf import OutcomePmf
 from entcert.witnesses import LinearWitness, QuadraticWitness, witness_pmf
 from entcert.worst_case import POLISH, SearchOptions, WorstCaseProblem
-from oracles import setting_grid
+from oracles import reference_two_start_polish, setting_grid
 from sampling import sample_separable
 
 F = Fraction
@@ -466,6 +467,7 @@ class TestPolish:
             tuple(t.hex() for t in result.correlations),
             result.converged,
             result.restarts_used,
+            np.array(result.dist.probabilities).tobytes(),
         )
 
     @pytest.mark.parametrize("witness,copies", CASES)
@@ -544,8 +546,8 @@ class TestPolish:
 
     def test_converged_means_the_chosen_row_stopped(self):
         # With no iterations only rows that start at a stationary point
-        # stop, such as outcome -1's analytic start (-1/2, 1/2) at one copy
-        # per setting.
+        # stop, such as outcome -1's scan seed at one copy per setting: the
+        # lattice corner (-1, 1) projects exactly onto (-1/2, 1/2).
         problem = WorstCaseProblem(QuadraticWitness(2), (4, 3))
         capped = problem.maximize_all_points(SearchOptions(max_iterations=0))
         assert not all(r.converged for r in capped.values())
@@ -554,6 +556,56 @@ class TestPolish:
         result = single.maximize_point(-1, SearchOptions(max_iterations=0))
         assert result.converged
         assert result.objective == pytest.approx(0.5625, abs=1e-15)
+
+
+class TestOneStart:
+    """Every pointwise search climbs from its outcome's scan point alone,
+    and one engine call re-evaluates every chosen point."""
+
+    CASES = [
+        (QuadraticWitness(3), (5, 4, 4)),
+        (QuadraticWitness(5), (4,) * 5),
+        (LinearWitness([1, -1, -1], 1), (4, 3, 2)),
+        (LinearWitness([1, -1, -1, -1, -1], 1), (4,) * 5),
+    ]
+
+    #: Allocations of both family witnesses (``planner.witness_for``): 3
+    #: settings up to 9 copies, and 5 settings of 4 copies.
+    ORACLE_CASES = [
+        (kind, copies)
+        for kind in ("quadratic", "linear")
+        for copies in [
+            (3, 2, 2), (3, 3, 1), (3, 3, 2), (3, 3, 3), (4, 3, 2),
+            (4, 4, 1), (5, 2, 2), (5, 3, 1), (6, 2, 1), (7, 1, 1), (4,) * 5,
+        ]
+    ]
+
+    @pytest.mark.parametrize("witness,copies", CASES)
+    def test_one_start_and_the_exact_pmf_of_its_point(self, witness, copies):
+        problem = WorstCaseProblem(witness, copies)
+        for result in problem.maximize_all_points(POLISH).values():
+            assert result.restarts_used == 1
+            exact = problem.pmf_at(result.correlations)
+            assert np.array(result.dist.probabilities).tobytes() == np.array(exact.probabilities).tobytes()
+
+    @pytest.mark.parametrize("kind,copies", ORACLE_CASES)
+    def test_never_below_the_two_start_search(self, kind, copies):
+        problem = WorstCaseProblem(witness_for(kind, len(copies)), copies)
+        found = problem.maximize_all_points(POLISH)
+        reference = reference_two_start_polish(problem, POLISH)
+        for outcome, result in found.items():
+            assert result.objective >= reference[outcome].objective - 1e-6
+            assert problem.witness.violation(result.correlations) <= worst_case.FEASIBILITY_TOLERANCE
+
+    def test_the_analytic_start_serves_only_the_set_search(self, monkeypatch):
+        problem = WorstCaseProblem(LinearWitness([1, -1, -1], 1), (3, 2, 2))
+
+        def refuse(self):
+            raise AssertionError("a pointwise search asked for the analytic start")
+
+        monkeypatch.setattr(WorstCaseProblem, "_analytic_start", refuse)
+        problem.maximize_all_points(POLISH)
+        problem.maximize_point(problem.grid[0], POLISH)
 
 
 class TestAscentDirections:
